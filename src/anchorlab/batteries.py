@@ -125,6 +125,28 @@ def _bounded_random_shift_cov(rng, bound: np.ndarray) -> np.ndarray:
     return half @ inner @ half.T
 
 
+# The boundary grid undershoots the supremum by a fraction of the shift term
+# gamma (M'w)'G(M'w), never by an absolute amount. With at most two anchor
+# directions the grid is a circle of 10 000 random points; the nearest one
+# misses the maximizing direction by an angle t with t^2 > 1e-5 with
+# probability about exp(-2e4 * sqrt(1e-5) / pi) = 2e-9 (seeds 0-149 of the
+# default battery undershoot by at most 3.0e-6). The 1e-12 * risk slack
+# covers rounding in the two sums.
+WORST_CASE_GRID_RTOL = 1e-5
+
+
+def _grid_gap(model: LinearScm, b: np.ndarray, gamma: float, points: np.ndarray):
+    """Signed gap between the grid supremum of the shift risk and
+    worst_case_risk, and the floor the gap must stay above."""
+    w = model.residual_weights(b)
+    base = float(w @ model.noise_covariance() @ w)
+    risk = worst_case_risk(model, b, gamma)
+    mw = model.M.T @ w
+    shift = gamma * float(mw @ model.anchor.second_moment() @ mw)
+    gap = base + float(np.max((points @ w) ** 2)) - risk
+    return gap, -(WORST_CASE_GRID_RTOL * shift + 1e-12 * abs(risk))
+
+
 def check_worst_case_identity(
     seed: int = 0,
     n_models: int = 100,
@@ -134,10 +156,10 @@ def check_worst_case_identity(
     """Penalized criterion vs. boundary-grid supremum of the shift risk.
 
     The grid can only undershoot the supremum; the signed gap must stay in
-    [-1e-4, 1e-8].
+    [-1e-5 * shift term, 1e-8].
     """
     rng = numkern.make_rng(seed)
-    worst_low, worst_high = 0.0, 0.0
+    worst_low, worst_high, above_floor = 0.0, 0.0, True
     for _ in range(n_models):
         d = int(rng.integers(1, 3))
         r = int(rng.integers(0, 3 - d + 1))
@@ -146,21 +168,18 @@ def check_worst_case_identity(
         gamma = float(rng.uniform(0.1, 8.0))
         pset = perturbation_set(model, gamma)
         points = pset.boundary_grid(grid_points, rng)
-        noise_cov = model.noise_covariance()
         for _ in range(n_b):
             b = rng.uniform(-2.0, 2.0, size=d)
-            w = model.residual_weights(b)
-            base = float(w @ noise_cov @ w)
-            grid_sup = base + float(np.max((points @ w) ** 2))
-            gap = grid_sup - worst_case_risk(model, b, gamma)
+            gap, floor = _grid_gap(model, b, gamma, points)
             worst_low = min(worst_low, gap)
             worst_high = max(worst_high, gap)
+            above_floor = above_floor and gap >= floor
     return {
         "name": "worst_case_identity",
-        "passed": worst_low >= -1e-4 and worst_high <= 1e-8,
+        "passed": above_floor and worst_high <= 1e-8,
         "min_gap": worst_low,
         "max_gap": worst_high,
-        "tolerance": "[-1e-4, 1e-8]",
+        "tolerance": "[-1e-5 * shift term, 1e-8]",
     }
 
 
@@ -325,18 +344,16 @@ def run_scm_checks(scm: LinearScm, seed: int = 0) -> dict:
     gamma = 5.0
     pset = perturbation_set(scm, gamma)
     points = pset.boundary_grid(10_000, rng)
-    noise_cov = scm.noise_covariance()
-    worst_low, worst_high = 0.0, 0.0
+    worst_low, worst_high, above_floor = 0.0, 0.0, True
     for _ in range(10):
         b = rng.uniform(-2.0, 2.0, size=scm.d)
-        w = scm.residual_weights(b)
-        base = float(w @ noise_cov @ w)
-        gap = base + float(np.max((points @ w) ** 2)) - worst_case_risk(scm, b, gamma)
+        gap, floor = _grid_gap(scm, b, gamma, points)
         worst_low, worst_high = min(worst_low, gap), max(worst_high, gap)
+        above_floor = above_floor and gap >= floor
     results.append(
         {
             "name": "worst_case_identity",
-            "passed": worst_low >= -1e-4 and worst_high <= 1e-8,
+            "passed": above_floor and worst_high <= 1e-8,
             "min_gap": worst_low,
             "max_gap": worst_high,
         }

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -93,6 +94,13 @@ def _write_table(path, header, rows) -> None:
             )
 
 
+def _nonnegative(value: float, name: str) -> float:
+    """Reject negative and NaN penalty weights as input errors."""
+    if not value >= 0:
+        raise InvalidConfig(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _parse_gamma(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
@@ -100,7 +108,7 @@ def _parse_gamma(text: str) -> float:
         value = float(text)
     except ValueError:
         raise InvalidConfig(f"cannot parse gamma value {text!r}") from None
-    return value
+    return _nonnegative(value, "gamma")
 
 
 def _parse_float_list(text: str, name: str) -> list:
@@ -139,22 +147,15 @@ def _coef_rows(names, coef):
 
 
 def cmd_fit(args) -> int:
-    ds = datamodel.center(_load_dataset(args))
     gamma = _parse_gamma(args.gamma)
+    ds = datamodel.center(_load_dataset(args))
     lam = float(args.lam)
     scales = None
     if args.standardize:
         scales = ds.X.std(axis=0)
         if (scales == 0.0).any():
             raise InvalidConfig("cannot standardize a constant predictor column")
-        ds = datamodel.AnchorDataset(
-            X=ds.X / scales,
-            Y=ds.Y,
-            A=ds.A,
-            anchor_levels=ds.anchor_levels,
-            predictor_names=ds.predictor_names,
-        )
-        ds = datamodel.center(ds)
+        ds = datamodel.center(replace(ds, X=ds.X / scales, centered=False))
     if lam > 0:
         fit = sparse.fit_anchor_lasso(ds, gamma, lam)
     else:
@@ -241,13 +242,13 @@ def cmd_path(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    ds = _load_dataset(args)
     if args.grid is None:
         raise InvalidConfig("--grid with gamma values is required for cv")
     gammas = _parse_float_list(args.grid, "gamma")
     if any(g == math.inf for g in gammas):
         raise InvalidConfig("cv grid must be finite")
     alphas = _parse_float_list(args.alpha, "alpha")
+    ds = _load_dataset(args)
     lam = float(args.lam) if args.lam is not None else None
     result = modelsel.cv_gamma(
         ds,
@@ -336,13 +337,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    ds = _load_dataset(args)
     lam = float(args.lam)
     if args.grid is not None:
         endpoints = _parse_float_list(args.grid, "gamma")
         gamma_range = (min(endpoints), max(endpoints))
     else:
         gamma_range = (0.0, 1.0)
+    ds = _load_dataset(args)
     table = modelsel.replicability_rank(ds, lam=lam, gamma_range=gamma_range)
     out = _outdir(args)
     rows = [
@@ -427,6 +428,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         max_threads()
+        if getattr(args, "lam", None) is not None:
+            _nonnegative(args.lam, "lambda")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

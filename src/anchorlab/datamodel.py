@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+from . import numkern
 from .exceptions import (
+    DomainError,
     EmptyInput,
     MissingColumn,
     NonNumericPredictor,
@@ -40,17 +43,30 @@ class AnchorEncoding:
         return len(self.levels) if self.kind == "categorical-dummy" else 1
 
 
-def encode_anchors(labels) -> tuple[np.ndarray, AnchorEncoding]:
-    """Dummy-encode per-row categorical labels, columns in sorted label order."""
-    labels = list(labels)
+def _level_codes(labels) -> tuple[np.ndarray, tuple]:
+    """Per-row index into the sorted tuple of distinct labels (as strings)."""
+    labels = [str(lab) for lab in labels]
     if not labels:
         raise EmptyInput("no rows to encode")
-    levels = tuple(sorted({str(lab) for lab in labels}))
+    levels = tuple(sorted(set(labels)))
     index = {lab: j for j, lab in enumerate(levels)}
-    mat = np.zeros((len(labels), len(levels)))
-    for i, lab in enumerate(labels):
-        mat[i, index[str(lab)]] = 1.0
-    return mat, AnchorEncoding(kind="categorical-dummy", levels=levels)
+    return np.array([index[lab] for lab in labels]), levels
+
+
+def _indicators(codes: np.ndarray, width: int) -> np.ndarray:
+    mat = np.zeros((codes.shape[0], width))
+    mat[np.arange(codes.shape[0]), codes] = 1.0
+    return mat
+
+
+def _level_rows(codes: np.ndarray, levels: tuple) -> dict:
+    return {lev: np.flatnonzero(codes == j) for j, lev in enumerate(levels)}
+
+
+def encode_anchors(labels) -> tuple[np.ndarray, AnchorEncoding]:
+    """Dummy-encode per-row categorical labels, columns in sorted label order."""
+    codes, levels = _level_codes(labels)
+    return _indicators(codes, len(levels)), AnchorEncoding(kind="categorical-dummy", levels=levels)
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,10 @@ class AnchorDataset:
 
     anchor_levels maps a level label to the row indices belonging to it; the
     sets partition the rows when present (discrete anchors only).
+
+    level_codes, when present, records that A is the 0/1 indicator matrix of
+    these per-row column indices (before centering). Only constructors that
+    build A that way set it; the anchor projection then uses level sums.
     """
 
     X: np.ndarray
@@ -70,6 +90,7 @@ class AnchorDataset:
     y_mean: float = 0.0
     a_means: np.ndarray | None = None
     predictor_names: tuple = field(default=())
+    level_codes: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -97,6 +118,14 @@ class AnchorDataset:
             )
             if len(covered) != n or len(np.unique(covered)) != n:
                 raise ValueError("anchor level index sets must partition the rows")
+        if self.level_codes is not None:
+            codes = np.asarray(self.level_codes)
+            if (
+                codes.shape != (n,)
+                or not np.issubdtype(codes.dtype, np.integer)
+                or (n and (codes.min() < 0 or codes.max() >= A.shape[1]))
+            ):
+                raise ValueError("level codes must be one column index of A per row")
 
     @property
     def n(self) -> int:
@@ -110,17 +139,31 @@ class AnchorDataset:
     def q(self) -> int:
         return self.A.shape[1]
 
+    @cached_property
+    def projection(self) -> numkern.AnchorProjection:
+        """Pi_A for this centred dataset, built on first use and shared by
+        every fit on it: level sums when the anchors carry level codes, else
+        one QR of A."""
+        if not self.centered:
+            raise DomainError("the anchor projection needs a centred dataset")
+        return numkern.AnchorProjection(self.A, self.level_codes)
+
+    @cached_property
+    def moments(self) -> numkern.AnchorMoments:
+        """[X Y] on and off the anchor span, for the dense solves."""
+        return numkern.anchor_moments(self.projection, np.column_stack([self.X, self.Y]))
+
 
 def center(ds: AnchorDataset) -> AnchorDataset:
     """Subtract column means from X, Y and A; store them for prediction."""
     if ds.n < 2:
         raise ValueError("centering needs at least two rows")
-    x_means = ds.X.mean(axis=0)
-    y_mean = float(ds.Y.mean())
-    a_means = ds.A.mean(axis=0)
     if ds.centered:
         # idempotent: previously stored means are kept
         return ds
+    x_means = ds.X.mean(axis=0)
+    y_mean = float(ds.Y.mean())
+    a_means = ds.A.mean(axis=0)
     return replace(
         ds,
         X=ds.X - x_means,
@@ -155,7 +198,8 @@ def read_csv(path, config: dict) -> AnchorDataset:
 
     `config` names the `response` column and the `anchors` (list of
     {"name", "kind"}); all remaining numeric columns except `drop_columns`
-    become predictors. Row order is preserved; missing values are an error.
+    become predictors. Row order is preserved; missing or non-finite values
+    and fewer than two data rows are an error.
     """
     response = config["response"]
     anchor_specs = config.get("anchors", [])
@@ -167,62 +211,67 @@ def read_csv(path, config: dict) -> AnchorDataset:
         except StopIteration:
             raise ParseError("empty file", row=0) from None
         rows = list(reader)
-    if not rows:
-        raise ParseError("no data rows", row=1)
     colidx = {name: j for j, name in enumerate(header)}
     anchor_names = [spec["name"] for spec in anchor_specs]
     for name in [response, *anchor_names]:
         if name not in colidx:
             raise MissingColumn(name)
+    if not anchor_specs:
+        raise MissingColumn("at least one anchor column is required")
+    if len(rows) < 2:
+        raise ParseError(f"need at least two data rows, found {len(rows)}", row=len(rows) + 1)
     predictor_names = [
         name
         for name in header
         if name != response and name not in anchor_names and name not in drop
     ]
+    categorical = [spec.get("kind", "continuous") == "categorical" for spec in anchor_specs]
+    labels = {
+        name: _level_codes(row[colidx[name]] for row in rows)
+        for name, cat in zip(anchor_names, categorical)
+        if cat
+    }
+    widths = [len(labels[name][1]) if cat else 1 for name, cat in zip(anchor_names, categorical)]
+    starts = np.cumsum([0, *widths[:-1]])
 
-    y = np.array(
-        [
-            _parse_cell(row[colidx[response]], i + 1, response, "response")
-            for i, row in enumerate(rows)
-        ]
-    )
-    X = np.empty((len(rows), len(predictor_names)))
-    for j, name in enumerate(predictor_names):
+    n, d = len(rows), len(predictor_names)
+    X, Y, A = np.empty((n, d)), np.empty(n), np.zeros((n, sum(widths)))
+    numeric = [
+        (response, "response", Y),
+        *((name, "predictor", X[:, j]) for j, name in enumerate(predictor_names)),
+        *(
+            (name, "anchor", A[:, start])
+            for name, cat, start in zip(anchor_names, categorical, starts)
+            if not cat
+        ),
+    ]
+    for name, kind, out in numeric:
         cix = colidx[name]
-        for i, row in enumerate(rows):
-            X[i, j] = _parse_cell(row[cix], i + 1, name, "predictor")
-
-    a_blocks = []
-    anchor_levels = None
-    for spec in anchor_specs:
-        name, kind = spec["name"], spec.get("kind", "continuous")
-        cix = colidx[name]
-        if kind == "categorical":
-            labels = [row[cix] for row in rows]
-            block, enc = encode_anchors(labels)
-            a_blocks.append(block)
-            if len(anchor_specs) == 1:
-                anchor_levels = {
-                    lev: np.flatnonzero(block[:, j]) for j, lev in enumerate(enc.levels)
-                }
-        else:
-            a_blocks.append(
-                np.array(
-                    [
-                        _parse_cell(row[cix], i + 1, name, "anchor")
-                        for i, row in enumerate(rows)
-                    ]
-                )[:, None]
+        out[:] = [_parse_cell(row[cix], i + 1, name, kind) for i, row in enumerate(rows)]
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseError(
+                f"non-finite {kind} cell at row {i + 1}, column {name!r}: {rows[i][cix]!r}",
+                row=i + 1,
+                column=name,
             )
-    if not a_blocks:
-        raise MissingColumn("at least one anchor column is required")
-    A = np.hstack(a_blocks)
+
+    anchor_levels = level_codes = None
+    for name, cat, start in zip(anchor_names, categorical, starts):
+        if cat:
+            codes, levels = labels[name]
+            A[np.arange(n), start + codes] = 1.0
+            if len(anchor_specs) == 1:
+                level_codes = codes
+                anchor_levels = _level_rows(codes, levels)
     return AnchorDataset(
         X=X,
-        Y=y,
+        Y=Y,
         A=A,
         anchor_levels=anchor_levels,
         predictor_names=tuple(predictor_names),
+        level_codes=level_codes,
     )
 
 
@@ -248,8 +297,11 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
 
 def from_levels(X, Y, labels) -> AnchorDataset:
     """Build a discrete-anchor dataset from per-row level labels."""
-    A, enc = encode_anchors(labels)
-    levels = {
-        lev: np.flatnonzero(A[:, j]) for j, lev in enumerate(enc.levels)
-    }
-    return AnchorDataset(X=X, Y=Y, A=A, anchor_levels=levels)
+    codes, levels = _level_codes(labels)
+    return AnchorDataset(
+        X=X,
+        Y=Y,
+        A=_indicators(codes, len(levels)),
+        anchor_levels=_level_rows(codes, levels),
+        level_codes=codes,
+    )

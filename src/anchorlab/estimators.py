@@ -9,6 +9,10 @@ anchors out, gamma = 1 is OLS, gamma -> infinity is two-stage least squares.
 The infinite endpoint gets its own code path (`fit_iv`) because the
 transformed design's conditioning degrades linearly in gamma.
 
+Every fit projects through `AnchorDataset.projection`, built once per
+centred dataset, and the dense solves read the data only through the two
+Gram matrices in `AnchorDataset.moments`, shared by all gamma values.
+
 A scikit-learn style wrapper (`AnchorRegression`) is provided at the bottom
 so the estimator composes with pipelines and grid search.
 """
@@ -49,48 +53,47 @@ class AnchorFit:
     predictor_names: tuple = ()
 
 
-def _require_centered(ds: AnchorDataset) -> AnchorDataset:
-    return ds if ds.centered else center(ds)
-
-
 def gamma_transform(ds: AnchorDataset, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (Id + (sqrt(gamma) - 1) P) applied columnwise to X and Y."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    ds = _require_centered(ds)
-    shrink = np.sqrt(gamma) - 1.0
-    xt = ds.X + shrink * numkern.project_columns(ds.A, ds.X)
-    yt = ds.Y + shrink * numkern.project_columns(ds.A, ds.Y)
-    return xt, yt
+    ds = center(ds)
+    on = ds.projection.project(np.column_stack([ds.X, ds.Y]))
+    on *= np.sqrt(gamma) - 1.0
+    return ds.X + on[:, : ds.d], ds.Y + on[:, ds.d]
 
 
 def anchor_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> float:
     """Penalized criterion at b: off-anchor residual energy + gamma on-anchor."""
-    ds = _require_centered(ds)
+    ds = center(ds)
     resid = ds.Y - ds.X @ b
-    on_anchor = numkern.project_columns(ds.A, resid)
-    off_anchor = resid - on_anchor
-    return float(off_anchor @ off_anchor + gamma * (on_anchor @ on_anchor))
+    coords = ds.projection.coordinates(resid)
+    off_anchor = resid - ds.projection.expand(coords)
+    return float(off_anchor @ off_anchor + gamma * (coords @ coords))
 
 
 def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
     """Plug-in estimator: OLS on the gamma-transformed data.
 
-    gamma = inf is routed to `fit_iv`. Raises SingularDesign when the
-    transformed Gram matrix is not positive definite (in particular n <= d).
+    The transformed Gram matrix is X'(Id - P)X + gamma X'PX, so every gamma
+    solves from the dataset's two cached Gram matrices. gamma = inf is
+    routed to `fit_iv`. Raises SingularDesign when the transformed Gram
+    matrix is not positive definite (in particular n <= d).
     """
     if gamma == GAMMA_INF:
         return fit_iv(ds)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    ds = _require_centered(ds)
+    ds = center(ds)
     if ds.n <= ds.d:
         raise SingularDesign(
             f"n={ds.n} <= d={ds.d}; use the l1-penalized solver for this regime"
         )
-    xt, yt = gamma_transform(ds, gamma)
+    moments = ds.moments
+    gram = moments.gram_off + gamma * moments.gram_on
+    d = ds.d
     try:
-        coef = numkern.solve_spd(xt.T @ xt, xt.T @ yt)
+        coef = numkern.solve_spd(gram[:d, :d], gram[:d, d])
     except NotPositiveDefinite as exc:
         raise SingularDesign(
             "transformed design is singular; add ridge or reduce d"
@@ -109,26 +112,31 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
 def fit_iv(ds: AnchorDataset) -> AnchorFit:
     """Two-stage least squares: minimize the anchor-projected residual only.
 
-    Raises Underidentified when rank(P X) < d, in which case the minimizer
-    is not unique and no pseudo-inverse solution is returned.
+    Solves from the anchor coordinates R = [R_x R_y] of the data, whose
+    singular values are those of P X. Raises Underidentified when
+    rank(P X) < d, in which case the minimizer is not unique and no
+    pseudo-inverse solution is returned.
     """
-    ds = _require_centered(ds)
-    x_proj = numkern.project_columns(ds.A, ds.X)
-    y_proj = numkern.project_columns(ds.A, ds.Y)
+    ds = center(ds)
+    moments = ds.moments
+    d = ds.d
+    r_x, r_y = moments.on[:, :d], moments.on[:, d]
     # rank relative to the unprojected design's scale, so an (almost) fully
-    # annihilated X is reported as rank deficient rather than rank d
-    sv = np.linalg.svd(x_proj, compute_uv=False)
-    scale = max(float(np.linalg.norm(ds.X, ord=2)), 1e-300)
+    # annihilated X is reported as rank deficient rather than rank d;
+    # ||X||_2^2 is the top eigenvalue of X'X = gram_off + gram_on
+    sv = np.linalg.svd(r_x, compute_uv=False)
+    x_gram = moments.gram_off[:d, :d] + moments.gram_on[:d, :d]
+    scale = max(float(np.sqrt(np.linalg.norm(x_gram, ord=2))), 1e-300)
     rank = int(np.sum(sv > numkern.QR_RANK_RTOL * scale))
-    if rank < ds.d:
+    if rank < d:
         raise Underidentified(
-            f"anchor-projected design has rank {rank} < d={ds.d}"
+            f"anchor-projected design has rank {rank} < d={d}"
         )
     try:
-        coef = numkern.solve_spd(x_proj.T @ x_proj, x_proj.T @ y_proj)
+        coef = numkern.solve_spd(moments.gram_on[:d, :d], moments.gram_on[:d, d])
     except NotPositiveDefinite as exc:
         raise Underidentified(str(exc)) from exc
-    resid_proj = y_proj - x_proj @ coef
+    resid_proj = r_y - r_x @ coef
     return AnchorFit(
         gamma=GAMMA_INF,
         lam=0.0,

@@ -74,20 +74,24 @@ def conditional_mse_quantiles(ds: AnchorDataset, b, alphas) -> ConditionalMseRep
 def subset_rows(ds: AnchorDataset, rows: np.ndarray) -> AnchorDataset:
     """Row subset with anchor level bookkeeping rebuilt; centering is reset."""
     rows = np.asarray(rows, dtype=int)
-    position = {int(r): i for i, r in enumerate(rows)}
     levels = None
     if ds.anchor_levels is not None:
+        # position[i] is row i's index in the subset, -1 when it is left out
+        position = np.full(ds.n, -1)
+        position[rows] = np.arange(rows.size)
         levels = {}
         for label, idx in ds.anchor_levels.items():
-            kept = [position[int(i)] for i in np.asarray(idx) if int(i) in position]
-            if kept:
-                levels[label] = np.array(sorted(kept))
+            kept = position[np.asarray(idx, dtype=int)]
+            kept = kept[kept >= 0]
+            if kept.size:
+                levels[label] = np.sort(kept)
     return AnchorDataset(
         X=ds.X[rows],
         Y=ds.Y[rows],
         A=ds.A[rows],
         anchor_levels=levels,
         predictor_names=ds.predictor_names,
+        level_codes=None if ds.level_codes is None else ds.level_codes[rows],
     )
 
 
@@ -153,6 +157,8 @@ def cv_gamma(
             fit = _fit_for(train, gamma, lam)
             report = conditional_mse_quantiles(test, fit, alphas)
             sums[:, j] += np.array(report.quantiles)
+        # free this fold's row copies before the next fold makes its own
+        del train, test
     curves = sums / folds
     selected = {
         alpha: gamma_grid[int(np.argmin(curves[i]))] for i, alpha in enumerate(alphas)
@@ -178,7 +184,7 @@ def anchor_stability_test(
     sample projectability check. The IV endpoint is included only when it
     is identified.
     """
-    ds = center(ds) if not ds.centered else ds
+    ds = center(ds)
     gamma_grid = tuple(float(g) for g in np.atleast_1d(gamma_grid))
     fits = {0.0: fit_anchor(ds, 0.0)}
     for gamma in gamma_grid:
@@ -244,7 +250,7 @@ def replicability_rank(
     low, high = (float(g) for g in gamma_range)
     if low < 0 or high < low:
         raise DomainError("gamma range must satisfy 0 <= low <= high")
-    ds = center(ds) if not ds.centered else ds
+    ds = center(ds)
     if low == 0.0:
         positive = np.geomspace(max(high / 100.0, 1e-3), high, grid_size - 1) if high > 0 else []
         grid = [0.0, *positive]

@@ -6,6 +6,8 @@ through an explicitly seeded generator; no global RNG state is touched.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 from scipy.special import ndtr, ndtri
@@ -84,16 +86,84 @@ def project_columns(anchors: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Never materializes the n-by-n projector; cost is O(n q m).
     """
-    values = np.asarray(values, dtype=float)
-    basis = orthonormal_range(anchors)
-    flat = values if values.ndim > 1 else values[:, None]
-    out = basis @ (basis.T @ flat)
-    return out if values.ndim > 1 else out[:, 0]
+    return AnchorProjection(anchors).project(values)
 
 
-def residual_columns(anchors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(Id - projection) applied columnwise; orthogonal to col(anchors)."""
-    return np.asarray(values, dtype=float) - project_columns(anchors, values)
+class AnchorProjection:
+    """The projection Pi_A onto the anchors' column span, never formed as n x n.
+
+    With integer `codes`, the anchor block must be the 0/1 indicator matrix
+    of those codes (each row holds one 1, in column codes[i]), centred or
+    not; Pi_A then replaces each row by its level mean and no QR runs. For
+    a centred indicator block this holds on mean-zero columns, the only ones
+    the estimators project; `anchors` is then not read. Any other block
+    takes one pivoted QR.
+
+    `coordinates` maps columns V to R with R'R = V' Pi_A V: the coefficients
+    in an orthonormal basis of the span, or sqrt(n_l) times the level means
+    of the levels that occur. `expand` maps R back to Pi_A V.
+    """
+
+    def __init__(self, anchors: np.ndarray, codes: np.ndarray | None = None):
+        if codes is None:
+            self._basis = orthonormal_range(anchors)
+            return
+        self._basis = None
+        codes = np.asarray(codes, dtype=np.intp)
+        counts = np.bincount(codes)
+        present = counts > 0
+        # renumber the levels that occur as 0..L-1; absent levels span nothing
+        self._local = (np.cumsum(present) - 1)[codes]
+        self._root_counts = np.sqrt(counts[present])
+
+    def coordinates(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        flat = values if values.ndim > 1 else values[:, None]
+        if self._basis is not None:
+            out = self._basis.T @ flat
+        else:
+            sums = np.stack(
+                [
+                    np.bincount(self._local, weights=col, minlength=self._root_counts.size)
+                    for col in flat.T
+                ],
+                axis=1,
+            )
+            out = sums / self._root_counts[:, None]
+        return out if values.ndim > 1 else out[:, 0]
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        if self._basis is not None:
+            return self._basis @ coords
+        scale = self._root_counts if coords.ndim == 1 else self._root_counts[:, None]
+        return (coords / scale)[self._local]
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        return self.expand(self.coordinates(values))
+
+
+@dataclass(frozen=True)
+class AnchorMoments:
+    """Second moments of data columns Z on and off the anchor span.
+
+    on:       R = coordinates of Z, so that R'R = Z' Pi_A Z;
+    gram_on:  R'R;
+    gram_off: Z'(Id - Pi_A)Z, formed from the residual columns. Forming it as
+              Z'Z - gram_on instead loses the digits that anchors explaining
+              most of Z leave in the residual.
+    """
+
+    on: np.ndarray
+    gram_on: np.ndarray
+    gram_off: np.ndarray
+
+
+def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMoments:
+    """Split the columns of `data` on and off the anchor span."""
+    on = projection.coordinates(data)
+    off = data - projection.expand(on)
+    return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
 
 
 def normal_quantile(p: float) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .datamodel import AnchorDataset
-from .estimators import AnchorFit, _require_centered, fit_anchor, gamma_transform
+from .datamodel import AnchorDataset, center
+from .estimators import AnchorFit, fit_anchor, gamma_transform
 from .exceptions import DomainError, EmptyLevel, InvalidConfig
 
 MAX_SWEEPS = 100_000
@@ -127,9 +127,9 @@ def fit_anchor_lasso(
     start: np.ndarray | None = None,
 ) -> AnchorFit:
     """Solve the transformed lasso min ||Yt - Xt b||^2 + 2*lam*||b||_1."""
-    if gamma < 0 or lam < 0:
+    if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
-    ds = _require_centered(ds)
+    ds = center(ds)
     if lam == 0.0 and ds.n > ds.d:
         # unpenalized and well-posed: the exact normal-equation solve is both
         # faster and tighter than running descent to machine precision
@@ -162,7 +162,7 @@ def lambda_path(
         raise InvalidConfig("n_lambdas must be at least 2")
     if not 0.0 < ratio < 1.0:
         raise InvalidConfig("ratio must lie in (0, 1)")
-    ds = _require_centered(ds)
+    ds = center(ds)
     top = lambda_max(ds, gamma)
     grid = top * np.exp(np.linspace(0.0, np.log(ratio), n_lambdas))
     xt, yt = gamma_transform(ds, gamma)
@@ -250,9 +250,9 @@ def _equal_weight_design(ds: AnchorDataset, gamma: float):
 
 def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> AnchorFit:
     """Minimize n * equal-weight risk + 2*lam*||b||_1 by coordinate descent."""
-    if gamma < 0 or lam < 0:
+    if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
-    ds = _require_centered(ds)
+    ds = center(ds)
     design, response = _equal_weight_design(ds, gamma)
     b, sweeps, move, converged = lasso_coordinate_descent(design, response, lam)
     return _finish_fit(ds, gamma, lam, design, response, b, sweeps, move, converged)
@@ -293,7 +293,7 @@ def anchor_compatibility(
     active = np.asarray(active, dtype=int)
     if active.size == 0:
         raise DomainError("active set must be nonempty")
-    ds = _require_centered(ds)
+    ds = center(ds)
     blocks = _level_blocks(ds)
     k = len(blocks)
     gram = np.zeros((ds.d, ds.d))

@@ -3,10 +3,16 @@
 These deliberately use different algorithms than the production code:
 accelerated proximal gradient instead of coordinate descent, explicit QR
 least squares instead of Cholesky, undirected-trail enumeration instead of
-Bayes-ball.
+Bayes-ball, a per-fit QR projection instead of cached anchor moments.
 """
 
+import math
+
 import numpy as np
+
+from anchorlab import numkern
+from anchorlab.datamodel import center
+from anchorlab.exceptions import NotPositiveDefinite, SingularDesign, Underidentified
 
 
 def qr_lstsq(design, response):
@@ -39,6 +45,62 @@ def proximal_gradient_lasso(design, response, lam, iterations=20_000, tol=1e-12)
 def lasso_objective(design, response, b, lam):
     resid = response - design @ b
     return float(resid @ resid + 2.0 * lam * np.abs(b).sum())
+
+
+def _qr_project(ds, values):
+    basis = numkern.orthonormal_range(ds.A)
+    return basis @ (basis.T @ values)
+
+
+def qr_gamma_transform(ds, gamma):
+    """The gamma-transform with a fresh pivoted QR of the centred anchors per
+    projected column block; no level sums, no cached moments."""
+    ds = center(ds)
+    shrink = np.sqrt(gamma) - 1.0
+    return ds.X + shrink * _qr_project(ds, ds.X), ds.Y + shrink * _qr_project(ds, ds.Y)
+
+
+def qr_fit_anchor(ds, gamma):
+    """Anchor-regression coefficients as OLS on the QR-transformed data.
+
+    Raises SingularDesign and Underidentified under the same rules as the
+    library: n <= d or a non-positive-definite transformed Gram matrix, and
+    rank(P X) < d relative to ||X||_2 at gamma = inf.
+    """
+    ds = center(ds)
+    if gamma == math.inf:
+        return qr_fit_iv(ds)
+    if ds.n <= ds.d:
+        raise SingularDesign("n <= d")
+    xt, yt = qr_gamma_transform(ds, gamma)
+    try:
+        return numkern.solve_spd(xt.T @ xt, xt.T @ yt)
+    except NotPositiveDefinite as exc:
+        raise SingularDesign(str(exc)) from exc
+
+
+def qr_fit_iv(ds):
+    ds = center(ds)
+    x_proj, y_proj = _qr_project(ds, ds.X), _qr_project(ds, ds.Y)
+    sv = np.linalg.svd(x_proj, compute_uv=False)
+    scale = max(float(np.linalg.norm(ds.X, ord=2)), 1e-300)
+    if int(np.sum(sv > numkern.QR_RANK_RTOL * scale)) < ds.d:
+        raise Underidentified("rank(P X) < d")
+    try:
+        return numkern.solve_spd(x_proj.T @ x_proj, x_proj.T @ y_proj)
+    except NotPositiveDefinite as exc:
+        raise Underidentified(str(exc)) from exc
+
+
+def subset_levels_loop(anchor_levels, rows):
+    """Level index sets of a row subset, rebuilt with a per-row dict."""
+    position = {int(r): i for i, r in enumerate(rows)}
+    levels = {}
+    for label, idx in anchor_levels.items():
+        kept = [position[int(i)] for i in np.asarray(idx) if int(i) in position]
+        if kept:
+            levels[label] = np.array(sorted(kept))
+    return levels
 
 
 def groupwise_means(values, groups):

@@ -1,0 +1,231 @@
+"""The cached anchor projection and moments against the per-fit QR reference.
+
+Every fit projects through `AnchorDataset.projection` (level sums for
+categorical anchors, one QR for any other anchor block) and every dense fit
+solves from the Gram matrices in `AnchorDataset.moments`. These tests pin
+both to the QR-based estimator in `oracles` on every anchor kind the library
+builds.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from anchorlab import numkern, scm, sparse
+from anchorlab.datamodel import AnchorDataset, center, from_levels
+from anchorlab.estimators import fit_anchor, fit_iv, gamma_transform
+from anchorlab.exceptions import SingularDesign, Underidentified
+from anchorlab.modelsel import cv_gamma, subset_rows
+
+import oracles
+
+GAMMAS = (0.0, 0.25, 1.0, 4.0, 1e3, 1e6, 1e9, math.inf)
+COEF_RTOL = 1e-9
+
+
+def _categorical(rng, d, strong=False):
+    n, levels = int(rng.integers(80, 400)), int(rng.integers(d + 3, 15))
+    labels = rng.integers(0, levels, size=n)
+    hidden = rng.standard_normal(n)
+    noise = 1e-4 if strong else 1.0
+    x = 2.0 * rng.standard_normal((levels, d))[labels] + noise * (
+        rng.standard_normal((n, d)) + hidden[:, None]
+    )
+    y = x @ rng.standard_normal(d) + 2.0 * hidden + rng.standard_normal(n)
+    return from_levels(x, y, labels)
+
+
+def _fold(rng, d):
+    # a training fold: whole levels left out, so some indicator columns are zero
+    ds = _categorical(rng, d)
+    labels = sorted(ds.anchor_levels)
+    kept = rng.choice(len(labels), size=d + 2, replace=False)
+    rows = np.sort(np.concatenate([ds.anchor_levels[labels[k]] for k in kept]))
+    return subset_rows(ds, rows)
+
+
+def _continuous(rng, d, strong=False):
+    n, q = int(rng.integers(60, 400)), d + int(rng.integers(0, 3))
+    a = rng.standard_normal((n, q))
+    hidden = rng.standard_normal(n)
+    noise = 1e-4 if strong else 1.0
+    x = a @ rng.standard_normal((q, d)) + noise * (
+        rng.standard_normal((n, d)) + hidden[:, None]
+    )
+    y = x @ rng.standard_normal(d) + 2.0 * hidden + rng.standard_normal(n)
+    return AnchorDataset(X=x, Y=y, A=a)
+
+
+def _level_vectors(rng, d):
+    # scm.sample keeps anchor_levels but A holds the level vectors, q columns
+    q, p = d + 1, d + 2
+    B = np.zeros((p, p))
+    B[:d, d + 1] = rng.uniform(0.5, 1.5, d)
+    B[d, :d] = rng.uniform(-1.0, 1.0, d)
+    B[d, d + 1] = 1.5
+    M = np.zeros((p, q))
+    M[:d] = rng.uniform(-1.0, 1.0, (d, q))
+    anchor = scm.AnchorDistribution.discrete(rng.standard_normal((int(rng.integers(q + 1, 12)), q)))
+    model = scm.LinearScm(d=d, r=1, B=B, M=M, noise_scales=np.ones(p), anchor=anchor)
+    return scm.sample(model, int(rng.integers(80, 400)), rng)
+
+
+DESIGNS = {
+    "categorical": _categorical,
+    "fold": _fold,
+    "continuous": _continuous,
+    "level-vectors": _level_vectors,
+    "strong-categorical": lambda rng, d: _categorical(rng, d, strong=True),
+    "strong-continuous": lambda rng, d: _continuous(rng, d, strong=True),
+}
+
+
+def _relative_gap(got, ref):
+    return float(np.max(np.abs(got - ref))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    d=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=60, deadline=None)
+def test_coefficients_match_qr_reference(design, d, seed):
+    ds = center(DESIGNS[design](numkern.make_rng(seed), d))
+    for gamma in GAMMAS:
+        got = fit_anchor(ds, gamma).coef
+        assert _relative_gap(got, oracles.qr_fit_anchor(ds, gamma)) <= COEF_RTOL, gamma
+
+
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    d=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=30, deadline=None)
+def test_gamma_transform_matches_qr_reference(design, d, seed):
+    # both projections round at the scale of the data they project, which
+    # the transform multiplies by sqrt(gamma) on the anchor span
+    ds = center(DESIGNS[design](numkern.make_rng(seed), d))
+    for gamma in GAMMAS[:-1]:
+        pairs = zip(gamma_transform(ds, gamma), oracles.qr_gamma_transform(ds, gamma), (ds.X, ds.Y))
+        for got, ref, raw in pairs:
+            scale = max(np.sqrt(gamma), 1.0) * float(np.max(np.abs(raw)))
+            assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale, gamma
+
+
+def test_strong_anchors_partial_out_to_round_off():
+    # anchors explain all but 1e-8 of the variance of X
+    for seed in range(20):
+        ds = center(_categorical(numkern.make_rng(seed), 3, strong=True))
+        got = fit_anchor(ds, 0.0).coef
+        assert _relative_gap(got, oracles.qr_fit_anchor(ds, 0.0)) <= COEF_RTOL
+
+
+def _outcome(fit, ds, gamma):
+    try:
+        fit(ds, gamma)
+    except (SingularDesign, Underidentified) as exc:
+        return type(exc)
+    return None
+
+
+def _few_rows(rng):
+    return AnchorDataset(X=rng.standard_normal((4, 4)), Y=rng.standard_normal(4),
+                         A=rng.standard_normal((4, 2)))
+
+
+def _collinear(rng):
+    ds = _continuous(rng, 2)
+    return AnchorDataset(X=np.column_stack([ds.X, ds.X[:, 0]]), Y=ds.Y, A=ds.A)
+
+
+def _one_anchor_direction(rng):
+    ds = _continuous(rng, 3)
+    return AnchorDataset(X=ds.X, Y=ds.Y, A=ds.A[:, :1])
+
+
+def _two_levels(rng):
+    ds = _categorical(rng, 2)
+    labels = np.where(ds.level_codes % 2 == 0, "even", "odd")
+    return from_levels(ds.X, ds.Y, labels)
+
+
+@pytest.mark.parametrize("build, expected", [
+    (_few_rows, {SingularDesign, Underidentified}),
+    (_collinear, {SingularDesign, Underidentified}),
+    (_one_anchor_direction, {None, Underidentified}),
+    (_two_levels, {None, Underidentified}),
+])
+def test_errors_raised_exactly_where_reference_raises(build, expected):
+    for seed in range(5):
+        ds = center(build(numkern.make_rng(seed)))
+        outcomes = {
+            gamma: _outcome(fit_anchor, ds, gamma) for gamma in GAMMAS
+        }
+        assert outcomes == {
+            gamma: _outcome(oracles.qr_fit_anchor, ds, gamma) for gamma in GAMMAS
+        }
+        assert set(outcomes.values()) == expected
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    calls = []
+    real = numkern.orthonormal_range
+
+    def counted(basis):
+        calls.append(np.shape(basis))
+        return real(basis)
+
+    monkeypatch.setattr(numkern, "orthonormal_range", counted)
+    return calls
+
+
+def test_categorical_anchors_run_no_qr(qr_calls):
+    ds = _categorical(numkern.make_rng(1), 3)
+    for gamma in GAMMAS:
+        fit_anchor(center(ds), gamma)
+    sparse.fit_anchor_lasso(center(ds), 2.0, 5.0)
+    cv_gamma(ds, alphas=(0.5, 0.9), gamma_grid=(0.5, 1.0, 4.0), folds=3, lam=5.0)
+    assert qr_calls == []
+
+
+def test_one_qr_per_centred_dataset(qr_calls):
+    for build in (_continuous, _level_vectors):
+        ds = center(build(numkern.make_rng(2), 2))
+        for gamma in GAMMAS:
+            fit_anchor(ds, gamma)
+        fit_iv(ds)
+        sparse.fit_anchor_lasso(ds, 4.0, 1.0)
+        sparse.lambda_max(ds, 0.5)
+    assert len(qr_calls) == 2
+
+
+def test_projection_needs_a_centred_dataset():
+    with pytest.raises(ValueError):
+        _continuous(numkern.make_rng(3), 2).projection
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=50, deadline=None)
+def test_subset_rows_matches_loop(sizes, seed):
+    rng = numkern.make_rng(seed)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(labels)
+    n = labels.size
+    ds = from_levels(rng.standard_normal((n, 2)), rng.standard_normal(n), labels)
+    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    sub = subset_rows(ds, rows)
+    expected = oracles.subset_levels_loop(ds.anchor_levels, rows)
+    assert list(sub.anchor_levels) == list(expected)
+    for label, idx in expected.items():
+        assert np.array_equal(sub.anchor_levels[label], idx)
+        assert sub.anchor_levels[label].dtype == idx.dtype
+    assert np.array_equal(sub.A, ds.A[rows])
+    assert np.array_equal(sub.level_codes, ds.level_codes[rows])

@@ -44,6 +44,16 @@ def _read_coef(path):
     return {name: float(v) for name, v in rows[1:]}
 
 
+def _tiny_files(root, text):
+    data = root / "tiny.csv"
+    data.write_text(text)
+    config = root / "tiny.json"
+    config.write_text(
+        json.dumps({"response": "y", "anchors": [{"name": "a1", "kind": "continuous"}]})
+    )
+    return data, config
+
+
 class TestFit:
     @pytest.mark.parametrize(
         "gamma,target", [("1", 5.0 / 3.0), ("0", 2.0), ("inf", 1.0)]
@@ -283,6 +293,35 @@ class TestErrorContract:
                 "--out", str(tmp_path / "o"),
             ]
         ) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--gamma", "-1"],
+        ["fit", "--gamma", "nan"],
+        ["fit", "--lambda", "-1"],
+        ["fit", "--lambda", "nan"],
+        ["path", "--grid", "0,-0.5"],
+        ["path", "--grid", "1", "--lambda", "nan"],
+        ["cv", "--grid", "1,nan", "--seed", "0"],
+        ["rank", "--lambda", "-1"],
+    ])
+    def test_negative_or_nan_penalty_is_config_error(self, argv, tmp_path, capsys):
+        data, config = _tiny_files(tmp_path, "y,x1,a1\n1,2,0.5\n2,3,1\n3,1,2\n4,2,1\n")
+        code = cli.main(argv + ["--data", str(data), "--config", str(config),
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, where", [
+        ("y,x1,a1\n1,2,0.5\n", "at least two data rows"),
+        ("y,x1,a1\n1,2,0.5\n2,nan,1\n3,1,2\n", "row 2, column 'x1'"),
+        ("y,x1,a1\n1,2,0.5\n2,3,1\n3,1,-inf\n", "row 3, column 'a1'"),
+    ])
+    def test_bad_csv_is_config_error(self, text, where, tmp_path, capsys):
+        data, config = _tiny_files(tmp_path, text)
+        code = cli.main(["fit", "--data", str(data), "--config", str(config),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert where in capsys.readouterr().err
 
     def test_threads_env_validated(self, example2_files, tmp_path, monkeypatch):
         monkeypatch.setenv("ANCHORLAB_THREADS", "zero")

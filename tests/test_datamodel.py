@@ -103,6 +103,39 @@ class TestCsv:
         assert err.value.row == 1
         assert err.value.column == "x1"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"y,x1,env\n1.0,0.5,a\n2.0,0.5,b\n3.0,{cell},a\n")
+        with pytest.raises(ParseError) as err:
+            read_csv(p, {"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]})
+        assert (err.value.row, err.value.column) == (3, "x1")
+
+    @pytest.mark.parametrize("body", ["", "1.0,0.5,a\n"])
+    def test_fewer_than_two_rows_rejected(self, tmp_path, body):
+        p = tmp_path / "short.csv"
+        p.write_text("y,x1,env\n" + body)
+        with pytest.raises(ParseError, match="at least two data rows"):
+            read_csv(p, {"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]})
+
+    def test_mixed_anchors_keep_config_order(self, tmp_path):
+        p = tmp_path / "mixed.csv"
+        p.write_text("y,x1,a1,env,a2\n1,2,0.5,b,3\n2,3,1,a,4\n3,1,2,c,5\n4,2,1,a,6\n")
+        ds = read_csv(p, {"response": "y", "anchors": [
+            {"name": "a1"}, {"name": "env", "kind": "categorical"}, {"name": "a2"},
+        ]})
+        assert np.array_equal(ds.A, [
+            [0.5, 0, 1, 0, 3], [1, 1, 0, 0, 4], [2, 0, 0, 1, 5], [1, 1, 0, 0, 6],
+        ])
+        # only a lone categorical anchor is a pure indicator block
+        assert ds.level_codes is None and ds.anchor_levels is None
+
+    def test_level_codes_index_the_indicator_columns(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        ds = read_csv(p, self._write_fixture(p))
+        assert np.array_equal(ds.A[np.arange(ds.n), ds.level_codes], np.ones(ds.n))
+        assert np.array_equal(ds.A.sum(axis=1), np.ones(ds.n))
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "missing.csv"
         p.write_text("y,x1\n1.0,2.0\n")
