@@ -4,10 +4,6 @@ Outputs are plain data files (CSV or JSON) with all floats at 12 significant
 digits, so repeated runs with the same seed and config are byte-identical.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
-
-The environment variable ANCHORLAB_THREADS caps worker parallelism. The
-current solvers are sequential, so any positive value is honored; the knob
-exists so scripted callers stay valid if grid loops gain workers later.
 """
 
 from __future__ import annotations
@@ -41,20 +37,6 @@ CONFIG_ERRORS = (
     json.JSONDecodeError,
     KeyError,
 )
-
-
-def max_threads() -> int:
-    """Positive worker cap from ANCHORLAB_THREADS (default 1)."""
-    raw = os.environ.get("ANCHORLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"ANCHORLAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InvalidConfig(f"ANCHORLAB_THREADS must be positive, got {value}")
-    return value
 
 
 def _fmt(x) -> str:
@@ -111,6 +93,12 @@ def _parse_gamma(text: str) -> float:
     return _nonnegative(value, "gamma")
 
 
+def _require_finite_for_lasso(gammas, lam: float) -> None:
+    """The l1 fits solve on gamma-transformed data, which gamma = inf has not."""
+    if lam > 0 and math.inf in gammas:
+        raise InvalidConfig("gamma = inf needs --lambda 0; the lasso needs a finite gamma")
+
+
 def _parse_float_list(text: str, name: str) -> list:
     if not text.strip():
         raise InvalidConfig(f"{name} grid must be nonempty")
@@ -148,8 +136,9 @@ def _coef_rows(names, coef):
 
 def cmd_fit(args) -> int:
     gamma = _parse_gamma(args.gamma)
-    ds = datamodel.center(_load_dataset(args))
     lam = float(args.lam)
+    _require_finite_for_lasso([gamma], lam)
+    ds = datamodel.center(_load_dataset(args))
     scales = None
     if args.standardize:
         scales = ds.X.std(axis=0)
@@ -188,6 +177,7 @@ def cmd_path(args) -> int:
         raise InvalidConfig("--grid with gamma values is required for path")
     gammas = _parse_float_list(args.grid, "gamma")
     lam = float(args.lam)
+    _require_finite_for_lasso(gammas, lam)
     shift = None
     if args.shift is not None:
         shift = np.array(_parse_float_list(args.shift, "shift"))
@@ -201,7 +191,9 @@ def cmd_path(args) -> int:
         coefs = []
         for gamma in gammas:
             if lam > 0:
-                coefs.append(sparse.fit_anchor_lasso(ds, gamma, lam).coef)
+                # warm start; the exact finish makes it agree with a cold fit
+                start = coefs[-1] if coefs else None
+                coefs.append(sparse.fit_anchor_lasso(ds, gamma, lam, start).coef)
             else:
                 coefs.append(estimators.fit_anchor(ds, gamma).coef)
     elif model is not None:
@@ -340,6 +332,9 @@ def cmd_rank(args) -> int:
     lam = float(args.lam)
     if args.grid is not None:
         endpoints = _parse_float_list(args.grid, "gamma")
+        if math.inf in endpoints:
+            # the ranking's log-spaced grid and its lasso fits need finite gammas
+            raise InvalidConfig("rank grid must be finite")
         gamma_range = (min(endpoints), max(endpoints))
     else:
         gamma_range = (0.0, 1.0)
@@ -427,7 +422,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        max_threads()
         if getattr(args, "lam", None) is not None:
             _nonnegative(args.lam, "lambda")
         return args.func(args)

@@ -198,7 +198,8 @@ def read_csv(path, config: dict) -> AnchorDataset:
 
     `config` names the `response` column and the `anchors` (list of
     {"name", "kind"}); all remaining numeric columns except `drop_columns`
-    become predictors. Row order is preserved; missing or non-finite values
+    become predictors. Row order is preserved; duplicate header names, rows
+    whose cell count differs from the header's, missing or non-finite values
     and fewer than two data rows are an error.
     """
     response = config["response"]
@@ -211,6 +212,17 @@ def read_csv(path, config: dict) -> AnchorDataset:
         except StopIteration:
             raise ParseError("empty file", row=0) from None
         rows = list(reader)
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ParseError(f"duplicate column name {name!r} in the header", row=0, column=name)
+        seen.add(name)
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ParseError(
+            f"row {i + 1} has {len(rows[i])} cells, the header has {width}", row=i + 1
+        )
     colidx = {name: j for j, name in enumerate(header)}
     anchor_names = [spec["name"] for spec in anchor_specs]
     for name in [response, *anchor_names]:

@@ -256,10 +256,14 @@ def replicability_rank(
         grid = [0.0, *positive]
     else:
         grid = list(np.geomspace(low, high, grid_size))
-    fits = [sparse.fit_anchor_lasso(ds, g, lam) for g in grid]
+    fits = []
+    for g in grid:
+        # warm start; the exact finish makes it agree with a cold fit
+        start = fits[-1].coef if fits else None
+        fits.append(sparse.fit_anchor_lasso(ds, g, lam, start))
     mags = np.abs(np.stack([fit.coef for fit in fits]))
     a_scores = mags.min(axis=0)
-    lasso_fit = sparse.fit_anchor_lasso(ds, 0.0, lam)
+    lasso_fit = fits[0] if grid[0] == 0.0 else sparse.fit_anchor_lasso(ds, 0.0, lam)
     return RankingTable(
         a_scores=a_scores,
         l_scores=np.abs(lasso_fit.coef),

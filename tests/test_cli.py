@@ -1,10 +1,13 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anchorlab import cli
+from anchorlab import cli, datamodel, numkern, sparse
 from anchorlab.scm import (
     Shift,
     example_confounder_shift,
@@ -34,6 +37,29 @@ def example2_files(tmp_path_factory):
         "scm": model_path,
         "data": root / "data" / "data.csv",
         "config": root / "data" / "config.json",
+    }
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """An n < d dataset with categorical anchors and a lasso penalty for it."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = numkern.make_rng(5)
+    n, d = 30, 45
+    x = rng.standard_normal((n, d))
+    y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.3 * rng.standard_normal(n)
+    labels = np.array([str(v) for v in rng.integers(0, 4, n)])
+    ds = datamodel.from_levels(x, y, labels)
+    datamodel.write_csv(root / "data.csv", ds, anchor_labels=labels)
+    config = root / "config.json"
+    config.write_text(
+        json.dumps({"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]})
+    )
+    read = datamodel.read_csv(root / "data.csv", datamodel.load_column_config(config))
+    return {
+        "data": root / "data.csv",
+        "config": config,
+        "lam": repr(0.2 * sparse.lambda_max(read, 1.0)),
     }
 
 
@@ -119,6 +145,28 @@ class TestPath:
         assert float(rows[1][1]) == pytest.approx(
             _read_coef(fit0 / "coefficients.csv")["x1"], abs=1e-12
         )
+
+    @settings(deadline=None, max_examples=8)
+    @given(grid=st.permutations(["0", "0.5", "1", "4", "1000"]), size=st.integers(1, 5))
+    def test_lasso_rows_equal_fit_in_any_grid_order(self, wide_files, grid, size):
+        # each path row is warm-started from the previous gamma's solution,
+        # and every row is byte-equal to the cold fit at that gamma
+        grid = grid[:size]
+        data = ["--data", str(wide_files["data"]), "--config", str(wide_files["config"]),
+                "--lambda", wide_files["lam"]]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            assert cli.main(["path", *data, "--grid", ",".join(grid),
+                             "--out", str(out / "path")]) == 0
+            with open(out / "path" / "path.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            for gamma, row in zip(grid, rows):
+                assert cli.main(["fit", *data, "--gamma", gamma,
+                                 "--out", str(out / gamma)]) == 0
+                with open(out / gamma / "coefficients.csv", newline="") as fh:
+                    fit_cells = [cells[1] for cells in list(csv.reader(fh))[1:]]
+                assert row[1:] == fit_cells
+                assert any(cell != "0" for cell in fit_cells)
 
     def test_population_risk_curve_dips_inside(self, tmp_path):
         model_path = tmp_path / "m.json"
@@ -315,6 +363,10 @@ class TestErrorContract:
         ("y,x1,a1\n1,2,0.5\n", "at least two data rows"),
         ("y,x1,a1\n1,2,0.5\n2,nan,1\n3,1,2\n", "row 2, column 'x1'"),
         ("y,x1,a1\n1,2,0.5\n2,3,1\n3,1,-inf\n", "row 3, column 'a1'"),
+        ("y,x1,a1\n1,2,0.5\n2,3\n3,1,2\n", "row 2 has 2 cells, the header has 3"),
+        ("y,x1,a1\n1,2,0.5\n2,3,1,7\n3,1,2\n", "row 2 has 4 cells, the header has 3"),
+        ("y,x1,a1\n1,2,0.5\n2,3,1\n3,1,2\n\n", "row 4 has 0 cells, the header has 3"),
+        ("y,x1,x1,a1\n1,2,2,0.5\n2,3,1,1\n3,1,2,2\n", "duplicate column name 'x1'"),
     ])
     def test_bad_csv_is_config_error(self, text, where, tmp_path, capsys):
         data, config = _tiny_files(tmp_path, text)
@@ -323,25 +375,20 @@ class TestErrorContract:
         assert code == 2
         assert where in capsys.readouterr().err
 
-    def test_threads_env_validated(self, example2_files, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANCHORLAB_THREADS", "zero")
-        assert cli.main(
-            [
-                "fit",
-                "--data", str(example2_files["data"]),
-                "--config", str(example2_files["config"]),
-                "--out", str(tmp_path / "o"),
-            ]
-        ) == 2
-        monkeypatch.setenv("ANCHORLAB_THREADS", "2")
-        assert cli.main(
-            [
-                "fit",
-                "--data", str(example2_files["data"]),
-                "--config", str(example2_files["config"]),
-                "--out", str(tmp_path / "o"),
-            ]
-        ) == 0
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--gamma", "inf", "--lambda", "1"],
+        ["path", "--grid", "1,inf", "--lambda", "1"],
+        ["rank", "--grid", "0,inf"],
+    ])
+    def test_infinite_gamma_lasso_is_config_error(self, argv, tmp_path, capsys):
+        # rejected before any data is read: the data file does not exist
+        code = cli.main(argv + ["--data", str(tmp_path / "absent.csv"),
+                                "--config", str(tmp_path / "absent.json"),
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "absent" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_json_format_outputs(self, example2_files, tmp_path):
         out = tmp_path / "rankjson"

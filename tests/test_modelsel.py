@@ -235,6 +235,27 @@ class TestReplicabilityRank:
         assert np.all(table.a_scores <= table.l_scores + 1e-12)
         assert table.gamma_grid[0] == 0.0
 
+    def test_warm_started_grid_fits_once_per_gamma(self, monkeypatch):
+        # 21 descent fits for a 21-point grid from 0: the l-scores reuse the
+        # gamma = 0 fit, and warm starts leave every fit equal to a cold one
+        ds = self._dataset(13)
+        lam = 0.03 * sparse.lambda_max(ds, 0.0)
+        calls = []
+        descent = sparse.lasso_coordinate_descent
+
+        def counted(*args, **kwargs):
+            calls.append(args[3] if len(args) > 3 else kwargs.get("start"))
+            return descent(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "lasso_coordinate_descent", counted)
+        table = replicability_rank(ds, lam, gamma_range=(0.0, 1.0), grid_size=21)
+        assert len(calls) == 21
+        assert calls[0] is None and all(start is not None for start in calls[1:])
+        monkeypatch.undo()
+        cold = [sparse.fit_anchor_lasso(ds, g, lam).coef for g in table.gamma_grid]
+        assert np.array_equal(table.a_scores, np.abs(np.stack(cold)).min(axis=0))
+        assert np.array_equal(table.l_scores, np.abs(cold[0]))
+
     def test_huge_lambda_all_zero(self):
         ds = self._dataset(14)
         table = replicability_rank(ds, 1e9, gamma_range=(0.0, 1.0))

@@ -1,7 +1,11 @@
 import itertools
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
@@ -112,6 +116,88 @@ class TestFitAnchorLasso:
         with pytest.raises(DomainError):
             fit_anchor_lasso(ds, 1.0, -0.1)
 
+    def test_infinite_gamma_rejected(self):
+        # the gamma-transformed data of gamma = inf are not finite
+        ds = _random_ds(6)
+        with pytest.raises(DomainError):
+            fit_anchor_lasso(ds, math.inf, 0.1)
+        with pytest.raises(DomainError):
+            lambda_max(ds, math.inf)
+        with pytest.raises(DomainError):
+            lambda_path(ds, math.inf)
+        with pytest.raises(DomainError):
+            fit_equal_weight_lasso(_level_ds(6), math.inf, 0.1)
+
+    def test_kkt_violation_matches_loop(self):
+        ds = _random_ds(7)
+        lam = 0.2 * lambda_max(ds, 1.0)
+        rng = numkern.make_rng(70)
+        for b in (np.zeros(ds.d), rng.standard_normal(ds.d), fit_anchor_lasso(ds, 1.0, lam).coef):
+            assert kkt_violation(ds.X, ds.Y, b, lam) == oracles.kkt_violation_loop(
+                ds.X, ds.Y, b, lam
+            )
+
+
+DESCENT_GAMMAS = (0.0, 0.5, 1.0, 4.0, 1e3)
+
+
+class TestCovarianceDescent:
+    """The covariance-update solver against the residual-update reference."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**16),
+        wide=st.booleans(),
+        gamma=st.sampled_from(DESCENT_GAMMAS),
+        fraction=st.sampled_from((0.01, 0.2, 0.9)),
+    )
+    def test_exact_and_path_independent(self, seed, wide, gamma, fraction):
+        ds = _random_ds(seed, n=12, d=20) if wide else _random_ds(seed, n=40, d=10)
+        xt, yt = gamma_transform(ds, gamma)
+        lam = fraction * lambda_max(ds, gamma)
+        b, _, _, converged = lasso_coordinate_descent(xt, yt, lam)
+        assert converged
+        assert kkt_violation(xt, yt, b, lam) <= 1e-9 * lam
+        ref, *_ = oracles.residual_update_descent(xt, yt, lam)
+        ours = oracles.lasso_objective(xt, yt, b, lam)
+        assert ours <= oracles.lasso_objective(xt, yt, ref, lam) * (1.0 + 1e-12)
+        # warm start from the solution of the neighbouring gamma
+        other = DESCENT_GAMMAS[(DESCENT_GAMMAS.index(gamma) + 1) % len(DESCENT_GAMMAS)]
+        start = fit_anchor_lasso(ds, other, fraction * lambda_max(ds, other)).coef
+        warm, *_ = lasso_coordinate_descent(xt, yt, lam, start)
+        assert np.array_equal(warm, b)
+
+    def test_exact_finish_only_accepts_a_stationary_point(self):
+        ds = _random_ds(40)
+        lam = 0.2 * lambda_max(ds, 1.0)
+        b, *_ = lasso_coordinate_descent(ds.X, ds.Y, lam)
+        top = int(np.argmax(np.abs(b)))
+        exact = sparse._exact_finish(ds.X, ds.Y, lam, b, {})
+        assert kkt_violation(ds.X, ds.Y, exact, lam) <= 1e-12 * lam
+        # the wrong sign on the largest coefficient: the solve keeps its sign
+        flipped = b.copy()
+        flipped[top] = -flipped[top]
+        assert sparse._exact_finish(ds.X, ds.Y, lam, flipped, {}) is flipped
+        # the largest coefficient left out: its gradient then exceeds lam
+        dropped = b.copy()
+        dropped[top] = 0.0
+        assert sparse._exact_finish(ds.X, ds.Y, lam, dropped, {}) is dropped
+
+    def test_no_d_by_d_gram(self):
+        # Gram columns are formed only for coordinates that move, so at
+        # n << d the solver's memory stays far below one d x d matrix
+        ds = _random_ds(30, n=20, d=2000)
+        xt, yt = gamma_transform(ds, 1.0)
+        lam = 0.5 * lambda_max(ds, 1.0)
+        tracemalloc.start()
+        try:
+            b, _, _, converged = lasso_coordinate_descent(xt, yt, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged and np.count_nonzero(b) > 0
+        assert peak < 0.05 * 8 * ds.d**2
+
 
 class TestLambdaPath:
     def test_first_point_zero(self):
@@ -133,7 +219,7 @@ class TestLambdaPath:
         path = lambda_path(ds, 1.0, n_lambdas=15, ratio=1e-2)
         for lam, fit in zip(path.lambdas, path.fits):
             cold = fit_anchor_lasso(ds, 1.0, lam)
-            assert np.max(np.abs(cold.coef - fit.coef)) < 1e-6
+            assert np.array_equal(cold.coef, fit.coef)
 
     def test_config_validation(self):
         ds = _random_ds(11)
