@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numkern
 from .exceptions import (
+    DimensionMismatch,
     DomainError,
     EmptyInput,
     MissingColumn,
@@ -95,15 +96,15 @@ class AnchorDataset:
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         Y = np.asarray(self.Y, dtype=float).ravel()
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if A.shape[0] != X.shape[0] and A.shape[1] == X.shape[0]:
-            A = A.T
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim < 2:
+            A = A.reshape(-1, 1)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "A", A)
         n = X.shape[0]
         if Y.shape[0] != n or A.shape[0] != n:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"row mismatch: X has {n}, Y has {Y.shape[0]}, A has {A.shape[0]}"
             )
         if not self.predictor_names:

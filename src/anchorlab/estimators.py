@@ -89,11 +89,8 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
         raise SingularDesign(
             f"n={ds.n} <= d={ds.d}; use the l1-penalized solver for this regime"
         )
-    moments = ds.moments
-    gram = moments.gram_off + gamma * moments.gram_on
-    d = ds.d
     try:
-        coef = numkern.solve_spd(gram[:d, :d], gram[:d, d])
+        coef = numkern.solve_gamma(ds.moments, gamma)
     except NotPositiveDefinite as exc:
         raise SingularDesign(
             "transformed design is singular; add ridge or reduce d"
@@ -121,13 +118,7 @@ def fit_iv(ds: AnchorDataset) -> AnchorFit:
     moments = ds.moments
     d = ds.d
     r_x, r_y = moments.on[:, :d], moments.on[:, d]
-    # rank relative to the unprojected design's scale, so an (almost) fully
-    # annihilated X is reported as rank deficient rather than rank d;
-    # ||X||_2^2 is the top eigenvalue of X'X = gram_off + gram_on
-    sv = np.linalg.svd(r_x, compute_uv=False)
-    x_gram = moments.gram_off[:d, :d] + moments.gram_on[:d, :d]
-    scale = max(float(np.sqrt(np.linalg.norm(x_gram, ord=2))), 1e-300)
-    rank = int(np.sum(sv > numkern.QR_RANK_RTOL * scale))
+    *_, rank = numkern.anchor_svd(moments, d)
     if rank < d:
         raise Underidentified(
             f"anchor-projected design has rank {rank} < d={d}"

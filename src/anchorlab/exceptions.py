@@ -54,10 +54,6 @@ class EmptyLevel(AnchorlabError, ValueError):
     """A discrete anchor level contains no observations."""
 
 
-class NoConvergence(AnchorlabError):
-    """The iterative solver hit its sweep limit before reaching tolerance."""
-
-
 class InvalidConfig(AnchorlabError, ValueError):
     """A run configuration is internally inconsistent."""
 

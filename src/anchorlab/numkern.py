@@ -14,8 +14,11 @@ from scipy.special import ndtr, ndtri
 
 from .exceptions import DomainError, NotPositiveDefinite
 
-# Columns of a thin QR whose R diagonal falls below this fraction of the
-# largest diagonal are treated as numerically dependent and dropped.
+# The one numerical-rank rule. Columns of a thin QR whose R diagonal falls
+# below this fraction of the largest diagonal are dropped, and a singular
+# value of anchor coordinates counts toward their rank only above this
+# fraction of the spectral norm of the columns they project (`anchor_svd`);
+# sample and population IV solves and the projectability test all use it.
 QR_RANK_RTOL = 1e-10
 
 # Cholesky pivots below trace/dim times this floor mean "not positive
@@ -147,6 +150,8 @@ class AnchorProjection:
 class AnchorMoments:
     """Second moments of data columns Z on and off the anchor span.
 
+    A dataset and a LinearScm (its population moments) both carry them.
+
     on:       R = coordinates of Z, so that R'R = Z' Pi_A Z;
     gram_on:  R'R;
     gram_off: Z'(Id - Pi_A)Z, formed from the residual columns. Forming it as
@@ -164,6 +169,28 @@ def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMome
     on = projection.coordinates(data)
     off = data - projection.expand(on)
     return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
+
+
+def solve_gamma(moments: AnchorMoments, gamma: float) -> np.ndarray:
+    """Coefficients of the last column on the others under
+    gram_off + gamma * gram_on; raises NotPositiveDefinite when singular."""
+    gram = moments.gram_off + gamma * moments.gram_on
+    return solve_spd(gram[:-1, :-1], gram[:-1, -1])
+
+
+def anchor_svd(moments: AnchorMoments, width: int):
+    """SVD (u, s, vt) of the anchor coordinates of the first `width` columns,
+    with vt square, and their rank: the singular values above QR_RANK_RTOL
+    times the spectral norm of those columns themselves (the root of the top
+    eigenvalue of gram_off + gram_on). Measured against the columns and not
+    against their projection, an (almost) annihilated block reads as rank
+    deficient rather than as full rank on its own round-off."""
+    coords = moments.on[:, :width]
+    # full matrices only when that keeps u no larger than coords itself
+    u, sv, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < width)
+    gram = moments.gram_off[:width, :width] + moments.gram_on[:width, :width]
+    scale = max(float(np.sqrt(np.linalg.norm(gram, ord=2))), 1e-300)
+    return u, sv, vt, int(np.sum(sv > QR_RANK_RTOL * scale))
 
 
 def normal_quantile(p: float) -> float:

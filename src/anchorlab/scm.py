@@ -15,11 +15,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import numkern
-from .datamodel import AnchorDataset
+from .datamodel import AnchorDataset, center
 from .exceptions import (
     AssumptionViolated,
     CyclicGraph,
@@ -27,6 +28,9 @@ from .exceptions import (
     ProjectabilityViolated,
 )
 
+# PerturbationSet drops eigenvalues of its bound below this fraction of the
+# largest. Eigenvalues are squared singular values, so numkern.QR_RANK_RTOL
+# would sit below their round-off.
 RANK_TOL = 1e-9
 
 
@@ -167,6 +171,11 @@ class LinearScm:
     def noise_covariance(self) -> np.ndarray:
         return np.diag(self.noise_scales**2)
 
+    @cached_property
+    def moments(self) -> numkern.AnchorMoments:
+        """[X Y] on and off the anchor span, as `AnchorDataset.moments`."""
+        return _population_moments(self, self.anchor, 1.0, None, self.noise_covariance())
+
     def residual_weights(self, b: np.ndarray) -> np.ndarray:
         """Vector w with Y - X'b = w'(noise + M A) at equilibrium."""
         inv = self.unmixing()
@@ -260,15 +269,23 @@ def population_covariance(scm: LinearScm) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _moment_blocks(scm: LinearScm):
-    joint = population_covariance(scm)
-    d, p = scm.d, scm.p
-    sxx = joint[:d, :d]
-    sxy = joint[:d, d]
-    sax = joint[p:, :d]
-    say = joint[p:, d]
-    gram = scm.anchor.second_moment()
-    return sxx, sxy, sax, say, gram
+def _population_moments(scm, anchor, kappa, xi_cov, noise_cov) -> numkern.AnchorMoments:
+    """Population moments of (X, Y) when the anchor input is kappa * A + xi.
+
+    The anchor coordinates R = kappa G^{1/2} M'(Id - B)^{-T}, restricted to
+    the (X, Y) columns, satisfy R'R = Cov(., A) G^{-1} Cov(A, .). What the
+    anchor leaves is the noise and xi pushed through the system, so the
+    off-anchor Gram is formed from them and never as Sigma - R'R.
+    """
+    vals, vecs = np.linalg.eigh(anchor.second_moment())
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    inv = scm.unmixing()[: scm.d + 1]
+    on = kappa * root @ scm.M.T @ inv.T
+    shocks = noise_cov
+    if xi_cov is not None:
+        q = root.shape[0]
+        shocks = shocks + scm.M @ np.asarray(xi_cov, float).reshape(q, q) @ scm.M.T
+    return numkern.AnchorMoments(on=on, gram_on=on.T @ on, gram_off=inv @ shocks @ inv.T)
 
 
 def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
@@ -277,37 +294,48 @@ def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
         return population_iv(scm)
     if gamma < 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    sxx, sxy, sax, say, gram = _moment_blocks(scm)
-    gram_inv_ax = np.linalg.solve(gram, sax)
-    lhs = sxx + (gamma - 1.0) * sax.T @ gram_inv_ax
-    rhs = sxy + (gamma - 1.0) * gram_inv_ax.T @ say
-    return numkern.solve_spd(lhs, rhs)
+    return numkern.solve_gamma(scm.moments, gamma)
+
+
+def _split_constraint(moments: numkern.AnchorMoments):
+    """For R_x b = R_y: the particular solution from the truncated SVD of R_x,
+    an orthonormal basis of its null space, and whether the system is
+    consistent, all under the rank rule of `numkern.anchor_svd`."""
+    d = moments.on.shape[1] - 1
+    u, sv, vt, rank = numkern.anchor_svd(moments, d)
+    particular = vt[:rank].T @ (u[:, :rank].T @ moments.on[:, d] / sv[:rank])
+    consistent = rank == numkern.anchor_svd(moments, d + 1)[-1]
+    return particular, vt[rank:].T, consistent
+
+
+def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
+    """Minimum of the off-anchor objective subject to R_x b = R_y.
+
+    On that set the on-anchor residual vanishes, so this is also the
+    training-MSE minimizer subject to E[A (Y - X'b)] = 0; a step in the null
+    space of R_x moves off the particular solution.
+    """
+    particular, null, consistent = _split_constraint(moments)
+    if not consistent:
+        raise ProjectabilityViolated(
+            "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
+            "cannot be driven to zero"
+        )
+    if null.shape[1] == 0:
+        return particular
+    d = particular.shape[0]
+    gxx, gxy = moments.gram_off[:d, :d], moments.gram_off[:d, d]
+    z = numkern.solve_spd(null.T @ gxx @ null, null.T @ (gxy - gxx @ particular))
+    return particular + null @ z
 
 
 def population_iv(scm: LinearScm) -> np.ndarray:
     """Training-MSE minimizer subject to E[A (Y - X'b)] = 0.
 
-    Solved by the null-space method of the equality-constrained quadratic
-    program; requires the constraint system to be consistent
-    (projectability), otherwise the limit does not exist.
+    Requires the constraint system to be consistent (projectability),
+    otherwise the limit does not exist and ProjectabilityViolated is raised.
     """
-    sxx, sxy, sax, say, _ = _moment_blocks(scm)
-    check = projectability_check(scm)
-    if not check["holds"]:
-        raise ProjectabilityViolated(
-            "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
-            "cannot be driven to zero"
-        )
-    particular, *_ = np.linalg.lstsq(sax, say, rcond=None)
-    # null space of the constraint matrix
-    _, sv, vt = np.linalg.svd(sax)
-    rank = int(np.sum(sv > RANK_TOL * (sv[0] if sv.size else 1.0)))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        return particular
-    reduced = null.T @ sxx @ null
-    z = numkern.solve_spd(reduced, null.T @ (sxy - sxx @ particular))
-    return particular + null @ z
+    return _invariant_minimum(scm.moments)
 
 
 def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None) -> float:
@@ -397,42 +425,27 @@ def perturbation_set(scm: LinearScm, gamma: float) -> PerturbationSet:
 def invariance_set_residual(scm: LinearScm, b: np.ndarray) -> np.ndarray:
     """E[A (Y - X'b)] = Cov(A,Y) - Cov(A,X) b; zero iff the residual
     distribution is invariant to shifts in span(M)."""
-    _, _, sax, say, _ = _moment_blocks(scm)
-    return say - sax @ np.asarray(b, dtype=float).ravel()
-
-
-def _rank(mat: np.ndarray) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    cross = scm.anchor.second_moment() @ scm.M.T @ scm.unmixing()[: scm.d + 1].T
+    return cross[:, scm.d] - cross[:, : scm.d] @ np.asarray(b, dtype=float).ravel()
 
 
 def projectability_check(model_or_ds) -> dict:
     """Rank test: can the anchor-projected residual be driven to zero?
 
-    Works on a LinearScm (exact covariances) or an AnchorDataset (sample
-    covariances). Returns {"holds": bool, "penalty_min": float} where
-    penalty_min is the achieved minimum of E[(P_A (Y - X'b))^2].
+    Works on a LinearScm (population moments) or an AnchorDataset (the
+    moments of the centred sample, per row). Returns {"holds": bool,
+    "penalty_min": float}: holds compares rank(R_x) with rank([R_x R_y])
+    under the rank rule of `numkern.anchor_svd`, and penalty_min is the
+    truncated-SVD minimum of E[(P_A (Y - X'b))^2] = ||R_y - R_x b||^2.
     """
     if isinstance(model_or_ds, LinearScm):
-        _, _, sax, say, gram = _moment_blocks(model_or_ds)
+        moments, rows = model_or_ds.moments, 1
     else:
-        ds = model_or_ds
-        x = ds.X - ds.X.mean(axis=0)
-        y = ds.Y - ds.Y.mean()
-        a = ds.A - ds.A.mean(axis=0)
-        n = ds.n
-        sax, say, gram = a.T @ x / n, a.T @ y / n, a.T @ a / n
-    holds = _rank(sax) == _rank(np.column_stack([sax, say]))
-    # weight by G^{-1/2}: min_b ||G^{-1/2}(Cov(A,Y) - Cov(A,X) b)||^2
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > RANK_TOL * max(float(vals.max()), 1e-300)
-    white = vecs[:, keep] / np.sqrt(vals[keep])
-    wax, way = white.T @ sax, white.T @ say
-    sol, *_ = np.linalg.lstsq(wax, way, rcond=None)
-    resid = way - wax @ sol
-    return {"holds": bool(holds), "penalty_min": float(resid @ resid)}
+        ds = center(model_or_ds)
+        moments, rows = ds.moments, ds.n
+    particular, _, consistent = _split_constraint(moments)
+    resid = moments.on[:, -1] - moments.on[:, :-1] @ particular
+    return {"holds": bool(consistent), "penalty_min": float(resid @ resid) / rows}
 
 
 @dataclass(frozen=True)
@@ -461,41 +474,6 @@ class ReplicabilityScenario:
             raise DomainError("noise factor must be positive")
 
 
-def _side_moments(scm, anchor, kappa, xi_cov, noise_cov):
-    """Covariance blocks for one side of a replicability scenario."""
-    gram = anchor.second_moment()
-    q = gram.shape[0]
-    delta_cov = kappa**2 * gram
-    if xi_cov is not None:
-        delta_cov = delta_cov + np.asarray(xi_cov, float).reshape(q, q)
-    inv = scm.unmixing()
-    sigma_v = inv @ (noise_cov + scm.M @ delta_cov @ scm.M.T) @ inv.T
-    cross = kappa * gram @ scm.M.T @ inv.T  # Cov(A, (X,Y,H))
-    d = scm.d
-    return {
-        "sxx": sigma_v[:d, :d],
-        "sxy": sigma_v[:d, d],
-        "sax": cross[:, :d],
-        "say": cross[:, d],
-    }
-
-
-def _constrained_min(blocks) -> np.ndarray:
-    sax, say = blocks["sax"], blocks["say"]
-    rank_a = _rank(sax)
-    if rank_a != _rank(np.column_stack([sax, say])):
-        raise ProjectabilityViolated("constraint system E[A(Y - X'b)] = 0 infeasible")
-    particular, *_ = np.linalg.lstsq(sax, say, rcond=None)
-    _, sv, vt = np.linalg.svd(sax)
-    rank = int(np.sum(sv > RANK_TOL * (sv[0] if sv.size else 1.0)))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
-        return particular
-    reduced = null.T @ blocks["sxx"] @ null
-    z = numkern.solve_spd(reduced, null.T @ (blocks["sxy"] - blocks["sxx"] @ particular))
-    return particular + null @ z
-
-
 def replicability_experiment(scen: ReplicabilityScenario) -> dict:
     """Population IV-limit coefficients on both sides and their gap."""
     scm = scen.base
@@ -504,11 +482,11 @@ def replicability_experiment(scen: ReplicabilityScenario) -> dict:
         test_noise = np.diag(np.asarray(scen.test_noise_scales, float) ** 2)
     else:
         test_noise = scen.noise_factor * train_noise
-    train = _side_moments(scm, scm.anchor, scen.kappa, scen.xi_cov, train_noise)
+    train = _population_moments(scm, scm.anchor, scen.kappa, scen.xi_cov, train_noise)
     test_anchor = scen.test_anchor if scen.test_anchor is not None else scm.anchor
-    test = _side_moments(scm, test_anchor, scen.kappa_test, scen.xi_cov_test, test_noise)
-    b_train = _constrained_min(train)
-    b_test = _constrained_min(test)
+    test = _population_moments(scm, test_anchor, scen.kappa_test, scen.xi_cov_test, test_noise)
+    b_train = _invariant_minimum(train)
+    b_test = _invariant_minimum(test)
     return {
         "b_train": b_train,
         "b_test": b_test,

@@ -4,7 +4,9 @@ These deliberately use different algorithms than the production code:
 accelerated proximal gradient instead of coordinate descent, residual
 updates instead of covariance updates and an exact finish, explicit QR
 least squares instead of Cholesky, undirected-trail enumeration instead of
-Bayes-ball, a per-fit QR projection instead of cached anchor moments.
+Bayes-ball, a per-fit QR projection instead of cached anchor moments,
+population covariance blocks, lstsq particular solutions and a
+self-relative rank test instead of the population anchor moments.
 """
 
 import math
@@ -13,7 +15,13 @@ import numpy as np
 
 from anchorlab import numkern
 from anchorlab.datamodel import center
-from anchorlab.exceptions import NotPositiveDefinite, SingularDesign, Underidentified
+from anchorlab.exceptions import (
+    NotPositiveDefinite,
+    ProjectabilityViolated,
+    SingularDesign,
+    Underidentified,
+)
+from anchorlab.scm import LinearScm, population_covariance
 
 
 def qr_lstsq(design, response):
@@ -136,6 +144,111 @@ def qr_fit_iv(ds):
         return numkern.solve_spd(x_proj.T @ x_proj, x_proj.T @ y_proj)
     except NotPositiveDefinite as exc:
         raise Underidentified(str(exc)) from exc
+
+
+# --- population oracle from covariance blocks ------------------------------
+
+# Singular values of a covariance block below this fraction of its own
+# largest one are dropped by the reference rank test.
+COVARIANCE_RANK_RTOL = 1e-9
+
+
+def covariance_blocks(model):
+    """Sigma_xx, Sigma_xy, Cov(A, X), Cov(A, Y) and E[AA'] of a LinearScm."""
+    joint = population_covariance(model)
+    d, p = model.d, model.p
+    return joint[:d, :d], joint[:d, d], joint[p:, :d], joint[p:, d], model.anchor.second_moment()
+
+
+def covariance_rank(mat):
+    """Rank relative to the block's own largest singular value."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > COVARIANCE_RANK_RTOL * sv[0]))
+
+
+def covariance_population_anchor(model, gamma):
+    """Population coefficient from Sigma + (gamma - 1) Cov(.,A) G^-1 Cov(A,.)."""
+    if gamma == math.inf:
+        return covariance_population_iv(model)
+    sxx, sxy, sax, say, gram = covariance_blocks(model)
+    gram_inv_ax = np.linalg.solve(gram, sax)
+    lhs = sxx + (gamma - 1.0) * sax.T @ gram_inv_ax
+    rhs = sxy + (gamma - 1.0) * gram_inv_ax.T @ say
+    return numkern.solve_spd(lhs, rhs)
+
+
+def null_space_constrained_min(sxx, sxy, sax, say):
+    """Minimum of b'Sxx b - 2b'Sxy subject to Sax b = Say: an lstsq
+    particular solution plus a step in the SVD null space of Sax."""
+    if covariance_rank(sax) != covariance_rank(np.column_stack([sax, say])):
+        raise ProjectabilityViolated("constraint system E[A(Y - X'b)] = 0 infeasible")
+    particular, *_ = np.linalg.lstsq(sax, say, rcond=None)
+    _, sv, vt = np.linalg.svd(sax)
+    rank = int(np.sum(sv > COVARIANCE_RANK_RTOL * (sv[0] if sv.size else 1.0)))
+    null = vt[rank:].T
+    if null.shape[1] == 0:
+        return particular
+    reduced = null.T @ sxx @ null
+    z = numkern.solve_spd(reduced, null.T @ (sxy - sxx @ particular))
+    return particular + null @ z
+
+
+def covariance_population_iv(model):
+    sxx, sxy, sax, say, _ = covariance_blocks(model)
+    return null_space_constrained_min(sxx, sxy, sax, say)
+
+
+def covariance_side_blocks(model, anchor, kappa, xi_cov, noise_cov):
+    """(Sxx, Sxy, Sax, Say) of one replicability side, anchor input
+    kappa * A + xi."""
+    gram = anchor.second_moment()
+    q = gram.shape[0]
+    delta_cov = kappa**2 * gram
+    if xi_cov is not None:
+        delta_cov = delta_cov + np.asarray(xi_cov, float).reshape(q, q)
+    inv = model.unmixing()
+    sigma_v = inv @ (noise_cov + model.M @ delta_cov @ model.M.T) @ inv.T
+    cross = kappa * gram @ model.M.T @ inv.T
+    d = model.d
+    return sigma_v[:d, :d], sigma_v[:d, d], cross[:, :d], cross[:, d]
+
+
+def covariance_replicability(scen):
+    """(b_train, b_test) of a ReplicabilityScenario from covariance blocks."""
+    model = scen.base
+    train_noise = model.noise_covariance()
+    if scen.test_noise_scales is not None:
+        test_noise = np.diag(np.asarray(scen.test_noise_scales, float) ** 2)
+    else:
+        test_noise = scen.noise_factor * train_noise
+    test_anchor = scen.test_anchor if scen.test_anchor is not None else model.anchor
+    train = covariance_side_blocks(model, model.anchor, scen.kappa, scen.xi_cov, train_noise)
+    test = covariance_side_blocks(model, test_anchor, scen.kappa_test, scen.xi_cov_test, test_noise)
+    return null_space_constrained_min(*train), null_space_constrained_min(*test)
+
+
+def whitened_projectability(model_or_ds):
+    """Rank test on Cov(A, X) against [Cov(A, X) Cov(A, Y)], and the lstsq
+    minimum of ||G^-1/2 (Cov(A, Y) - Cov(A, X) b)||^2, from exact covariances
+    of a LinearScm or hand-centred sample covariances of a dataset."""
+    if isinstance(model_or_ds, LinearScm):
+        _, _, sax, say, gram = covariance_blocks(model_or_ds)
+    else:
+        ds = model_or_ds
+        x = ds.X - ds.X.mean(axis=0)
+        y = ds.Y - ds.Y.mean()
+        a = ds.A - ds.A.mean(axis=0)
+        sax, say, gram = a.T @ x / ds.n, a.T @ y / ds.n, a.T @ a / ds.n
+    holds = covariance_rank(sax) == covariance_rank(np.column_stack([sax, say]))
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > COVARIANCE_RANK_RTOL * max(float(vals.max()), 1e-300)
+    white = vecs[:, keep] / np.sqrt(vals[keep])
+    wax, way = white.T @ sax, white.T @ say
+    sol, *_ = np.linalg.lstsq(wax, way, rcond=None)
+    resid = way - wax @ sol
+    return {"holds": bool(holds), "penalty_min": float(resid @ resid)}
 
 
 def subset_levels_loop(anchor_levels, rows):

@@ -1,6 +1,6 @@
 import pytest
 
-from anchorlab import batteries, scm
+from anchorlab import batteries, numkern, scm
 
 
 def test_worst_case_identity_passes_on_seeds_0_to_149():
@@ -9,6 +9,24 @@ def test_worst_case_identity_passes_on_seeds_0_to_149():
         if not batteries.check_worst_case_identity(seed=seed)["passed"]
     ]
     assert failing == []
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_scm_checks_pass_with_many_anchor_directions(q):
+    rng = numkern.make_rng(q)
+    for seed in range(20):
+        model = batteries.random_scm(rng, d=2, r=1, q=q)
+        report = batteries.run_scm_checks(model, seed=seed)
+        assert report["passed"], report
+
+
+def test_projectability_equivalence_seed_88():
+    # a structurally zero Cov(A, X) computed as 2e-16
+    assert batteries.check_projectability_equivalence(seed=88)["passed"]
+
+
+def test_replicability_seed_141():
+    assert batteries.check_replicability(seed=141)["passed"]
 
 
 @pytest.fixture
@@ -24,3 +42,4 @@ def test_worst_case_identity_catches_a_tenth_of_a_percent():
     assert not batteries.check_worst_case_identity(seed=0, n_models=20)["passed"]
     report = batteries.run_scm_checks(scm.example_iv_chain(), seed=0)
     assert not report["checks"][0]["passed"]
+    assert report["checks"][0]["exact_gap"] > 1e-4

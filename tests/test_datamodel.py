@@ -12,7 +12,7 @@ from anchorlab.datamodel import (
     read_csv,
     write_csv,
 )
-from anchorlab.exceptions import EmptyInput, MissingColumn, ParseError
+from anchorlab.exceptions import DimensionMismatch, EmptyInput, MissingColumn, ParseError
 
 import oracles
 
@@ -228,6 +228,17 @@ def test_center_means_property(n, d, seed):
 def test_row_mismatch_rejected():
     with pytest.raises(ValueError):
         AnchorDataset(X=np.zeros((3, 1)), Y=np.zeros(4), A=np.zeros((3, 1)))
+
+
+def test_anchor_rows_must_match_x():
+    # an A with q rows and n columns is an error, never silently transposed
+    x, y = np.zeros((5, 1)), np.zeros(5)
+    with pytest.raises(DimensionMismatch):
+        AnchorDataset(X=x, Y=y, A=np.arange(10.0).reshape(2, 5))
+    assert issubclass(DimensionMismatch, ValueError)
+    ds = AnchorDataset(X=x, Y=y, A=np.arange(5.0))
+    assert ds.A.shape == (5, 1)
+    assert np.array_equal(ds.A[:, 0], np.arange(5.0))
 
 
 def test_level_partition_enforced():

@@ -281,11 +281,37 @@ class TestProjectability:
         assert not check["holds"]
         assert check["penalty_min"] > 1e-4
 
+    def test_no_anchor_path_into_x_fails(self):
+        # X has no parents, so Cov(A, X) = 0; inverting Id - B leaves a
+        # round-off entry of 4e-17 in R_x, which must not count as rank
+        B = np.zeros((3, 3))
+        B[1, 0], B[1, 2], B[2, 0] = 1.19, -1.03, -1.14
+        model = LinearScm(
+            d=1, r=1, B=B, M=np.array([[0.0, 0.0], [0.0, -0.4], [0.18, -1.07]]),
+            noise_scales=np.ones(3),
+            anchor=AnchorDistribution.gaussian(np.eye(2)),
+        )
+        r_y = model.moments.on[:, 1]
+        check = projectability_check(model)
+        assert not check["holds"]
+        assert check["penalty_min"] == float(r_y @ r_y)
+        with pytest.raises(ProjectabilityViolated):
+            population_iv(model)
+
     def test_sample_version_agrees(self):
         model = example_iv_chain()
         ds = sample(model, 100_000, numkern.make_rng(11))
         check = projectability_check(ds)
         assert check["holds"]
+
+    def test_sample_penalty_matches_whitened_covariances(self):
+        rng = numkern.make_rng(19)
+        for _ in range(5):
+            model = random_scm(rng, d=1, r=1, q=2, density=0.8)
+            ds = sample(model, 2000, rng)
+            got, ref = projectability_check(ds), oracles.whitened_projectability(ds)
+            assert got["holds"] == ref["holds"]
+            assert got["penalty_min"] == pytest.approx(ref["penalty_min"], rel=1e-9, abs=1e-15)
 
 
 class TestReplicability:
