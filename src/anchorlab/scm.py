@@ -269,6 +269,12 @@ def population_covariance(scm: LinearScm) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+def _anchor_root(anchor: AnchorDistribution) -> np.ndarray:
+    """Symmetric square root G^{1/2} of the anchor's second moment."""
+    vals, vecs = np.linalg.eigh(anchor.second_moment())
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def _population_moments(scm, anchor, kappa, xi_cov, noise_cov) -> numkern.AnchorMoments:
     """Population moments of (X, Y) when the anchor input is kappa * A + xi.
 
@@ -277,8 +283,7 @@ def _population_moments(scm, anchor, kappa, xi_cov, noise_cov) -> numkern.Anchor
     anchor leaves is the noise and xi pushed through the system, so the
     off-anchor Gram is formed from them and never as Sigma - R'R.
     """
-    vals, vecs = np.linalg.eigh(anchor.second_moment())
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    root = _anchor_root(anchor)
     inv = scm.unmixing()[: scm.d + 1]
     on = kappa * root @ scm.M.T @ inv.T
     shocks = noise_cov
@@ -300,11 +305,15 @@ def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
 def _split_constraint(moments: numkern.AnchorMoments):
     """For R_x b = R_y: the particular solution from the truncated SVD of R_x,
     an orthonormal basis of its null space, and whether the system is
-    consistent, all under the rank rule of `numkern.anchor_svd`."""
+    consistent, all under the rank rule of `numkern.anchor_svd`.
+
+    Appending R_y never lowers the rank, but its scale can hide a small
+    singular value of R_x, so only a larger joint rank means inconsistent.
+    """
     d = moments.on.shape[1] - 1
     u, sv, vt, rank = numkern.anchor_svd(moments, d)
     particular = vt[:rank].T @ (u[:, :rank].T @ moments.on[:, d] / sv[:rank])
-    consistent = rank == numkern.anchor_svd(moments, d + 1)[-1]
+    consistent = numkern.anchor_svd(moments, d + 1)[-1] <= rank
     return particular, vt[rank:].T, consistent
 
 
@@ -423,10 +432,11 @@ def perturbation_set(scm: LinearScm, gamma: float) -> PerturbationSet:
 
 
 def invariance_set_residual(scm: LinearScm, b: np.ndarray) -> np.ndarray:
-    """E[A (Y - X'b)] = Cov(A,Y) - Cov(A,X) b; zero iff the residual
+    """E[A (Y - X'b)] = G^{1/2} (R_y - R_x b); zero iff the residual
     distribution is invariant to shifts in span(M)."""
-    cross = scm.anchor.second_moment() @ scm.M.T @ scm.unmixing()[: scm.d + 1].T
-    return cross[:, scm.d] - cross[:, : scm.d] @ np.asarray(b, dtype=float).ravel()
+    on = scm.moments.on
+    b = np.asarray(b, dtype=float).ravel()
+    return _anchor_root(scm.anchor) @ (on[:, scm.d] - on[:, : scm.d] @ b)
 
 
 def projectability_check(model_or_ds) -> dict:

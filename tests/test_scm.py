@@ -298,6 +298,22 @@ class TestProjectability:
         with pytest.raises(ProjectabilityViolated):
             population_iv(model)
 
+    def test_large_y_scale_does_not_hide_a_weak_anchor(self):
+        # Y = 1e6 X_1: against ||[X Y]|| the weak anchor on X_2 (1e-8) falls
+        # under the rank cut, against ||X|| it does not; the system is
+        # consistent with b = (1e6, 0)
+        B = np.zeros((3, 3))
+        B[2, 0] = 1e6
+        model = LinearScm(
+            d=2, r=0, B=B, M=np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]]),
+            noise_scales=np.ones(3),
+            anchor=AnchorDistribution.gaussian(np.eye(2)),
+        )
+        assert numkern.anchor_svd(model.moments, 2)[-1] == 2
+        assert numkern.anchor_svd(model.moments, 3)[-1] == 1
+        assert projectability_check(model)["holds"]
+        np.testing.assert_allclose(population_iv(model), [1e6, 0.0], rtol=1e-12, atol=1e-6)
+
     def test_sample_version_agrees(self):
         model = example_iv_chain()
         ds = sample(model, 100_000, numkern.make_rng(11))
