@@ -143,8 +143,7 @@ def _worst_case_report(model: LinearScm, pset, points: np.ndarray, coefs) -> dic
         at_star = shift_risk(model, b, Shift(vector=v_star))
         exact.append(abs(at_star - risk) / max(abs(risk), 1e-300))
         inside.append(pset.contains(v_star))
-        base = float(w @ model.noise_covariance() @ w)
-        grid.append(base + float(np.max((points @ w) ** 2)) - risk)
+        grid.append(shift_risk(model, b) + float(np.max((points @ w) ** 2)) - risk)
     return {
         "passed": max(exact) <= 1e-12 and all(inside) and max(grid) <= 1e-8,
         "exact_gap": max(exact),
@@ -193,8 +192,7 @@ def check_random_shift_bound(seed: int = 0, n_models: int = 50, n_b: int = 5) ->
             rng, d=int(rng.integers(1, 3)), r=1, q=int(rng.integers(1, 3))
         )
         gamma = float(rng.uniform(0.1, 8.0))
-        bound = gamma * model.M @ model.anchor.second_moment() @ model.M.T
-        cov = _bounded_random_shift_cov(rng, bound)
+        cov = _bounded_random_shift_cov(rng, perturbation_set(model, gamma).bound)
         for _ in range(n_b):
             b = rng.uniform(-2.0, 2.0, size=model.d)
             risk = shift_risk(model, b, Shift(covariance=cov))
@@ -285,11 +283,10 @@ def check_quantile_identity(seed: int = 0, n_draws: int = 10_000) -> dict:
     model = random_scm(rng, d=2, r=1, q=2, anchor_kind="gaussian")
     b = rng.uniform(-2.0, 2.0, size=model.d)
     w = model.residual_weights(b)
-    base = float(w @ model.noise_covariance() @ w)
     gram = model.anchor.second_moment()
     chol = np.linalg.cholesky(gram + 1e-15 * np.eye(model.q))
     draws = rng.standard_normal((n_draws, model.q)) @ chol.T
-    cond_mse = base + (draws @ (model.M.T @ w)) ** 2
+    cond_mse = shift_risk(model, b) + (draws @ (model.M.T @ w)) ** 2
     worst_rel = 0.0
     details = {}
     for alpha in (0.5, 0.9, 0.95):

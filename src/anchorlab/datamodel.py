@@ -94,11 +94,11 @@ class AnchorDataset:
     level_codes: np.ndarray | None = None
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        X = np.asarray(self.X, dtype=float)
         Y = np.asarray(self.Y, dtype=float).ravel()
         A = np.asarray(self.A, dtype=float)
-        if A.ndim < 2:
-            A = A.reshape(-1, 1)
+        # a 1-d X or A is one column
+        X, A = (mat.reshape(-1, 1) if mat.ndim < 2 else mat for mat in (X, A))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "A", A)
@@ -158,7 +158,7 @@ class AnchorDataset:
 def center(ds: AnchorDataset) -> AnchorDataset:
     """Subtract column means from X, Y and A; store them for prediction."""
     if ds.n < 2:
-        raise ValueError("centering needs at least two rows")
+        raise EmptyInput(f"centering needs at least two rows, got {ds.n}")
     if ds.centered:
         # idempotent: previously stored means are kept
         return ds
@@ -238,6 +238,8 @@ def read_csv(path, config: dict) -> AnchorDataset:
         for name in header
         if name != response and name not in anchor_names and name not in drop
     ]
+    if not predictor_names:
+        raise ParseError("no predictor columns: each is the response, an anchor or dropped", row=0)
     categorical = [spec.get("kind", "continuous") == "categorical" for spec in anchor_specs]
     labels = {
         name: _level_codes(row[colidx[name]] for row in rows)

@@ -10,8 +10,8 @@ The infinite endpoint gets its own code path (`fit_iv`) because the
 transformed design's conditioning degrades linearly in gamma.
 
 Every fit projects through `AnchorDataset.projection`, built once per
-centred dataset, and the dense solves read the data only through the two
-Gram matrices in `AnchorDataset.moments`, shared by all gamma values.
+centred dataset. The dense solves, the IV solve and the objectives read the
+data only through `AnchorDataset.moments`, shared by all gamma values.
 
 A scikit-learn style wrapper (`AnchorRegression`) is provided at the bottom
 so the estimator composes with pipelines and grid search.
@@ -64,12 +64,9 @@ def gamma_transform(ds: AnchorDataset, gamma: float) -> tuple[np.ndarray, np.nda
 
 
 def anchor_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> float:
-    """Penalized criterion at b: off-anchor residual energy + gamma on-anchor."""
-    ds = center(ds)
-    resid = ds.Y - ds.X @ b
-    coords = ds.projection.coordinates(resid)
-    off_anchor = resid - ds.projection.expand(coords)
-    return float(off_anchor @ off_anchor + gamma * (coords @ coords))
+    """Penalized criterion at b from the moments: off-anchor + gamma on-anchor."""
+    off, on = numkern.residual_energy(center(ds).moments, b)
+    return off + gamma * on
 
 
 def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
@@ -109,30 +106,22 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
 def fit_iv(ds: AnchorDataset) -> AnchorFit:
     """Two-stage least squares: minimize the anchor-projected residual only.
 
-    Solves from the anchor coordinates R = [R_x R_y] of the data, whose
-    singular values are those of P X. Raises Underidentified when
-    rank(P X) < d, in which case the minimizer is not unique and no
+    Solves R_x b = R_y in the anchor coordinates R = [R_x R_y] of the data
+    by the truncated SVD the population IV limit uses. Raises Underidentified
+    when rank(R_x) = rank(P X) < d: the minimizer is then not unique and no
     pseudo-inverse solution is returned.
     """
     ds = center(ds)
-    moments = ds.moments
-    d = ds.d
-    r_x, r_y = moments.on[:, :d], moments.on[:, d]
-    *_, rank = numkern.anchor_svd(moments, d)
-    if rank < d:
+    coef, null, _ = numkern.split_constraint(ds.moments)
+    if null.shape[1]:
         raise Underidentified(
-            f"anchor-projected design has rank {rank} < d={d}"
+            f"anchor-projected design has rank {ds.d - null.shape[1]} < d={ds.d}"
         )
-    try:
-        coef = numkern.solve_spd(moments.gram_on[:d, :d], moments.gram_on[:d, d])
-    except NotPositiveDefinite as exc:
-        raise Underidentified(str(exc)) from exc
-    resid_proj = r_y - r_x @ coef
     return AnchorFit(
         gamma=GAMMA_INF,
         lam=0.0,
         coef=coef,
-        objective=float(resid_proj @ resid_proj),
+        objective=numkern.residual_energy(ds.moments, coef)[1],
         x_means=ds.x_means,
         y_mean=ds.y_mean,
         predictor_names=ds.predictor_names,
@@ -140,8 +129,11 @@ def fit_iv(ds: AnchorDataset) -> AnchorFit:
 
 
 def predict(fit: AnchorFit, x_new: np.ndarray) -> np.ndarray:
-    """ (x_new - training means) @ coef + training Y mean."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    """ (x_new - training means) @ coef + training Y mean; a 1-d x_new is a
+    column when the fit has one predictor, else a row."""
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim < 2:
+        x_new = x_new.reshape((-1, 1) if fit.coef.shape[0] == 1 else (1, -1))
     if x_new.shape[1] != fit.coef.shape[0]:
         raise DimensionMismatch(
             f"expected {fit.coef.shape[0]} columns, got {x_new.shape[1]}"

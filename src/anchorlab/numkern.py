@@ -178,6 +178,15 @@ def solve_gamma(moments: AnchorMoments, gamma: float) -> np.ndarray:
     return solve_spd(gram[:-1, :-1], gram[:-1, -1])
 
 
+def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float]:
+    """Off- and on-anchor energy of the residual Y - Xb: z' gram_off z and
+    ||on z||^2 with z = (-b, 1). The on-part reads the anchor coordinates,
+    so it does not cancel."""
+    z = np.append(-np.asarray(b, dtype=float), 1.0)
+    on = moments.on @ z
+    return float(z @ moments.gram_off @ z), float(on @ on)
+
+
 def anchor_svd(moments: AnchorMoments, width: int):
     """SVD (u, s, vt) of the anchor coordinates of the first `width` columns,
     with vt square, and their rank: the singular values above QR_RANK_RTOL
@@ -191,6 +200,21 @@ def anchor_svd(moments: AnchorMoments, width: int):
     gram = moments.gram_off[:width, :width] + moments.gram_on[:width, :width]
     scale = max(float(np.sqrt(np.linalg.norm(gram, ord=2))), 1e-300)
     return u, sv, vt, int(np.sum(sv > QR_RANK_RTOL * scale))
+
+
+def split_constraint(moments: AnchorMoments):
+    """For R_x b = R_y: the particular solution from the truncated SVD of R_x,
+    an orthonormal basis of its null space, and whether the system is
+    consistent, all under the rank rule of `anchor_svd`.
+
+    Appending R_y never lowers the rank, but its scale can hide a small
+    singular value of R_x, so only a larger joint rank means inconsistent.
+    """
+    d = moments.on.shape[1] - 1
+    u, sv, vt, rank = anchor_svd(moments, d)
+    particular = vt[:rank].T @ (u[:, :rank].T @ moments.on[:, d] / sv[:rank])
+    consistent = anchor_svd(moments, d + 1)[-1] <= rank
+    return particular, vt[rank:].T, consistent
 
 
 def normal_quantile(p: float) -> float:

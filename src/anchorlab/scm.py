@@ -128,6 +128,9 @@ class LinearScm:
         sv_min = np.linalg.svd(np.eye(p) - B, compute_uv=False).min()
         if sv_min <= 1e-10:
             raise DomainError("Id - B is numerically singular")
+        inverse = np.linalg.inv(np.eye(p) - B)
+        inverse.flags.writeable = False
+        object.__setattr__(self, "_inverse", inverse)
         if not self.is_acyclic:
             rho = np.max(np.abs(np.linalg.eigvals(B)))
             if rho >= 1.0:
@@ -165,8 +168,9 @@ class LinearScm:
         return True
 
     def unmixing(self) -> np.ndarray:
-        """(Id - B)^{-1}; maps structural inputs to equilibrium values."""
-        return np.linalg.inv(np.eye(self.p) - self.B)
+        """(Id - B)^{-1}, inverted once per model and read-only; maps
+        structural inputs to equilibrium values."""
+        return self._inverse
 
     def noise_covariance(self) -> np.ndarray:
         return np.diag(self.noise_scales**2)
@@ -302,21 +306,6 @@ def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
     return numkern.solve_gamma(scm.moments, gamma)
 
 
-def _split_constraint(moments: numkern.AnchorMoments):
-    """For R_x b = R_y: the particular solution from the truncated SVD of R_x,
-    an orthonormal basis of its null space, and whether the system is
-    consistent, all under the rank rule of `numkern.anchor_svd`.
-
-    Appending R_y never lowers the rank, but its scale can hide a small
-    singular value of R_x, so only a larger joint rank means inconsistent.
-    """
-    d = moments.on.shape[1] - 1
-    u, sv, vt, rank = numkern.anchor_svd(moments, d)
-    particular = vt[:rank].T @ (u[:, :rank].T @ moments.on[:, d] / sv[:rank])
-    consistent = numkern.anchor_svd(moments, d + 1)[-1] <= rank
-    return particular, vt[rank:].T, consistent
-
-
 def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
     """Minimum of the off-anchor objective subject to R_x b = R_y.
 
@@ -324,7 +313,7 @@ def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
     training-MSE minimizer subject to E[A (Y - X'b)] = 0; a step in the null
     space of R_x moves off the particular solution.
     """
-    particular, null, consistent = _split_constraint(moments)
+    particular, null, consistent = numkern.split_constraint(moments)
     if not consistent:
         raise ProjectabilityViolated(
             "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
@@ -348,11 +337,9 @@ def population_iv(scm: LinearScm) -> np.ndarray:
 
 
 def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None) -> float:
-    """Exact population MSE of b under the shifted distribution.
-
-    Decomposes as (risk with no anchor input) + energy of the shift along
-    the residual weight vector.
-    """
+    """Exact population MSE of b under the shifted distribution: the risk
+    w' Sigma_eps w with no anchor input (the off-anchor part of
+    `worst_case_risk`) plus the energy of the shift along w."""
     w = scm.residual_weights(b)
     base = float(w @ scm.noise_covariance() @ w)
     if shift is None:
@@ -363,15 +350,12 @@ def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None) -> flo
 
 
 def worst_case_risk(scm: LinearScm, b: np.ndarray, gamma: float) -> float:
-    """Penalized criterion at b; equals the supremum of shift_risk over the
-    gamma-perturbation ellipsoid."""
+    """Penalized criterion at b from the model's moments, off-anchor + gamma
+    on-anchor; equals the supremum of shift_risk over the gamma-ellipsoid."""
     if gamma < 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    w = scm.residual_weights(b)
-    base = float(w @ scm.noise_covariance() @ w)
-    gram = scm.anchor.second_moment()
-    mw = scm.M.T @ w
-    return base + gamma * float(mw @ gram @ mw)
+    off, on = numkern.residual_energy(scm.moments, b)
+    return off + gamma * on
 
 
 def population_equal_weight_risk(scm: LinearScm, b: np.ndarray, gamma: float) -> float:
@@ -379,10 +363,8 @@ def population_equal_weight_risk(scm: LinearScm, b: np.ndarray, gamma: float) ->
     contributes with weight 1/k regardless of its probability."""
     if scm.anchor.kind != "discrete":
         raise DomainError("equal-weight risk requires a discrete anchor")
-    w = scm.residual_weights(b)
-    base = float(w @ scm.noise_covariance() @ w)
-    level_means = scm.anchor.levels @ (scm.M.T @ w)
-    return base + gamma * float(np.mean(level_means**2))
+    level_means = scm.anchor.levels @ (scm.M.T @ scm.residual_weights(b))
+    return shift_risk(scm, b) + gamma * float(np.mean(level_means**2))
 
 
 @dataclass(frozen=True)
@@ -453,9 +435,9 @@ def projectability_check(model_or_ds) -> dict:
     else:
         ds = center(model_or_ds)
         moments, rows = ds.moments, ds.n
-    particular, _, consistent = _split_constraint(moments)
-    resid = moments.on[:, -1] - moments.on[:, :-1] @ particular
-    return {"holds": bool(consistent), "penalty_min": float(resid @ resid) / rows}
+    particular, _, consistent = numkern.split_constraint(moments)
+    penalty = numkern.residual_energy(moments, particular)[1]
+    return {"holds": bool(consistent), "penalty_min": penalty / rows}
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ updates instead of covariance updates and an exact finish, explicit QR
 least squares instead of Cholesky, undirected-trail enumeration instead of
 Bayes-ball, a per-fit QR projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
-self-relative rank test instead of the population anchor moments.
+self-relative rank test instead of the population anchor moments, and the
+row-wise objective and structural worst-case risk instead of the residual
+energy of the moments.
 """
 
 import math
@@ -133,17 +135,31 @@ def qr_fit_anchor(ds, gamma):
         raise SingularDesign(str(exc)) from exc
 
 
+def row_anchor_objective(ds, b, gamma):
+    """Penalized criterion at b from the n-row residual, projected through
+    the dataset's anchor projection, as `anchor_objective` computed it
+    before it read the moments."""
+    ds = center(ds)
+    resid = ds.Y - ds.X @ b
+    coords = ds.projection.coordinates(resid)
+    off_anchor = resid - ds.projection.expand(coords)
+    return float(off_anchor @ off_anchor + gamma * (coords @ coords))
+
+
 def qr_fit_iv(ds):
+    """Two-stage least squares by QR least squares on the QR-projected data.
+
+    Not through the normal equations: they square the condition number of
+    P X, which on weak-anchor designs costs more than the 1e-9 the tests
+    allow. Raises Underidentified when rank(P X) < d relative to ||X||_2.
+    """
     ds = center(ds)
     x_proj, y_proj = _qr_project(ds, ds.X), _qr_project(ds, ds.Y)
     sv = np.linalg.svd(x_proj, compute_uv=False)
     scale = max(float(np.linalg.norm(ds.X, ord=2)), 1e-300)
     if int(np.sum(sv > numkern.QR_RANK_RTOL * scale)) < ds.d:
         raise Underidentified("rank(P X) < d")
-    try:
-        return numkern.solve_spd(x_proj.T @ x_proj, x_proj.T @ y_proj)
-    except NotPositiveDefinite as exc:
-        raise Underidentified(str(exc)) from exc
+    return qr_lstsq(x_proj, y_proj)
 
 
 # --- population oracle from covariance blocks ------------------------------
@@ -198,6 +214,16 @@ def null_space_constrained_min(sxx, sxy, sax, say):
 def covariance_population_iv(model):
     sxx, sxy, sax, say, _ = covariance_blocks(model)
     return null_space_constrained_min(sxx, sxy, sax, say)
+
+
+def structural_worst_case_risk(model, b, gamma):
+    """w' Sigma_eps w + gamma (M'w)' E[AA'] (M'w) with the residual weights
+    w, as `worst_case_risk` computed it before it read the moments."""
+    w = model.residual_weights(b)
+    mw = model.M.T @ w
+    return float(w @ model.noise_covariance() @ w) + gamma * float(
+        mw @ model.anchor.second_moment() @ mw
+    )
 
 
 def covariance_side_blocks(model, anchor, kappa, xi_cov, noise_cov):

@@ -8,6 +8,7 @@ builds.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
-from anchorlab.estimators import fit_anchor, fit_iv, gamma_transform
+from anchorlab.estimators import anchor_objective, fit_anchor, fit_iv, gamma_transform
 from anchorlab.exceptions import SingularDesign, Underidentified
 from anchorlab.modelsel import cv_gamma, subset_rows
 
@@ -116,6 +117,49 @@ def test_gamma_transform_matches_qr_reference(design, d, seed):
             assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale, gamma
 
 
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    d=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**20),
+    noiseless=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_objective_matches_row_reference(design, d, seed, noiseless):
+    # a noiseless Y = X beta leaves a zero residual at beta, which the Gram
+    # form reaches only to round-off at the scale of the data
+    rng = numkern.make_rng(seed)
+    ds = DESIGNS[design](rng, d)
+    beta = rng.standard_normal(d)
+    if noiseless:
+        ds = replace(ds, Y=ds.X @ beta)
+    ds = center(ds)
+    scale = float(np.trace(ds.moments.gram_off + ds.moments.gram_on))
+    for gamma in (0.0, 0.5, 1.0, 7.0, 1e3):
+        for b in (beta, rng.standard_normal(d), fit_anchor(ds, gamma).coef):
+            got = anchor_objective(ds, b, gamma)
+            ref = oracles.row_anchor_objective(ds, b, gamma)
+            if noiseless:
+                bound = 1e-12 * (1.0 + gamma) * scale * (1.0 + float(b @ b))
+            else:
+                bound = 1e-10 * ref
+            assert abs(got - ref) <= bound, (gamma, got, ref)
+
+
+def test_objectives_make_no_projection_call(monkeypatch):
+    ds = center(_continuous(numkern.make_rng(4), 3))
+    ds.moments  # the one projection of this dataset
+
+    def refuse(*args):
+        raise AssertionError("objective projected the data again")
+
+    monkeypatch.setattr(numkern.AnchorProjection, "coordinates", refuse)
+    monkeypatch.setattr(numkern.AnchorProjection, "expand", refuse)
+    for gamma in GAMMAS[:-1]:
+        fit = fit_anchor(ds, gamma)
+        assert fit.objective == anchor_objective(ds, fit.coef, gamma)
+    fit_iv(ds)
+
+
 def test_strong_anchors_partial_out_to_round_off():
     # anchors explain all but 1e-8 of the variance of X
     for seed in range(20):
@@ -169,6 +213,44 @@ def test_errors_raised_exactly_where_reference_raises(build, expected):
             gamma: _outcome(oracles.qr_fit_anchor, ds, gamma) for gamma in GAMMAS
         }
         assert set(outcomes.values()) == expected
+
+
+DEGENERATE = {
+    "few-rows": _few_rows,
+    "collinear": _collinear,
+    "one-anchor-direction": _one_anchor_direction,
+    "two-levels": _two_levels,
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(DESIGNS), *DEGENERATE])
+def test_iv_fit_is_the_shared_split(name, monkeypatch):
+    # fit_iv solves no Gram matrix: it takes the particular solution of the
+    # split that the population IV limit uses, and raises where the QR
+    # reference raises
+    def refuse(*args):
+        raise AssertionError("fit_iv solved a Gram matrix")
+
+    for seed in range(5):
+        rng = numkern.make_rng(seed)
+        ds = center(DESIGNS[name](rng, 3) if name in DESIGNS else DEGENERATE[name](rng))
+        try:
+            ref = oracles.qr_fit_iv(ds)
+        except Underidentified:
+            ref = None
+        particular, null, _ = numkern.split_constraint(ds.moments)
+        with monkeypatch.context() as patched:
+            patched.setattr(numkern, "solve_spd", refuse)
+            try:
+                fit = fit_iv(ds)
+            except Underidentified as exc:
+                assert ref is None
+                assert f"rank {ds.d - null.shape[1]} < d={ds.d}" in str(exc)
+                continue
+        assert ref is not None
+        assert _relative_gap(fit.coef, ref) <= COEF_RTOL
+        assert np.array_equal(fit.coef, particular)
+        assert fit.objective == numkern.residual_energy(ds.moments, fit.coef)[1]
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import cli, datamodel, numkern, sparse
 from anchorlab.scm import (
@@ -78,6 +80,14 @@ def _tiny_files(root, text):
         json.dumps({"response": "y", "anchors": [{"name": "a1", "kind": "continuous"}]})
     )
     return data, config
+
+
+def _categorical_config(root):
+    config = root / "cat.json"
+    config.write_text(
+        json.dumps({"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]})
+    )
+    return config
 
 
 class TestFit:
@@ -390,6 +400,29 @@ class TestErrorContract:
         assert "finite" in err and "absent" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--gamma", "1"],
+        ["fit", "--gamma", "inf"],
+        ["path", "--grid", "0,1,inf"],
+    ])
+    def test_no_predictor_columns_is_config_error(self, argv, tmp_path, capsys):
+        data = tmp_path / "nopred.csv"
+        data.write_text("y,env\n1,a\n2,b\n3,a\n4,b\n")
+        code = cli.main(argv + ["--data", str(data), "--config", str(_categorical_config(tmp_path)),
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "no predictor columns" in capsys.readouterr().err
+
+    def test_one_row_training_fold_is_numeric_error(self, tmp_path, capsys):
+        # with two folds over two levels, one fold trains on level a's single row
+        data = tmp_path / "onerow.csv"
+        data.write_text("y,x1,env\n1,2,a\n2,3,b\n3,1,b\n4,2,b\n")
+        code = cli.main(["cv", "--grid", "0,1", "--folds", "2", "--seed", "0",
+                         "--data", str(data), "--config", str(_categorical_config(tmp_path)),
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "at least two rows" in capsys.readouterr().err
+
     def test_json_format_outputs(self, example2_files, tmp_path):
         out = tmp_path / "rankjson"
         assert cli.main(
@@ -404,3 +437,78 @@ class TestErrorContract:
         ) == 0
         rows = json.loads((out / "ranking.json").read_text())
         assert {r["coordinate"] for r in rows} == {"x1"}
+
+
+# --- the exit-code contract on random small inputs -------------------------
+
+NUMBERS = st.one_of(st.floats(-9.0, 9.0).map(repr), st.integers(-3, 3).map(str))
+CELLS = st.one_of(NUMBERS, st.sampled_from(["", "nan", "inf", "x", " 1"]))
+FINITE = st.sampled_from(["0", "0.5", "1", "7"])
+GAMMA = st.one_of(FINITE, st.just("inf"))
+GRID = st.lists(GAMMA, min_size=1, max_size=3).map(",".join)
+FINITE_GRID = st.lists(FINITE, min_size=1, max_size=3).map(",".join)
+LAMBDA = st.sampled_from(["0", "0.3"])
+
+
+@st.composite
+def cli_inputs(draw):
+    """(CSV text, categorical anchor?, argv without paths) for fit, path, cv
+    or rank on 0-6 rows and 0-3 predictors."""
+    command = draw(st.sampled_from(["fit", "path", "cv", "rank"]))
+    n, d = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    # cv needs anchor levels; with a continuous anchor it exits 3 at once
+    categorical = command == "cv" or draw(st.booleans())
+    cells = draw(st.sampled_from([NUMBERS, CELLS]))  # half the tables are all numeric
+    labels = st.sampled_from(["u", "v", "w", ""]) if categorical else cells
+    header = ["y", *(f"x{j + 1}" for j in range(d)), "a"]
+    rows = [[*(draw(cells) for _ in range(d + 1)), draw(labels)] for _ in range(n)]
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    if command == "fit":
+        flags = ["--gamma", draw(GAMMA), "--lambda", draw(LAMBDA)]
+        flags += ["--standardize"] if draw(st.booleans()) else []
+    elif command == "path":
+        flags = ["--grid", draw(GRID), "--lambda", draw(LAMBDA)]
+    elif command == "cv":
+        # an infinite cv grid exits 2 before the data are read
+        flags = ["--grid", draw(FINITE_GRID), "--alpha", "0.5,0.9", "--seed", "0",
+                 "--folds", str(draw(st.integers(1, 3))), "--lambda", draw(LAMBDA)]
+    else:
+        flags = ["--lambda", draw(LAMBDA)]
+        flags += ["--grid", draw(GRID)] if draw(st.booleans()) else []
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    return text, categorical, [command, *flags, "--format", fmt]
+
+
+def _run_in(root, argv, name):
+    """Exit code, stderr and the output files of one in-process CLI run."""
+    out = root / name
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, err.getvalue(), files
+
+
+@given(inputs=cli_inputs())
+@example(inputs=("y,a\n1,u\n2,v\n3,u\n", True, ["fit", "--gamma", "inf"]))
+@example(inputs=("y,x1,a\n1,2,u\n2,3,v\n3,1,v\n4,2,v\n", True,
+                 ["cv", "--grid", "1", "--folds", "2", "--seed", "0"]))
+@settings(max_examples=80, deadline=None)
+def test_exit_code_contract(inputs):
+    text, categorical, argv = inputs
+    kind = "categorical" if categorical else "continuous"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "data.csv").write_text(text)
+        (root / "config.json").write_text(
+            json.dumps({"response": "y", "anchors": [{"name": "a", "kind": kind}]})
+        )
+        argv = argv + ["--data", str(root / "data.csv"), "--config", str(root / "config.json")]
+        first = _run_in(root, argv, "first")
+        code, err, _ = first
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        assert _run_in(root, argv, "second") == first

@@ -184,6 +184,11 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             predict(fit, np.zeros((2, 7)))
 
+    def test_one_dimensional_rows_and_columns(self):
+        fit = fit_anchor(_random_ds(17), 1.0)
+        row = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(predict(fit, row), predict(fit, row[None, :]))
+
     def test_shift_mse_matches_analytic_risk(self):
         model = scm.example_iv_chain()
         rng = numkern.make_rng(18)
@@ -239,6 +244,16 @@ class TestWrapper:
         y = x[:, 0] + 0.05 * rng.standard_normal(50)
         est = AnchorRegression(gamma=1.0, lam=2.0).fit(x, y, a)
         assert np.count_nonzero(est.coef_) < 40
+
+    def test_one_dimensional_x_is_one_column(self):
+        rng = numkern.make_rng(21)
+        x, a = rng.standard_normal(5), rng.standard_normal(5)
+        y = 2.0 * x + rng.standard_normal(5)
+        flat = AnchorRegression(gamma=2.0).fit(x, y, a)
+        column = AnchorRegression(gamma=2.0).fit(x[:, None], y, a[:, None])
+        assert np.array_equal(flat.coef_, column.coef_)
+        assert flat.predict(x).shape == (5,)
+        assert np.array_equal(flat.predict(x), column.predict(x[:, None]))
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):

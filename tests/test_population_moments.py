@@ -117,6 +117,34 @@ def test_replicability_sides_match_covariance_reference(seed, d):
     assert _relative_gap(out["b_test"], ref_test, scen.base) <= COEF_RTOL
 
 
+@given(**MODELS)
+@settings(max_examples=80, deadline=None)
+def test_worst_case_risk_matches_structural_reference(seed, d, r, q, discrete):
+    model = _model(seed, d, r, q, discrete)
+    rng = numkern.make_rng(seed + 1)
+    for gamma in GAMMAS[:-1]:
+        for b in (rng.uniform(-2.0, 2.0, size=d), scm.population_anchor(model, gamma)):
+            got = scm.worst_case_risk(model, b, gamma)
+            ref = oracles.structural_worst_case_risk(model, b, gamma)
+            assert abs(got - ref) <= 1e-12 * ref, gamma
+
+
+def test_worst_case_risk_reads_the_moments(monkeypatch):
+    model = random_scm(numkern.make_rng(7), d=2, r=1, q=2)
+    b = np.array([0.5, -1.0])
+    expected = oracles.structural_worst_case_risk(model, b, 3.0)
+    monkeypatch.setattr(scm.LinearScm, "residual_weights", None)
+    assert abs(scm.worst_case_risk(model, b, 3.0) - expected) <= 1e-12 * expected
+
+
+def test_unmixing_is_inverted_once_and_read_only():
+    model = random_scm(numkern.make_rng(6), d=2, r=1, q=2)
+    inv = model.unmixing()
+    assert model.unmixing() is inv
+    assert not inv.flags.writeable
+    assert np.allclose(inv @ (np.eye(model.p) - model.B), np.eye(model.p), atol=1e-12)
+
+
 def test_moments_split_the_population_covariance():
     # gram_on + gram_off is the (X, Y) block of the joint covariance, and
     # gram_on is Cov(., A) E[AA']^-1 Cov(A, .)
