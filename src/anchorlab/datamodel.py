@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -194,6 +194,84 @@ def load_column_config(path) -> dict:
         return json.load(fh)
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Which header columns feed Y, X and A under a column config."""
+
+    index: dict  # header name -> position
+    response: str
+    predictors: list
+    anchors: list  # in config order
+    categorical: list  # one flag per anchor
+
+    @property
+    def numeric(self) -> list:
+        """(name, kind) of each column read as numbers, in the order checked."""
+        return [
+            (self.response, "response"),
+            *((name, "predictor") for name in self.predictors),
+            *((name, "anchor") for name, cat in zip(self.anchors, self.categorical) if not cat),
+        ]
+
+    @property
+    def labelled(self) -> list:
+        return [name for name, cat in zip(self.anchors, self.categorical) if cat]
+
+
+def _columns(header: list, n: int, config: dict) -> _Columns:
+    """Resolve `config` against a header of distinct names over n data rows."""
+    response = config["response"]
+    anchor_specs = config.get("anchors", [])
+    drop = set(config.get("drop_columns", []))
+    index = {name: j for j, name in enumerate(header)}
+    anchors = [spec["name"] for spec in anchor_specs]
+    for name in [response, *anchors]:
+        if name not in index:
+            raise MissingColumn(name)
+    if not anchor_specs:
+        raise MissingColumn("at least one anchor column is required")
+    if n < 2:
+        raise ParseError(f"need at least two data rows, found {n}", row=n + 1)
+    predictors = [
+        name for name in header if name != response and name not in anchors and name not in drop
+    ]
+    if not predictors:
+        raise ParseError("no predictor columns: each is the response, an anchor or dropped", row=0)
+    categorical = [spec.get("kind", "continuous") == "categorical" for spec in anchor_specs]
+    return _Columns(index, response, predictors, anchors, categorical)
+
+
+def _dataset(cols: _Columns, numeric: dict, labels: dict) -> AnchorDataset:
+    """Assemble (X, Y, A) from parsed numeric columns and (codes, levels) per
+    categorical anchor; a lone categorical anchor also sets the level codes."""
+    n = len(numeric[cols.response])
+    widths = [
+        len(labels[name][1]) if cat else 1 for name, cat in zip(cols.anchors, cols.categorical)
+    ]
+    X = np.empty((n, len(cols.predictors)))
+    for j, name in enumerate(cols.predictors):
+        X[:, j] = numeric[name]
+    A = np.zeros((n, sum(widths)))
+    anchor_levels = level_codes = None
+    for name, cat, start in zip(cols.anchors, cols.categorical, np.cumsum([0, *widths[:-1]])):
+        if not cat:
+            A[:, start] = numeric[name]
+            continue
+        codes, levels = labels[name]
+        A[np.arange(n), start + codes] = 1.0
+        if len(cols.anchors) == 1:
+            level_codes = codes
+            anchor_levels = _level_rows(codes, levels)
+    return AnchorDataset(
+        X=X,
+        Y=np.array(numeric[cols.response]),
+        A=A,
+        anchor_levels=anchor_levels,
+        predictor_names=tuple(cols.predictors),
+        level_codes=level_codes,
+    )
+
+
 def read_csv(path, config: dict) -> AnchorDataset:
     """Strictly parse a CSV file into an AnchorDataset.
 
@@ -202,10 +280,59 @@ def read_csv(path, config: dict) -> AnchorDataset:
     become predictors. Row order is preserved; duplicate header names, rows
     whose cell count differs from the header's, missing or non-finite values
     and fewer than two data rows are an error.
+
+    Numeric cells are read as Python's float() reads them. Most files go
+    through numpy's C parser (`_parse_plain`); any file it cannot vouch for,
+    and every file with an error in it, goes through the per-cell parser
+    (`_parse_strict`), which names the row and column of the first bad cell.
     """
-    response = config["response"]
-    anchor_specs = config.get("anchors", [])
-    drop = set(config.get("drop_columns", []))
+    parsed = _parse_plain(path, config) or _parse_strict(path, config)
+    return _dataset(*parsed)
+
+
+def _parse_plain(path, config: dict) -> tuple | None:
+    """(columns, numeric, labels) of a CSV file from numpy's C parser, or
+    None where they could differ from the per-cell parser's.
+
+    Used only for a file with no quote (csv strips quotes, loadtxt keeps
+    them), no NUL (numpy strings drop trailing NULs), distinct header names
+    and the header's cell count on every line (so no blank line, which
+    loadtxt would skip), and then only when loadtxt reads every numeric cell
+    as a finite number.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()  # split where csv.reader splits rows
+    header = lines[0].rstrip("\r\n").split(",") if lines else []
+    width = len(header)
+    # A blank line is one cell to split(",") but none to csv, so the cell
+    # count tells it apart only from a header of two or more cells.
+    if (
+        width < 2
+        or len(set(header)) < width
+        or any('"' in line or "\x00" in line for line in lines)
+        or {line.count(",") for line in lines} != {width - 1}
+    ):
+        return None
+    cols = _columns(header, len(lines) - 1, config)
+    read = partial(np.loadtxt, lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    try:
+        values = read(usecols=[cols.index[name] for name, _ in cols.numeric])
+        strings = [read(dtype=str, usecols=[cols.index[name]])[:, 0] for name in cols.labelled]
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    labels = {}
+    for name, column in zip(cols.labelled, strings):
+        levels, codes = np.unique(column, return_inverse=True)
+        labels[name] = codes, tuple(levels.tolist())
+    numeric = {name: column for (name, _), column in zip(cols.numeric, values.T)}
+    return cols, numeric, labels
+
+
+def _parse_strict(path, config: dict) -> tuple:
+    """(columns, numeric, labels) of a CSV file, cell by cell through
+    csv.reader and float(): the error path."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -224,45 +351,16 @@ def read_csv(path, config: dict) -> AnchorDataset:
         raise ParseError(
             f"row {i + 1} has {len(rows[i])} cells, the header has {width}", row=i + 1
         )
-    colidx = {name: j for j, name in enumerate(header)}
-    anchor_names = [spec["name"] for spec in anchor_specs]
-    for name in [response, *anchor_names]:
-        if name not in colidx:
-            raise MissingColumn(name)
-    if not anchor_specs:
-        raise MissingColumn("at least one anchor column is required")
-    if len(rows) < 2:
-        raise ParseError(f"need at least two data rows, found {len(rows)}", row=len(rows) + 1)
-    predictor_names = [
-        name
-        for name in header
-        if name != response and name not in anchor_names and name not in drop
-    ]
-    if not predictor_names:
-        raise ParseError("no predictor columns: each is the response, an anchor or dropped", row=0)
-    categorical = [spec.get("kind", "continuous") == "categorical" for spec in anchor_specs]
+    cols = _columns(header, len(rows), config)
     labels = {
-        name: _level_codes(row[colidx[name]] for row in rows)
-        for name, cat in zip(anchor_names, categorical)
-        if cat
+        name: _level_codes(row[cols.index[name]] for row in rows) for name in cols.labelled
     }
-    widths = [len(labels[name][1]) if cat else 1 for name, cat in zip(anchor_names, categorical)]
-    starts = np.cumsum([0, *widths[:-1]])
-
-    n, d = len(rows), len(predictor_names)
-    X, Y, A = np.empty((n, d)), np.empty(n), np.zeros((n, sum(widths)))
-    numeric = [
-        (response, "response", Y),
-        *((name, "predictor", X[:, j]) for j, name in enumerate(predictor_names)),
-        *(
-            (name, "anchor", A[:, start])
-            for name, cat, start in zip(anchor_names, categorical, starts)
-            if not cat
-        ),
-    ]
-    for name, kind, out in numeric:
-        cix = colidx[name]
-        out[:] = [_parse_cell(row[cix], i + 1, name, kind) for i, row in enumerate(rows)]
+    numeric = {}
+    for name, kind in cols.numeric:
+        cix = cols.index[name]
+        out = numeric[name] = np.array(
+            [_parse_cell(row[cix], i + 1, name, kind) for i, row in enumerate(rows)], dtype=float
+        )
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             i = int(bad[0])
@@ -271,43 +369,51 @@ def read_csv(path, config: dict) -> AnchorDataset:
                 row=i + 1,
                 column=name,
             )
+    return cols, numeric, labels
 
-    anchor_levels = level_codes = None
-    for name, cat, start in zip(anchor_names, categorical, starts):
-        if cat:
-            codes, levels = labels[name]
-            A[np.arange(n), start + codes] = 1.0
-            if len(anchor_specs) == 1:
-                level_codes = codes
-                anchor_levels = _level_rows(codes, levels)
-    return AnchorDataset(
-        X=X,
-        Y=Y,
-        A=A,
-        anchor_levels=anchor_levels,
-        predictor_names=tuple(predictor_names),
-        level_codes=level_codes,
-    )
+
+# rows formatted per write call: one block is a few MB of text
+WRITE_BLOCK_ROWS = 8192
+# a label holding one of these is written by csv.writer, which quotes it
+_QUOTED = frozenset(',"\r\n')
 
 
 def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
-    """Inverse of read_csv for numeric data, 12 significant digits."""
+    """Inverse of read_csv for numeric data, 12 significant digits.
+
+    Lines end in "\\r\\n", as csv.writer ends them. Numbers are written as
+    `FLOAT_FORMAT` gives them. With `anchor_labels` the anchors are one
+    column `env` of the labels as str(); a label holding a comma, a quote
+    or a line break is quoted by csv.writer, and the header too goes
+    through csv.writer.
+    """
     header = ["y", *ds.predictor_names]
+    blocks = [ds.Y, ds.X]
     if anchor_labels is not None:
         header.append("env")
+        labels = [str(label) for label in anchor_labels]
     else:
         header.extend(f"a{j + 1}" for j in range(ds.q))
+        blocks.append(ds.A)
+    values = np.column_stack(blocks)
+    row_format = ",".join([FLOAT_FORMAT] * values.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [FLOAT_FORMAT % ds.Y[i]]
-            row.extend(FLOAT_FORMAT % v for v in ds.X[i])
-            if anchor_labels is not None:
-                row.append(str(anchor_labels[i]))
-            else:
-                row.extend(FLOAT_FORMAT % v for v in ds.A[i])
-            writer.writerow(row)
+        for start in range(0, ds.n, WRITE_BLOCK_ROWS):
+            rows = values[start : start + WRITE_BLOCK_ROWS].tolist()
+            if anchor_labels is None:
+                fh.write("".join([row_format % tuple(row) + "\r\n" for row in rows]))
+                continue
+            lines = []
+            for row, label in zip(rows, labels[start : start + WRITE_BLOCK_ROWS]):
+                if _QUOTED.isdisjoint(label):
+                    lines.append(f"{row_format % tuple(row)},{label}\r\n")
+                else:
+                    fh.write("".join(lines))
+                    lines = []
+                    writer.writerow([*(FLOAT_FORMAT % v for v in row), label])
+            fh.write("".join(lines))
 
 
 def from_levels(X, Y, labels) -> AnchorDataset:

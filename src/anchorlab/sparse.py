@@ -25,7 +25,7 @@ from .estimators import AnchorFit, fit_anchor, gamma_transform
 from .exceptions import DomainError, EmptyLevel, InvalidConfig, NotPositiveDefinite
 
 MAX_SWEEPS = 100_000
-# stop when the largest coordinate move in a sweep drops below
+# stop when the largest coordinate move in a full sweep drops below
 # CONVERGENCE_RTOL * std(transformed response)
 CONVERGENCE_RTOL = 1e-9
 
@@ -68,7 +68,11 @@ def lasso_coordinate_descent(
     b = np.zeros(d) if start is None else np.array(start, dtype=float)
     grad = design.T @ (response - design @ b)
     columns = {}
-    tol = CONVERGENCE_RTOL * max(float(response.std()), 1e-300)
+    # std(response) from the response scaled to a largest entry of 1: the
+    # squares of a response below ~1e-154 underflow, and its std with them
+    scale = float(np.max(np.abs(response), initial=0.0))
+    spread = scale * float((response / scale).std()) if scale > 0.0 else 0.0
+    tol = CONVERGENCE_RTOL * max(spread, 1e-300)
 
     def sweep(coords) -> float:
         move = 0.0
@@ -166,7 +170,7 @@ def _finish_fit(ds, gamma, lam, design, response, b, sweeps, move, converged):
     if not converged:
         warnings.warn(
             f"coordinate descent stopped after {sweeps} sweeps "
-            f"(last move {move:.3e}); returning best iterate",
+            f"(last full-sweep move {move:.3e}); returning best iterate",
             RuntimeWarning,
         )
     resid = response - design @ b

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,31 @@ class TestErrorContract:
                          "--out", str(tmp_path / "o")])
         assert code == 3
         assert "at least two rows" in capsys.readouterr().err
+
+    def test_lasso_converges_on_a_tiny_response(self, tmp_path):
+        # the squares of a response below ~1e-154 underflow to zero; the
+        # descent's stopping tolerance must not
+        data, config = _tiny_files(
+            tmp_path, "y,x1,x2,a1\n1.49e-269,0,-5.79,2\n3.03e-162,0,8.69,0.96\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["rank", "--lambda", "0", "--data", str(data),
+                             "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 0
+
+    def test_nonconvergence_warning_names_the_full_sweep_move(self, tmp_path):
+        # x1 and x2 are collinear after the gamma = 0 transform, so the descent
+        # runs to its sweep cap; active-set sweeps follow the last full sweep
+        data = tmp_path / "collinear.csv"
+        data.write_text(
+            "y,x1,x2,env\n-2.6e-238,3,-3,v\n2.00001,-2,0.0,w\n4.178471598672189,1e-06,0,v\n"
+        )
+        with pytest.warns(RuntimeWarning, match=r"after 100000 sweeps \(last full-sweep move "):
+            code = cli.main(["rank", "--lambda", "0.3", "--data", str(data),
+                             "--config", str(_categorical_config(tmp_path)),
+                             "--out", str(tmp_path / "o")])
+        assert code == 0
 
     def test_json_format_outputs(self, example2_files, tmp_path):
         out = tmp_path / "rankjson"

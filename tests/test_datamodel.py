@@ -1,6 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import datamodel, numkern
 from anchorlab.datamodel import (
@@ -12,7 +15,13 @@ from anchorlab.datamodel import (
     read_csv,
     write_csv,
 )
-from anchorlab.exceptions import DimensionMismatch, EmptyInput, MissingColumn, ParseError
+from anchorlab.exceptions import (
+    AnchorlabError,
+    DimensionMismatch,
+    EmptyInput,
+    MissingColumn,
+    ParseError,
+)
 
 import oracles
 
@@ -249,3 +258,142 @@ def test_level_partition_enforced():
             A=np.zeros((3, 1)),
             anchor_levels={"a": np.array([0, 1])},
         )
+
+
+# --- the numpy reader against the per-cell parser ----------------------------
+
+WHITESPACE = st.sampled_from(["", " ", "\t", " \t "])
+FINITE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(lambda v: f"{v:+d}"),
+    st.builds(
+        "{}{}e{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["1", "2.5", ".5", "7."]),
+        st.integers(-330, 330),
+    ),
+    st.just("-0"),
+)
+ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-Infinity", "", "1_000", "١٢", '"1.5"', '"-2"', "x", "1.5.", " ", "1\x00"]
+)
+LABELS = st.sampled_from(["u", "v", " w", "w ", "", "1.5", "١", "a\tb"])
+ODD_LABELS = st.sampled_from(['"a,b"', '"say ""x"""', 'a"b', "u\x00"])
+HAZARDS = (
+    "odd cell", "odd label", "ragged row", "blank line", "lone CR", "one column", "few rows"
+)
+
+
+@st.composite
+def csv_files(draw):
+    """(text, categorical?) of a small CSV of numbers with surrounding
+    whitespace, LF or CRLF line ends and up to two hazards: an odd cell or
+    label, a short or long row, a blank line (possibly last), CR line ends,
+    a header of one column or fewer than two rows."""
+    hazards = draw(st.sets(st.sampled_from(HAZARDS), max_size=2))
+    header = ["y"] if "one column" in hazards else ["y", "x1", "x2", "a"]
+    categorical = "odd label" in hazards or draw(st.booleans())
+    number = st.builds("{}{}{}".format, WHITESPACE, FINITE_TEXT, WHITESPACE)
+    labelled = [column == "a" and categorical for column in header]
+    rows = [
+        [draw(LABELS if label else number) for label in labelled]
+        for _ in range(draw(st.integers(0, 1) if "few rows" in hazards else st.integers(2, 6)))
+    ]
+    if rows:
+        row = draw(st.sampled_from(rows))
+        if "odd cell" in hazards:
+            numeric = [j for j, label in enumerate(labelled) if not label]
+            row[draw(st.sampled_from(numeric))] = draw(ODD_CELLS)
+        if "odd label" in hazards:
+            row[-1] = draw(ODD_LABELS)
+        if "ragged row" in hazards:
+            row[:] = row[:-1] if draw(st.booleans()) else row + [draw(number)]
+    lines = [",".join(row) for row in rows]
+    if lines and "blank line" in hazards:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = "\r" if "lone CR" in hazards else draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(header), *lines]) + (end if draw(st.booleans()) else "")
+    return text, categorical
+
+
+def _read_strict(path, config):
+    return datamodel._dataset(*datamodel._parse_strict(path, config))
+
+
+def _read_outcome(read, path, config):
+    """Every array and level of the result, or the error's class, location and message."""
+    try:
+        ds = read(path, config)
+    except AnchorlabError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
+    arrays = [ds.X, ds.Y, ds.A] + ([] if ds.level_codes is None else [ds.level_codes])
+    levels = None if ds.anchor_levels is None else [
+        (label, rows.tolist()) for label, rows in ds.anchor_levels.items()
+    ]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], levels, ds.predictor_names
+
+
+@given(csv_files())
+# a file for each guard of the numpy reader, and a CR-only file, which it reads
+@example(('y,x1,x2,a\n1,2,3,"say ""x"""\n2,3,4,u\n', True))
+@example(("y,x1,x2,a\n1,2,3,u\x00\n2,3,4,u\n", True))
+@example(("y,x1,x2,a\r1,2,3,4\r5,6,7,8\r", False))
+@example(("y,x1,x2,a\n1,2,3,4,5\n2,3,4,5\n", False))
+@example(("y\n1\n\n2\n", False))
+@example(("y,x1,x2,a\n1,nan,3,4\n2,3,4,5\n", False))
+@settings(max_examples=300, deadline=None)
+def test_numpy_reader_matches_per_cell_parser(tmp_path_factory, drawn):
+    text, categorical = drawn
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    kind = "categorical" if categorical else "continuous"
+    config = {"response": "y", "anchors": [{"name": "a", "kind": kind}]}
+    assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("categorical", [False, True])
+def test_numpy_reader_takes_plain_files(tmp_path, end, categorical):
+    # plain files never reach the per-cell parser, and give what it gives
+    anchor = ["u", " v", "u"] if categorical else ["0.5", "1e-3", "-2"]
+    rows = [f" 1.5,-0 ,\t3e2,{anchor[0]}", f"2,+5e-324,1e300,{anchor[1]}", f"-1,7,0,{anchor[2]}"]
+    path = tmp_path / "plain.csv"
+    path.write_bytes(end.join(["y,x1,x2,a", *rows, ""]).encode("utf-8"))
+    kind = "categorical" if categorical else "continuous"
+    config = {"response": "y", "anchors": [{"name": "a", "kind": kind}]}
+    assert datamodel._parse_plain(path, config) is not None
+    assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
+
+
+def _csv_writer_reference(ds, anchor_labels=None) -> bytes:
+    """write_csv as csv.writer writes it, one formatted cell at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    labelled = anchor_labels is not None
+    writer.writerow(
+        ["y", *ds.predictor_names, *(["env"] if labelled else [f"a{j + 1}" for j in range(ds.q)])]
+    )
+    for i in range(ds.n):
+        row = [FLOAT_FORMAT % ds.Y[i], *(FLOAT_FORMAT % v for v in ds.X[i])]
+        row += [str(anchor_labels[i])] if labelled else [FLOAT_FORMAT % v for v in ds.A[i]]
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_write_csv_matches_csv_writer(tmp_path, labelled):
+    # more rows than one write block, so a quoted label falls on each side of a block edge
+    rng = numkern.make_rng(5)
+    n = datamodel.WRITE_BLOCK_ROWS + 7
+    X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    X[:4] = [[-0.0, 5e-324, 1e300], [3.0, -42.0, 1e16], [0.1, 2.0**-1074, -1e-300], [7, 0, 1]]
+    ds = AnchorDataset(X=X, Y=rng.standard_normal(n), A=rng.standard_normal((n, 2)))
+    labels = None
+    if labelled:
+        labels = np.array(["a,b", 'say "x"', "plain", "", " pad "], dtype=object)[
+            rng.integers(0, 5, n)
+        ]
+        labels[datamodel.WRITE_BLOCK_ROWS - 1 : datamodel.WRITE_BLOCK_ROWS + 1] = "a,b"
+    path = tmp_path / "w.csv"
+    write_csv(path, ds, anchor_labels=labels)
+    assert path.read_bytes() == _csv_writer_reference(ds, labels)
