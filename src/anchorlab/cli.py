@@ -187,6 +187,10 @@ def cmd_path(args) -> int:
     rows = []
     if args.data is not None:
         ds = datamodel.center(_load_dataset(args))
+        if model is not None and ds.d != model.d:
+            raise InvalidConfig(
+                f"--scm models {model.d} predictors, --data has {ds.d}"
+            )
         names = ds.predictor_names
         coefs = []
         for gamma in gammas:
@@ -313,10 +317,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if args.scm is not None:
         report = batteries.run_scm_checks(scm_mod.load_scm(args.scm), seed=args.seed)
-    elif args.battery == "default":
-        report = batteries.run_battery(seed=args.seed)
     else:
-        raise InvalidConfig(f"unknown battery {args.battery!r}")
+        report = batteries.run_battery(seed=args.seed)
     out = _outdir(args)
     _write_json(os.path.join(out, "verify.json"), report)
     for check in report["checks"]:
@@ -362,6 +364,18 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
+# Options several subcommands share; each subcommand takes only those its
+# handler reads.
+SHARED_OPTIONS = {
+    "data": {"default": None, "help": "CSV dataset path"},
+    "config": {"default": None, "help": "column-role JSON path"},
+    "scm": {"default": None, "help": "structural model JSON path"},
+    "seed": {"type": int, "required": True},
+    "out": {"default": None, "help": "output directory"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anchorlab",
@@ -369,30 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
-        p.add_argument("--data", default=None, help="CSV dataset path")
-        p.add_argument("--config", default=None, help="column-role JSON path")
-        p.add_argument("--scm", default=None, help="structural model JSON path")
-        p.add_argument("--seed", type=int, default=0, required=seed_required)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def shared(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **SHARED_OPTIONS[name])
 
     p_fit = sub.add_parser("fit", help="fit at a single (gamma, lambda)")
-    common(p_fit)
+    shared(p_fit, "data", "config", "out")
     p_fit.add_argument("--gamma", default="1")
     p_fit.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_fit.add_argument("--standardize", action="store_true")
     p_fit.set_defaults(func=cmd_fit)
 
     p_path = sub.add_parser("path", help="coefficients along a gamma grid")
-    common(p_path)
+    shared(p_path, "data", "config", "scm", "out", "format")
     p_path.add_argument("--grid", default=None, help="comma-separated gammas")
     p_path.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_path.add_argument("--shift", default=None, help="comma-separated shift vector")
     p_path.set_defaults(func=cmd_path)
 
     p_cv = sub.add_parser("cv", help="pick gamma by grouped cross-validation")
-    common(p_cv, seed_required=True)
+    shared(p_cv, "data", "config", "seed", "out", "format")
     p_cv.add_argument("--grid", default=None, help="comma-separated gammas")
     p_cv.add_argument("--alpha", default="0.9", help="comma-separated quantile levels")
     p_cv.add_argument("--folds", type=int, default=5)
@@ -400,18 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.set_defaults(func=cmd_cv)
 
     p_sim = sub.add_parser("simulate", help="draw a dataset from a model")
-    common(p_sim, seed_required=True)
+    shared(p_sim, "scm", "seed", "out")
     p_sim.add_argument("--n", type=int, default=None)
     p_sim.add_argument("--shift", default=None, help="comma-separated shift vector")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the certification battery")
-    common(p_ver, seed_required=True)
-    p_ver.add_argument("--battery", default="default")
+    shared(p_ver, "scm", "seed", "out")
     p_ver.set_defaults(func=cmd_verify)
 
     p_rank = sub.add_parser("rank", help="stability vs. lasso coefficient ranking")
-    common(p_rank)
+    shared(p_rank, "data", "config", "out", "format")
     p_rank.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_rank.add_argument("--grid", default=None, help="gamma range endpoints")
     p_rank.set_defaults(func=cmd_rank)

@@ -27,23 +27,6 @@ from .exceptions import (
 FLOAT_FORMAT = "%.12g"
 
 
-@dataclass(frozen=True)
-class AnchorEncoding:
-    """How a raw anchor column was turned into numeric columns.
-
-    The full dummy set is kept (one indicator per level, no reference level
-    dropped); the rank-truncating QR inside the projection absorbs the
-    redundancy after centering.
-    """
-
-    kind: str  # "continuous" | "categorical-dummy"
-    levels: tuple = ()
-
-    @property
-    def width(self) -> int:
-        return len(self.levels) if self.kind == "categorical-dummy" else 1
-
-
 def _level_codes(labels) -> tuple[np.ndarray, tuple]:
     """Per-row index into the sorted tuple of distinct labels (as strings)."""
     labels = [str(lab) for lab in labels]
@@ -54,20 +37,8 @@ def _level_codes(labels) -> tuple[np.ndarray, tuple]:
     return np.array([index[lab] for lab in labels]), levels
 
 
-def _indicators(codes: np.ndarray, width: int) -> np.ndarray:
-    mat = np.zeros((codes.shape[0], width))
-    mat[np.arange(codes.shape[0]), codes] = 1.0
-    return mat
-
-
 def _level_rows(codes: np.ndarray, levels: tuple) -> dict:
     return {lev: np.flatnonzero(codes == j) for j, lev in enumerate(levels)}
-
-
-def encode_anchors(labels) -> tuple[np.ndarray, AnchorEncoding]:
-    """Dummy-encode per-row categorical labels, columns in sorted label order."""
-    codes, levels = _level_codes(labels)
-    return _indicators(codes, len(levels)), AnchorEncoding(kind="categorical-dummy", levels=levels)
 
 
 @dataclass(frozen=True)
@@ -89,7 +60,6 @@ class AnchorDataset:
     centered: bool = False
     x_means: np.ndarray | None = None
     y_mean: float = 0.0
-    a_means: np.ndarray | None = None
     predictor_names: tuple = field(default=())
     level_codes: np.ndarray | None = None
 
@@ -156,7 +126,8 @@ class AnchorDataset:
 
 
 def center(ds: AnchorDataset) -> AnchorDataset:
-    """Subtract column means from X, Y and A; store them for prediction."""
+    """Subtract column means from X, Y and A; store those of X and Y for
+    prediction."""
     if ds.n < 2:
         raise EmptyInput(f"centering needs at least two rows, got {ds.n}")
     if ds.centered:
@@ -164,16 +135,14 @@ def center(ds: AnchorDataset) -> AnchorDataset:
         return ds
     x_means = ds.X.mean(axis=0)
     y_mean = float(ds.Y.mean())
-    a_means = ds.A.mean(axis=0)
     return replace(
         ds,
         X=ds.X - x_means,
         Y=ds.Y - y_mean,
-        A=ds.A - a_means,
+        A=ds.A - ds.A.mean(axis=0),
         centered=True,
         x_means=x_means,
         y_mean=y_mean,
-        a_means=a_means,
     )
 
 
@@ -419,10 +388,12 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
 def from_levels(X, Y, labels) -> AnchorDataset:
     """Build a discrete-anchor dataset from per-row level labels."""
     codes, levels = _level_codes(labels)
+    A = np.zeros((codes.size, len(levels)))
+    A[np.arange(codes.size), codes] = 1.0
     return AnchorDataset(
         X=X,
         Y=Y,
-        A=_indicators(codes, len(levels)),
+        A=A,
         anchor_levels=_level_rows(codes, levels),
         level_codes=codes,
     )

@@ -46,7 +46,6 @@ class AnchorFit:
     coef: np.ndarray
     objective: float
     iterations: int = 0
-    final_tol: float = 0.0
     converged: bool = True
     x_means: np.ndarray | None = None
     y_mean: float = 0.0

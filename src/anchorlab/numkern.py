@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .exceptions import DomainError, NotPositiveDefinite
 
@@ -29,16 +29,6 @@ SPD_PIVOT_RTOL = 1e-12
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator (PCG64); same seed, same stream."""
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def sample_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. standard-normal draws."""
-    return rng.standard_normal(int(n))
-
-
-def sample_rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws from {-1, +1}, each with probability 1/2."""
-    return rng.integers(0, 2, size=int(n)).astype(float) * 2.0 - 1.0
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -82,14 +72,6 @@ def orthonormal_range(basis: np.ndarray) -> np.ndarray:
         return np.zeros((basis.shape[0], 0))
     rank = int(np.sum(diag >= QR_RANK_RTOL * diag[0]))
     return q_mat[:, :rank]
-
-
-def project_columns(anchors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of each column of `values` onto col(anchors).
-
-    Never materializes the n-by-n projector; cost is O(n q m).
-    """
-    return AnchorProjection(anchors).project(values)
 
 
 class AnchorProjection:
@@ -232,11 +214,3 @@ def chi2_1_quantile(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return normal_quantile((1.0 + alpha) / 2.0) ** 2
-
-
-def chi2_1_cdf(x: float) -> float:
-    """CDF of the chi-squared distribution with 1 df."""
-    if x <= 0.0:
-        return 0.0
-    root = np.sqrt(x)
-    return float(ndtr(root) - ndtr(-root))

@@ -34,6 +34,21 @@ from .exceptions import (
 RANK_TOL = 1e-9
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """`value` as a float array of finite numbers, or DomainError naming
+    `name`: every array of a model passes here, whether it comes from a
+    caller or from a model file."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a rectangular array of numbers")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    return arr.astype(float)
+
+
 @dataclass(frozen=True)
 class AnchorDistribution:
     """Distribution of the exogenous anchor vector A.
@@ -48,21 +63,35 @@ class AnchorDistribution:
     levels: np.ndarray | None = None
     probs: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind == "gaussian":
+            gram = np.atleast_2d(_finite(self.gram, "anchor gram"))
+            if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+                raise DomainError(f"anchor gram must be square, got shape {gram.shape}")
+            object.__setattr__(self, "gram", gram)
+        elif self.kind == "discrete":
+            levels = np.atleast_2d(_finite(self.levels, "anchor levels"))
+            if levels.ndim != 2 or 0 in levels.shape:
+                raise DomainError(f"anchor levels must be a nonempty table, got shape {levels.shape}")
+            k = levels.shape[0]
+            probs = np.full(k, 1.0 / k) if self.probs is None else _finite(self.probs, "anchor probs")
+            if probs.shape != (k,) or abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
+                raise DomainError("level probabilities must be a distribution")
+            object.__setattr__(self, "levels", levels)
+            object.__setattr__(self, "probs", probs)
+        else:
+            raise DomainError(f"unknown anchor kind {self.kind!r}")
+
     @staticmethod
     def rademacher() -> "AnchorDistribution":
         return AnchorDistribution.discrete([[-1.0], [1.0]])
 
     @staticmethod
     def gaussian(gram) -> "AnchorDistribution":
-        return AnchorDistribution(kind="gaussian", gram=np.atleast_2d(np.asarray(gram, float)))
+        return AnchorDistribution(kind="gaussian", gram=gram)
 
     @staticmethod
     def discrete(levels, probs=None) -> "AnchorDistribution":
-        levels = np.atleast_2d(np.asarray(levels, dtype=float))
-        k = levels.shape[0]
-        probs = np.full(k, 1.0 / k) if probs is None else np.asarray(probs, float)
-        if probs.shape != (k,) or abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
-            raise DomainError("level probabilities must be a distribution")
         return AnchorDistribution(kind="discrete", levels=levels, probs=probs)
 
     @property
@@ -116,23 +145,28 @@ class LinearScm:
     anchor: AnchorDistribution
 
     def __post_init__(self):
+        for name, least in (("d", 1), ("r", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         p = self.p
-        B = np.asarray(self.B, dtype=float).reshape(p, p)
-        M = np.asarray(self.M, dtype=float).reshape(p, self.q)
-        scales = np.asarray(self.noise_scales, dtype=float).ravel()
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "noise_scales", scales)
-        if scales.shape != (p,):
-            raise DomainError(f"noise_scales must have length {p}")
-        sv_min = np.linalg.svd(np.eye(p) - B, compute_uv=False).min()
+        for name, shape in (("B", (p, p)), ("M", (p, self.q)), ("noise_scales", (p,))):
+            arr = _finite(getattr(self, name), name)
+            if arr.shape != shape:
+                raise DomainError(
+                    f"{name} must have shape {shape} for d={self.d}, r={self.r}, "
+                    f"q={self.q}, got {arr.shape}"
+                )
+            object.__setattr__(self, name, arr)
+        sv_min = np.linalg.svd(np.eye(p) - self.B, compute_uv=False).min()
         if sv_min <= 1e-10:
             raise DomainError("Id - B is numerically singular")
-        inverse = np.linalg.inv(np.eye(p) - B)
+        inverse = np.linalg.inv(np.eye(p) - self.B)
         inverse.flags.writeable = False
         object.__setattr__(self, "_inverse", inverse)
         if not self.is_acyclic:
-            rho = np.max(np.abs(np.linalg.eigvals(B)))
+            rho = np.max(np.abs(np.linalg.eigvals(self.B)))
             if rho >= 1.0:
                 warnings.warn(
                     f"cyclic system with spectral radius {rho:.3f} >= 1: the "
@@ -224,8 +258,7 @@ def sample(
     n: int,
     rng: np.random.Generator,
     shift: Shift | None = None,
-    return_hidden: bool = False,
-):
+) -> AnchorDataset:
     """Draw n equilibrium rows; under a shift, v replaces the anchor input.
 
     The anchor column is filled either way; under a shift it does not enter
@@ -251,26 +284,12 @@ def sample(
         anchor_levels = {
             int(lev): np.flatnonzero(labels == lev) for lev in np.unique(labels)
         }
-    ds = AnchorDataset(
+    return AnchorDataset(
         X=values[:, : scm.d],
         Y=values[:, scm.y_index],
         A=a_vals,
         anchor_levels=anchor_levels,
     )
-    if return_hidden:
-        return ds, values[:, scm.d + 1 :]
-    return ds
-
-
-def population_covariance(scm: LinearScm) -> np.ndarray:
-    """Exact joint covariance of (X, Y, H, A), in that block order."""
-    inv = scm.unmixing()
-    gram = scm.anchor.second_moment()
-    sigma_v = inv @ (scm.noise_covariance() + scm.M @ gram @ scm.M.T) @ inv.T
-    cross = inv @ scm.M @ gram  # Cov((X,Y,H), A)
-    top = np.hstack([sigma_v, cross])
-    bottom = np.hstack([cross.T, gram])
-    return np.vstack([top, bottom])
 
 
 def _anchor_root(anchor: AnchorDistribution) -> np.ndarray:
@@ -358,15 +377,6 @@ def worst_case_risk(scm: LinearScm, b: np.ndarray, gamma: float) -> float:
     return off + gamma * on
 
 
-def population_equal_weight_risk(scm: LinearScm, b: np.ndarray, gamma: float) -> float:
-    """Equal-weight population risk for discrete anchors: every level of A
-    contributes with weight 1/k regardless of its probability."""
-    if scm.anchor.kind != "discrete":
-        raise DomainError("equal-weight risk requires a discrete anchor")
-    level_means = scm.anchor.levels @ (scm.M.T @ scm.residual_weights(b))
-    return shift_risk(scm, b) + gamma * float(np.mean(level_means**2))
-
-
 @dataclass(frozen=True)
 class PerturbationSet:
     """Ellipsoid of shifts {v : v v' <= Q} with Q = gamma * M G M'."""
@@ -411,14 +421,6 @@ def perturbation_set(scm: LinearScm, gamma: float) -> PerturbationSet:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
     gram = scm.anchor.second_moment()
     return PerturbationSet(gamma=float(gamma), bound=gamma * scm.M @ gram @ scm.M.T)
-
-
-def invariance_set_residual(scm: LinearScm, b: np.ndarray) -> np.ndarray:
-    """E[A (Y - X'b)] = G^{1/2} (R_y - R_x b); zero iff the residual
-    distribution is invariant to shifts in span(M)."""
-    on = scm.moments.on
-    b = np.asarray(b, dtype=float).ravel()
-    return _anchor_root(scm.anchor) @ (on[:, scm.d] - on[:, : scm.d] @ b)
 
 
 def projectability_check(model_or_ds) -> dict:
@@ -515,6 +517,15 @@ def graph_parents(scm: LinearScm) -> list:
     return [sorted(s) for s in parents]
 
 
+def _children(parents: list) -> list:
+    """Child lists of the graph with these parent lists."""
+    children = [[] for _ in parents]
+    for node, pars in enumerate(parents):
+        for par in pars:
+            children[par].append(node)
+    return children
+
+
 def d_separated(scm: LinearScm, first, second, given=()) -> bool:
     """Bayes-ball reachability on the induced directed graph.
 
@@ -524,11 +535,7 @@ def d_separated(scm: LinearScm, first, second, given=()) -> bool:
     if not scm.is_acyclic:
         raise CyclicGraph("d-separation is defined on acyclic graphs only")
     parents = graph_parents(scm)
-    n_nodes = len(parents)
-    children = [[] for _ in range(n_nodes)]
-    for node, pars in enumerate(parents):
-        for par in pars:
-            children[par].append(node)
+    children = _children(parents)
     first = {int(v) for v in np.atleast_1d(first)}
     second = {int(v) for v in np.atleast_1d(second)}
     conditioned = {int(v) for v in np.atleast_1d(given)} if len(np.atleast_1d(given)) else set()
@@ -615,20 +622,16 @@ def anchor_stability_causal_check(
         # a hidden confounder is a common cause: a directed path into some
         # X_k plus a directed path into Y that does not run through X
         predictors = frozenset(range(scm.d))
+        children = _children(graph_parents(scm))
         report["hidden_confounder"] = any(
-            _has_directed_path(scm, h, scm.y_index, blocked=predictors)
-            and any(_has_directed_path(scm, h, k) for k in range(scm.d))
+            _has_directed_path(children, h, scm.y_index, blocked=predictors)
+            and any(_has_directed_path(children, h, k) for k in range(scm.d))
             for h in range(scm.d + 1, scm.p)
         )
     return report
 
 
-def _has_directed_path(scm: LinearScm, source: int, target: int, blocked=frozenset()) -> bool:
-    parents = graph_parents(scm)
-    children = [[] for _ in parents]
-    for node, pars in enumerate(parents):
-        for par in pars:
-            children[par].append(node)
+def _has_directed_path(children: list, source: int, target: int, blocked=frozenset()) -> bool:
     seen, stack = set(), [source]
     while stack:
         node = stack.pop()
@@ -662,24 +665,30 @@ def scm_to_dict(scm: LinearScm) -> dict:
 
 
 def scm_from_dict(spec: dict) -> LinearScm:
+    """The model a parsed JSON spec describes. A missing top-level field or
+    anchor kind raises KeyError; any other malformed field raises
+    DomainError naming it."""
+    if not isinstance(spec, dict):
+        raise DomainError("a model spec must be a JSON object")
     anchor_spec = spec["anchor"]
+    if not isinstance(anchor_spec, dict):
+        raise DomainError("anchor must be a JSON object")
     kind = anchor_spec["kind"]
-    if kind == "gaussian":
-        anchor = AnchorDistribution.gaussian(anchor_spec["gram"])
-    elif kind == "rademacher":
+    if kind == "rademacher":
         anchor = AnchorDistribution.rademacher()
-    elif kind == "discrete":
-        anchor = AnchorDistribution.discrete(
-            anchor_spec["levels"], anchor_spec.get("probs")
-        )
     else:
-        raise DomainError(f"unknown anchor kind {kind!r}")
+        anchor = AnchorDistribution(
+            kind=kind,
+            gram=anchor_spec.get("gram"),
+            levels=anchor_spec.get("levels"),
+            probs=anchor_spec.get("probs"),
+        )
     return LinearScm(
-        d=int(spec["d"]),
-        r=int(spec["r"]),
-        B=np.asarray(spec["B"], dtype=float),
-        M=np.asarray(spec["M"], dtype=float),
-        noise_scales=np.asarray(spec["noise_scales"], dtype=float),
+        d=spec["d"],
+        r=spec["r"],
+        B=spec["B"],
+        M=spec["M"],
+        noise_scales=spec["noise_scales"],
         anchor=anchor,
     )
 

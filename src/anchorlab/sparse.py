@@ -141,15 +141,6 @@ def _exact_finish(design, response, lam, b, columns):
     return out
 
 
-def kkt_violation(design: np.ndarray, response: np.ndarray, b: np.ndarray, lam: float) -> float:
-    """Largest violation of the lasso stationarity conditions at b."""
-    grad = design.T @ (response - design @ b)
-    violation = np.where(
-        b != 0.0, np.abs(grad - lam * np.sign(b)), np.maximum(np.abs(grad) - lam, 0.0)
-    )
-    return float(violation.max(initial=0.0))
-
-
 def lambda_max(ds: AnchorDataset, gamma: float) -> float:
     """Smallest lambda with an all-zero solution: ||Xt' Yt||_inf.
 
@@ -181,7 +172,6 @@ def _finish_fit(ds, gamma, lam, design, response, b, sweeps, move, converged):
         coef=b,
         objective=objective,
         iterations=sweeps,
-        final_tol=move,
         converged=converged,
         x_means=ds.x_means,
         y_mean=ds.y_mean,
@@ -216,9 +206,6 @@ class LambdaPath:
     lambdas: np.ndarray
     fits: tuple
     active_sizes: tuple
-
-    def coefficients(self) -> np.ndarray:
-        return np.stack([fit.coef for fit in self.fits])
 
 
 def lambda_path(
@@ -397,52 +384,3 @@ def anchor_compatibility(
         best = min(best, value)
     return min(gamma, 1.0) * best
 
-
-def excess_risk_scaling(
-    scm,
-    gamma: float,
-    n_grid,
-    replicates: int,
-    seed: int = 0,
-    lam_scale: float = 1.0,
-) -> dict:
-    """Log-log slope of population excess equal-weight risk against n_min.
-
-    For each n, fits the equal-weight lasso with lam proportional to
-    sqrt((log d + log k)/n_min) and evaluates the population excess risk
-    through the model oracle; returns the regression slope over the grid.
-    """
-    from . import scm as scm_mod
-
-    if replicates < 1:
-        raise InvalidConfig("replicates must be positive")
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 2:
-        raise InvalidConfig("need at least two sample sizes")
-    target = scm_mod.population_anchor(scm, gamma)
-    base_risk = scm_mod.population_equal_weight_risk(scm, target, gamma)
-    rng = numkern.make_rng(seed)
-    log_n, log_excess = [], []
-    mean_excess = []
-    for n in n_grid:
-        excesses = []
-        for _ in range(replicates):
-            ds = scm_mod.sample(scm, n, rng)
-            n_min = min(len(ix) for ix in ds.anchor_levels.values())
-            k = len(ds.anchor_levels)
-            lam_pop = lam_scale * np.sqrt(
-                (np.log(ds.d) + np.log(k)) / n_min
-            )
-            fit = fit_equal_weight_lasso(ds, gamma, n * lam_pop)
-            excess = scm_mod.population_equal_weight_risk(scm, fit.coef, gamma) - base_risk
-            excesses.append(max(excess, 1e-15))
-        log_n.append(np.log(n))
-        mean = float(np.mean(excesses))
-        mean_excess.append(mean)
-        log_excess.append(np.log(mean))
-    slope = float(np.polyfit(log_n, log_excess, 1)[0])
-    return {
-        "slope": slope,
-        "n_grid": n_grid,
-        "mean_excess": mean_excess,
-    }

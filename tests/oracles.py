@@ -9,21 +9,28 @@ population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
 energy of the moments.
+
+The last section holds the Monte-Carlo risk-scaling experiment that the
+acceptance suite runs, and the equal-weight population risk it measures.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from anchorlab import numkern
 from anchorlab.datamodel import center
 from anchorlab.exceptions import (
+    DomainError,
+    InvalidConfig,
     NotPositiveDefinite,
     ProjectabilityViolated,
     SingularDesign,
     Underidentified,
 )
-from anchorlab.scm import LinearScm, population_covariance
+from anchorlab.scm import LinearScm, population_anchor, sample, shift_risk
+from anchorlab.sparse import fit_equal_weight_lasso
 
 
 def qr_lstsq(design, response):
@@ -84,6 +91,15 @@ def residual_update_descent(design, response, lam, max_sweeps=100_000, rtol=1e-9
         if move < tol:
             return b, sweeps, move, True
     return b, max_sweeps, move, False
+
+
+def kkt_violation(design, response, b, lam):
+    """Largest violation of the lasso stationarity conditions at b."""
+    grad = design.T @ (response - design @ b)
+    violation = np.where(
+        b != 0.0, np.abs(grad - lam * np.sign(b)), np.maximum(np.abs(grad) - lam, 0.0)
+    )
+    return float(violation.max(initial=0.0))
 
 
 def kkt_violation_loop(design, response, b, lam):
@@ -167,6 +183,17 @@ def qr_fit_iv(ds):
 # Singular values of a covariance block below this fraction of its own
 # largest one are dropped by the reference rank test.
 COVARIANCE_RANK_RTOL = 1e-9
+
+
+def population_covariance(model):
+    """Exact joint covariance of (X, Y, H, A), in that block order."""
+    inv = model.unmixing()
+    gram = model.anchor.second_moment()
+    sigma_v = inv @ (model.noise_covariance() + model.M @ gram @ model.M.T) @ inv.T
+    cross = inv @ model.M @ gram  # Cov((X,Y,H), A)
+    top = np.hstack([sigma_v, cross])
+    bottom = np.hstack([cross.T, gram])
+    return np.vstack([top, bottom])
 
 
 def covariance_blocks(model):
@@ -297,6 +324,14 @@ def groupwise_means(values, groups):
     return out
 
 
+def chi2_1_cdf(x):
+    """CDF of the chi-squared distribution with 1 df."""
+    if x <= 0.0:
+        return 0.0
+    root = np.sqrt(x)
+    return float(ndtr(root) - ndtr(-root))
+
+
 def chi2_1_quantile_bisection(alpha, tol=1e-12):
     """Quantile of chi-squared with 1 dof by bisection on the erf-based CDF."""
     from math import erf, sqrt
@@ -382,3 +417,53 @@ def d_separated_bruteforce(parents, first, second, given):
             if any_active_trail(s, t):
                 return False
     return True
+
+
+# --- Monte-Carlo risk scaling of the equal-weight lasso --------------------
+
+def population_equal_weight_risk(model, b, gamma):
+    """Equal-weight population risk for discrete anchors: every level of A
+    contributes with weight 1/k regardless of its probability."""
+    if model.anchor.kind != "discrete":
+        raise DomainError("equal-weight risk requires a discrete anchor")
+    level_means = model.anchor.levels @ (model.M.T @ model.residual_weights(b))
+    return shift_risk(model, b) + gamma * float(np.mean(level_means**2))
+
+
+def excess_risk_scaling(model, gamma, n_grid, replicates, seed=0, lam_scale=1.0):
+    """Log-log slope of population excess equal-weight risk against n_min.
+
+    For each n, fits the equal-weight lasso with lam proportional to
+    sqrt((log d + log k)/n_min) and evaluates the population excess risk
+    through the model oracle; returns the regression slope over the grid.
+    """
+    if replicates < 1:
+        raise InvalidConfig("replicates must be positive")
+    n_grid = [int(n) for n in n_grid]
+    if len(n_grid) < 2:
+        raise InvalidConfig("need at least two sample sizes")
+    target = population_anchor(model, gamma)
+    base_risk = population_equal_weight_risk(model, target, gamma)
+    rng = numkern.make_rng(seed)
+    log_n, log_excess = [], []
+    mean_excess = []
+    for n in n_grid:
+        excesses = []
+        for _ in range(replicates):
+            ds = sample(model, n, rng)
+            n_min = min(len(ix) for ix in ds.anchor_levels.values())
+            k = len(ds.anchor_levels)
+            lam_pop = lam_scale * np.sqrt((np.log(ds.d) + np.log(k)) / n_min)
+            fit = fit_equal_weight_lasso(ds, gamma, n * lam_pop)
+            excess = population_equal_weight_risk(model, fit.coef, gamma) - base_risk
+            excesses.append(max(excess, 1e-15))
+        log_n.append(np.log(n))
+        mean = float(np.mean(excesses))
+        mean_excess.append(mean)
+        log_excess.append(np.log(mean))
+    slope = float(np.polyfit(log_n, log_excess, 1)[0])
+    return {
+        "slope": slope,
+        "n_grid": n_grid,
+        "mean_excess": mean_excess,
+    }

@@ -26,12 +26,7 @@ from anchorlab.scm import (
     save_scm,
     shift_risk,
 )
-from anchorlab.sparse import (
-    excess_risk_scaling,
-    fit_anchor_lasso,
-    kkt_violation,
-    lambda_max,
-)
+from anchorlab.sparse import fit_anchor_lasso, lambda_max
 
 import oracles
 from test_modelsel import heterogeneous_model, ranking_model
@@ -177,7 +172,7 @@ class TestLassoCorrectness:
                 for frac in fracs:
                     lam = frac * lambda_max(ds, gamma)
                     fit = fit_anchor_lasso(ds, gamma, lam)
-                    assert kkt_violation(xt, yt, fit.coef, lam) <= 1e-6 * lam
+                    assert oracles.kkt_violation(xt, yt, fit.coef, lam) <= 1e-6 * lam
                     count += 1
         assert count == 200
 
@@ -197,7 +192,7 @@ class TestRiskScaling:
     def test_excess_risk_slope(self):
         model = sparse_design_scm()
         start = time.perf_counter()
-        result = excess_risk_scaling(
+        result = oracles.excess_risk_scaling(
             model,
             gamma=2.0,
             n_grid=[250, 1_000, 4_000, 16_000],
@@ -221,7 +216,7 @@ class TestRiskScaling:
             noise_scales=model.noise_scales,
             anchor=AnchorDistribution.discrete([[1.0]]),
         )
-        result = excess_risk_scaling(
+        result = oracles.excess_risk_scaling(
             single,
             gamma=1.0,
             n_grid=[250, 1_000, 4_000, 16_000],

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import cli, datamodel, numkern, sparse
+from anchorlab.batteries import random_scm
 from anchorlab.scm import (
     Shift,
     example_confounder_shift,
     example_iv_chain,
     population_anchor,
     save_scm,
+    scm_to_dict,
     shift_risk,
 )
 
@@ -212,6 +215,16 @@ class TestPath:
 
     def test_requires_input(self, tmp_path):
         assert cli.main(["path", "--grid", "0,1", "--out", str(tmp_path / "x")]) == 2
+
+    def test_model_and_data_disagree_on_d(self, tmp_path, capsys):
+        # rejected before any fit, as a --shift of the wrong length is
+        data, config = _tiny_files(tmp_path, "y,x1,a1\n1,2,0.5\n2,3,1\n3,1,2\n4,2,1\n")
+        model = tmp_path / "m.json"
+        save_scm(model, random_scm(numkern.make_rng(0), d=2))
+        code = cli.main(["path", "--data", str(data), "--config", str(config),
+                         "--scm", str(model), "--grid", "0,1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--scm models 2 predictors, --data has 1" in capsys.readouterr().err
 
 
 class TestCv:
@@ -501,8 +514,9 @@ def cli_inputs(draw):
     else:
         flags = ["--lambda", draw(LAMBDA)]
         flags += ["--grid", draw(GRID)] if draw(st.booleans()) else []
-    fmt = draw(st.sampled_from(["csv", "json"]))
-    return text, categorical, [command, *flags, "--format", fmt]
+    if command != "fit":  # fit writes one CSV and one JSON file and has no --format
+        flags += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return text, categorical, [command, *flags]
 
 
 def _run_in(root, argv, name):
@@ -533,6 +547,120 @@ def test_exit_code_contract(inputs):
             json.dumps({"response": "y", "anchors": [{"name": "a", "kind": kind}]})
         )
         argv = argv + ["--data", str(root / "data.csv"), "--config", str(root / "config.json")]
+        first = _run_in(root, argv, "first")
+        code, err, _ = first
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        assert _run_in(root, argv, "second") == first
+
+
+# --- options a subcommand does not read ------------------------------------
+
+# the smallest argv of each subcommand that argparse accepts
+PARSEABLE = {
+    "fit": ["fit"],
+    "path": ["path"],
+    "cv": ["cv", "--seed", "0"],
+    "simulate": ["simulate", "--seed", "0"],
+    "verify": ["verify", "--seed", "0"],
+    "rank": ["rank"],
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("fit", "--scm", "m.json"),
+    ("fit", "--seed", "1"),
+    ("fit", "--format", "json"),
+    ("path", "--seed", "1"),
+    ("cv", "--scm", "m.json"),
+    ("simulate", "--data", "d.csv"),
+    ("simulate", "--config", "c.json"),
+    ("simulate", "--format", "json"),
+    ("verify", "--data", "d.csv"),
+    ("verify", "--config", "c.json"),
+    ("verify", "--format", "json"),
+    ("verify", "--battery", "default"),
+    ("rank", "--scm", "m.json"),
+    ("rank", "--seed", "1"),
+])
+def test_unread_option_is_rejected(command, option, value, capsys):
+    cli.build_parser().parse_args(PARSEABLE[command])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*PARSEABLE[command], option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+# --- the exit-code contract on malformed model files -----------------------
+
+MODEL_COMMANDS = {
+    "simulate": ["simulate", "--n", "30", "--seed", "0"],
+    "verify": ["verify", "--seed", "0"],
+    "path": ["path", "--grid", "0,1,inf"],
+}
+IV_SPEC = scm_to_dict(example_iv_chain())  # d = 1, r = 1: B is 3x3
+
+
+def _sites(node):
+    """(container, key, value) of every entry below a JSON node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key, value
+        if isinstance(value, (dict, list)):
+            yield from _sites(value)
+
+
+@st.composite
+def model_specs(draw):
+    """A random_scm model as save_scm writes it, with one mutation: a key
+    dropped, a list one entry longer or shorter, a string or a NaN for a
+    number, or the whole spec wrapped in a list."""
+    rng = numkern.make_rng(draw(st.integers(0, 2**16)))
+    model = random_scm(
+        rng,
+        d=draw(st.integers(1, 3)),
+        r=draw(st.integers(0, 2)),
+        q=draw(st.integers(1, 2)),
+        anchor_kind=draw(st.sampled_from(["gaussian", "rademacher"])),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_scm(path, model)
+        spec = json.loads(path.read_text())
+    mutation = draw(st.sampled_from(["drop", "length", "string", "nan", "wrap"]))
+    if mutation == "wrap":
+        return [spec]
+    sites = list(_sites(spec))
+    if mutation == "drop":
+        node, key, _ = draw(st.sampled_from([s for s in sites if isinstance(s[0], dict)]))
+        del node[key]
+    elif mutation == "length":
+        _, _, values = draw(st.sampled_from([s for s in sites if isinstance(s[2], list)]))
+        if draw(st.booleans()):
+            values.append(values[-1])
+        else:
+            values.pop()
+    else:
+        numbers = [s for s in sites if type(s[2]) in (int, float)]
+        node, key, _ = draw(st.sampled_from(numbers))
+        node[key] = "one" if mutation == "string" else math.nan
+    return spec
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@given(spec=model_specs())
+@example(spec={**IV_SPEC, "d": 2})
+@example(spec=[IV_SPEC])
+@example(spec={**IV_SPEC, "anchor": {"kind": "gaussian", "gram": [[1.0, 0.0], [0.0]]}})
+@example(spec={**IV_SPEC, "d": "one"})
+@example(spec={**IV_SPEC, "d": 0, "r": 2})
+@example(spec={**IV_SPEC, "M": [[math.nan], [0.0], [0.0]]})
+@settings(max_examples=30, deadline=None)
+def test_model_file_contract(command, spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "model.json").write_text(json.dumps(spec))
+        argv = [*MODEL_COMMANDS[command], "--scm", str(root / "model.json")]
         first = _run_in(root, argv, "first")
         code, err, _ = first
         assert code in (0, 2, 3, 4), err

@@ -10,7 +10,6 @@ from anchorlab.datamodel import (
     FLOAT_FORMAT,
     AnchorDataset,
     center,
-    encode_anchors,
     from_levels,
     read_csv,
     write_csv,
@@ -26,30 +25,36 @@ from anchorlab.exceptions import (
 import oracles
 
 
+def _encode(labels):
+    """The dummy block and the sorted levels that `from_levels` builds."""
+    ds = from_levels(np.zeros((len(labels), 1)), np.zeros(len(labels)), labels)
+    return ds.A, tuple(ds.anchor_levels)
+
+
 class TestEncodeAnchors:
     def test_two_levels(self):
-        mat, enc = encode_anchors(["a", "b", "a"])
+        mat, levels = _encode(["a", "b", "a"])
         assert np.array_equal(mat, [[1, 0], [0, 1], [1, 0]])
-        assert enc.levels == ("a", "b")
+        assert levels == ("a", "b")
 
     def test_single_level(self):
-        mat, enc = encode_anchors(["a", "a"])
+        mat, _ = _encode(["a", "a"])
         assert np.array_equal(mat, [[1], [1]])
 
     def test_column_sums_count_levels(self):
         rng = numkern.make_rng(0)
         labels = rng.choice(["u", "v", "w"], size=300)
-        mat, enc = encode_anchors(labels)
-        for j, level in enumerate(enc.levels):
+        mat, levels = _encode(labels)
+        for j, level in enumerate(levels):
             assert mat[:, j].sum() == np.sum(labels == level)
 
     def test_rows_sum_to_one(self):
-        mat, _ = encode_anchors(list("abcabcb"))
+        mat, _ = _encode(list("abcabcb"))
         assert np.array_equal(mat.sum(axis=1), np.ones(7))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            encode_anchors([])
+            _encode([])
 
 
 class TestCenter:
@@ -211,7 +216,7 @@ class TestPipelineIdentity:
         labels = rng.choice(["p", "q", "r"], size=120)
         y = rng.standard_normal(120)
         ds = center(from_levels(rng.standard_normal((120, 1)), y, labels))
-        proj = numkern.project_columns(ds.A, ds.Y)
+        proj = numkern.AnchorProjection(ds.A).project(ds.Y)
         expected = oracles.groupwise_means(y, labels) - y.mean()
         assert np.max(np.abs(proj - expected)) < 1e-9
 

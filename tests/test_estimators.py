@@ -91,7 +91,7 @@ class TestFitAnchor:
         rng = numkern.make_rng(80)
         b = rng.standard_normal(ds.d)
         resid = ds.Y - ds.X @ b
-        on = numkern.project_columns(ds.A, resid)
+        on = numkern.AnchorProjection(ds.A).project(resid)
         off = resid - on
         assert resid @ resid == pytest.approx(on @ on + off @ off, abs=1e-8)
 
@@ -107,7 +107,7 @@ class TestFitAnchor:
         ds = _random_ds(10)
         for gamma in (0.5, 2.0, 8.0):
             kappa = 1.0 - 1.0 / gamma
-            resid_maker = lambda v: v - numkern.project_columns(ds.A, v)
+            resid_maker = lambda v: v - numkern.AnchorProjection(ds.A).project(v)
             xk = ds.X - kappa * resid_maker(ds.X)
             fit = fit_anchor(ds, gamma)
             lhs = xk.T @ ds.X

@@ -36,7 +36,7 @@ def _model(seed, d, r, q, discrete):
 def _relative_gap(got, ref, model):
     """Gap relative to |ref|, or for coefficients that vanish structurally to
     the model's unit sqrt(Var Y / lambda_min(Cov X)), at which they round."""
-    sigma = scm.population_covariance(model)[: model.d + 1, : model.d + 1]
+    sigma = oracles.population_covariance(model)[: model.d + 1, : model.d + 1]
     unit = math.sqrt(sigma[-1, -1] / np.linalg.eigvalsh(sigma[:-1, :-1])[0])
     return float(np.max(np.abs(got - ref))) / max(float(np.max(np.abs(ref))), unit)
 
@@ -55,7 +55,7 @@ def _holds_by_reference(model):
     is at round-off level: below 1e-12 times the Cauchy-Schwarz bound
     sqrt(||E[AA']|| ||Sigma||) on the covariance block it belongs to."""
     _, _, sax, say, gram = oracles.covariance_blocks(model)
-    sigma = scm.population_covariance(model)[: model.d + 1, : model.d + 1]
+    sigma = oracles.population_covariance(model)[: model.d + 1, : model.d + 1]
     ranks = []
     for block, cov in ((sax, sigma[:-1, :-1]), (np.column_stack([sax, say]), sigma)):
         sv = np.linalg.svd(block, compute_uv=False)
@@ -149,7 +149,7 @@ def test_moments_split_the_population_covariance():
     # gram_on + gram_off is the (X, Y) block of the joint covariance, and
     # gram_on is Cov(., A) E[AA']^-1 Cov(A, .)
     model = random_scm(numkern.make_rng(5), d=2, r=1, q=2)
-    joint = scm.population_covariance(model)
+    joint = oracles.population_covariance(model)
     p, k = model.p, model.d + 1
     cross = joint[p:, :k]
     moments = model.moments

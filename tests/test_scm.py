@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +22,9 @@ from anchorlab.scm import (
     example_confounder_shift,
     example_iv_chain,
     graph_parents,
-    invariance_set_residual,
     load_scm,
     perturbation_set,
     population_anchor,
-    population_covariance,
     population_iv,
     projectability_check,
     replicability_experiment,
@@ -78,7 +77,7 @@ class TestSampling:
 
 class TestPopulationCovariance:
     def test_example_values(self):
-        joint = population_covariance(example_iv_chain())
+        joint = oracles.population_covariance(example_iv_chain())
         # order (X, Y, H, A)
         assert joint[0, 0] == pytest.approx(3.0, abs=1e-12)
         assert joint[0, 1] == pytest.approx(5.0, abs=1e-12)
@@ -92,7 +91,7 @@ class TestPopulationCovariance:
             noise_scales=np.array([1.0, 2.0, 3.0]),
             anchor=AnchorDistribution.rademacher(),
         )
-        joint = population_covariance(model)
+        joint = oracles.population_covariance(model)
         assert np.allclose(joint[:3, :3], np.diag([1.0, 4.0, 9.0]))
         assert np.allclose(joint[:3, 3], 0.0)
 
@@ -110,12 +109,12 @@ class TestPopulationCovariance:
             series += power
             power = power @ B
         target = series @ np.eye(3) @ series.T
-        joint = population_covariance(model)
+        joint = oracles.population_covariance(model)
         assert np.max(np.abs(joint[:3, :3] - target)) < 1e-10
 
     def test_sample_agreement(self):
         model = example_iv_chain()
-        joint = population_covariance(model)
+        joint = oracles.population_covariance(model)
         ds = sample(model, 10**6, numkern.make_rng(4))
         values = np.column_stack([ds.X[:, 0], ds.Y, ds.A[:, 0]])
         emp = np.cov(values.T)
@@ -180,7 +179,7 @@ class TestWorstCaseRisk:
 
     def test_gamma_one_is_training_mse(self):
         model = example_iv_chain()
-        joint = population_covariance(model)
+        joint = oracles.population_covariance(model)
         rng = numkern.make_rng(7)
         for _ in range(5):
             b = float(rng.uniform(-2, 3))
@@ -243,16 +242,6 @@ class TestPerturbationSet:
 
 
 class TestInvarianceSet:
-    def test_iv_coefficient_in_set(self):
-        assert invariance_set_residual(example_iv_chain(), np.array([1.0]))[0] == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_partialling_out_not_in_set(self):
-        assert invariance_set_residual(example_iv_chain(), np.array([2.0]))[0] == pytest.approx(
-            -1.0, abs=1e-12
-        )
-
     def test_members_have_invariant_risk(self):
         model = example_iv_chain()
         rng = numkern.make_rng(10)
@@ -549,6 +538,32 @@ class TestSerialization:
         spec["anchor"] = {"kind": "mystery"}
         with pytest.raises(DomainError):
             scm_from_dict(spec)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"d": 2}, "B must have shape (4, 4) for d=2, r=1, q=1, got (3, 3)"),
+        ({"d": "one"}, "d must be an integer >= 1, got 'one'"),
+        ({"d": 0, "r": 2}, "d must be an integer >= 1, got 0"),
+        ({"r": 1.0}, "r must be an integer >= 0, got 1.0"),
+        ({"M": [[math.nan], [0.0], [0.0]]}, "M has a non-finite entry"),
+        ({"M": [[1.0], [0.0]]}, "M must have shape (3, 1) for d=1, r=1, q=1, got (2, 1)"),
+        ({"noise_scales": [1.0, "x", 1.0]}, "noise_scales must be a rectangular array"),
+        ({"anchor": {"kind": "gaussian", "gram": [[1.0, 0.0], [0.0]]}},
+         "anchor gram must be a rectangular array"),
+        ({"anchor": {"kind": "gaussian", "gram": [[1.0, 0.0]]}}, "anchor gram must be square"),
+        ({"anchor": {"kind": "discrete", "levels": [[1.0], [math.inf]]}},
+         "anchor levels has a non-finite entry"),
+        ({"anchor": {"kind": "discrete", "levels": [[1.0], [2.0]], "probs": [0.5, math.nan]}},
+         "anchor probs has a non-finite entry"),
+        ({"anchor": [{"kind": "rademacher"}]}, "anchor must be a JSON object"),
+    ])
+    def test_malformed_spec_names_its_field(self, change, message):
+        spec = {**scm_to_dict(example_iv_chain()), **change}
+        with pytest.raises(DomainError, match=re.escape(message)):
+            scm_from_dict(spec)
+
+    def test_spec_must_be_an_object(self):
+        with pytest.raises(DomainError, match="a model spec must be a JSON object"):
+            scm_from_dict([scm_to_dict(example_iv_chain())])
 
 
 class TestModelValidation:

