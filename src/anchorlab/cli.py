@@ -18,9 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import batteries, datamodel, estimators, modelsel, numkern, scm as scm_mod, sparse
+from . import batteries, datamodel, modelsel, numkern, scm as scm_mod, sparse
 from .datamodel import FLOAT_FORMAT
-from .exceptions import AnchorlabError, InvalidConfig, ParseError, MissingColumn
+from .exceptions import AnchorlabError, DomainError, InvalidConfig, MissingColumn, ParseError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,6 +124,14 @@ def _load_dataset(args) -> datamodel.AnchorDataset:
     return datamodel.read_csv(args.data, config)
 
 
+def _load_model(path) -> scm_mod.LinearScm:
+    """The model in a --scm file; a malformed model is an input error."""
+    try:
+        return scm_mod.load_scm(path)
+    except DomainError as exc:
+        raise InvalidConfig(f"model file {path}: {exc}") from None
+
+
 def _outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -136,8 +144,7 @@ def _coef_rows(names, coef):
 
 def cmd_fit(args) -> int:
     gamma = _parse_gamma(args.gamma)
-    lam = float(args.lam)
-    _require_finite_for_lasso([gamma], lam)
+    _require_finite_for_lasso([gamma], args.lam)
     ds = datamodel.center(_load_dataset(args))
     scales = None
     if args.standardize:
@@ -145,10 +152,7 @@ def cmd_fit(args) -> int:
         if (scales == 0.0).any():
             raise InvalidConfig("cannot standardize a constant predictor column")
         ds = datamodel.center(replace(ds, X=ds.X / scales, centered=False))
-    if lam > 0:
-        fit = sparse.fit_anchor_lasso(ds, gamma, lam)
-    else:
-        fit = estimators.fit_anchor(ds, gamma)
+    fit = sparse.fit_anchor_lasso(ds, gamma, args.lam)
     coef = fit.coef / scales if scales is not None else fit.coef
     out = _outdir(args)
     _write_table(
@@ -176,12 +180,11 @@ def cmd_path(args) -> int:
     if args.grid is None:
         raise InvalidConfig("--grid with gamma values is required for path")
     gammas = _parse_float_list(args.grid, "gamma")
-    lam = float(args.lam)
-    _require_finite_for_lasso(gammas, lam)
+    _require_finite_for_lasso(gammas, args.lam)
     shift = None
     if args.shift is not None:
         shift = np.array(_parse_float_list(args.shift, "shift"))
-    model = scm_mod.load_scm(args.scm) if args.scm is not None else None
+    model = _load_model(args.scm) if args.scm is not None else None
     out = _outdir(args)
 
     rows = []
@@ -194,12 +197,9 @@ def cmd_path(args) -> int:
         names = ds.predictor_names
         coefs = []
         for gamma in gammas:
-            if lam > 0:
-                # warm start; the exact finish makes it agree with a cold fit
-                start = coefs[-1] if coefs else None
-                coefs.append(sparse.fit_anchor_lasso(ds, gamma, lam, start).coef)
-            else:
-                coefs.append(estimators.fit_anchor(ds, gamma).coef)
+            # warm start; the exact finish makes it agree with a cold fit
+            start = coefs[-1] if coefs else None
+            coefs.append(sparse.fit_anchor_lasso(ds, gamma, args.lam, start).coef)
     elif model is not None:
         names = tuple(f"x{j + 1}" for j in range(model.d))
         coefs = [scm_mod.population_anchor(model, gamma) for gamma in gammas]
@@ -244,14 +244,12 @@ def cmd_cv(args) -> int:
     if any(g == math.inf for g in gammas):
         raise InvalidConfig("cv grid must be finite")
     alphas = _parse_float_list(args.alpha, "alpha")
-    ds = _load_dataset(args)
-    lam = float(args.lam) if args.lam is not None else None
     result = modelsel.cv_gamma(
-        ds,
+        _load_dataset(args),
         alphas=alphas,
         gamma_grid=gammas,
         folds=args.folds,
-        lam=lam if lam else None,
+        lam=args.lam,
         seed=args.seed,
     )
     out = _outdir(args)
@@ -284,7 +282,7 @@ def cmd_simulate(args) -> int:
         raise InvalidConfig("--scm is required for simulate")
     if args.n is None or args.n < 1:
         raise InvalidConfig("--n must be a positive integer")
-    model = scm_mod.load_scm(args.scm)
+    model = _load_model(args.scm)
     rng = numkern.make_rng(args.seed)
     shift = None
     if args.shift is not None:
@@ -316,7 +314,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.scm is not None:
-        report = batteries.run_scm_checks(scm_mod.load_scm(args.scm), seed=args.seed)
+        report = batteries.run_scm_checks(_load_model(args.scm), seed=args.seed)
     else:
         report = batteries.run_battery(seed=args.seed)
     out = _outdir(args)
@@ -331,7 +329,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    lam = float(args.lam)
     if args.grid is not None:
         endpoints = _parse_float_list(args.grid, "gamma")
         if math.inf in endpoints:
@@ -341,7 +338,7 @@ def cmd_rank(args) -> int:
     else:
         gamma_range = (0.0, 1.0)
     ds = _load_dataset(args)
-    table = modelsel.replicability_rank(ds, lam=lam, gamma_range=gamma_range)
+    table = modelsel.replicability_rank(ds, lam=args.lam, gamma_range=gamma_range)
     out = _outdir(args)
     rows = [
         [name, a, l]
@@ -406,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--grid", default=None, help="comma-separated gammas")
     p_cv.add_argument("--alpha", default="0.9", help="comma-separated quantile levels")
     p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_cv.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p_cv.set_defaults(func=cmd_cv)
 
     p_sim = sub.add_parser("simulate", help="draw a dataset from a model")
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "lam", None) is not None:
+        if hasattr(args, "lam"):
             _nonnegative(args.lam, "lambda")
         return args.func(args)
     except CONFIG_ERRORS as exc:

@@ -19,6 +19,7 @@ from .exceptions import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
+    EmptyLevel,
     MissingColumn,
     NonNumericPredictor,
     ParseError,
@@ -144,6 +145,17 @@ def center(ds: AnchorDataset) -> AnchorDataset:
         x_means=x_means,
         y_mean=y_mean,
     )
+
+
+def level_blocks(ds: AnchorDataset) -> list:
+    """(label, rows) of each anchor level; EmptyLevel if there are none or one is empty."""
+    if ds.anchor_levels is None:
+        raise EmptyLevel("dataset carries no discrete anchor levels")
+    blocks = [(label, np.asarray(idx)) for label, idx in ds.anchor_levels.items()]
+    for label, idx in blocks:
+        if idx.size == 0:
+            raise EmptyLevel(f"anchor level {label!r} has no rows")
+    return blocks
 
 
 def _parse_cell(text: str, row: int, col: str, kind: str) -> float:

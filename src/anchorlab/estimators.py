@@ -149,8 +149,8 @@ class AnchorRegression:
     gamma : float or math.inf, default 1.0
         Penalty weight on the anchor-projected residual.
     lam : float, default 0.0
-        l1 penalty; positive values delegate to the coordinate-descent
-        solver, which also covers n <= d.
+        l1 penalty; `sparse.fit_anchor_lasso` solves 0 exactly and positive
+        values by coordinate descent, which also covers n <= d.
     """
 
     def __init__(self, gamma: float = 1.0, lam: float = 0.0):
@@ -168,13 +168,10 @@ class AnchorRegression:
         return self
 
     def fit(self, X, y, anchors) -> "AnchorRegression":
-        ds = center(AnchorDataset(X=X, Y=y, A=anchors))
-        if self.lam > 0:
-            from .sparse import fit_anchor_lasso
+        from .sparse import fit_anchor_lasso
 
-            self.fit_ = fit_anchor_lasso(ds, self.gamma, self.lam)
-        else:
-            self.fit_ = fit_anchor(ds, self.gamma)
+        ds = center(AnchorDataset(X=X, Y=y, A=anchors))
+        self.fit_ = fit_anchor_lasso(ds, self.gamma, self.lam)
         self.coef_ = self.fit_.coef
         self.intercept_ = float(
             self.fit_.y_mean - self.fit_.x_means @ self.fit_.coef

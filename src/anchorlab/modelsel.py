@@ -8,19 +8,14 @@ quantiles use the nearest-rank (type-1) rule throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkern, sparse
-from .datamodel import AnchorDataset, center
+from .datamodel import AnchorDataset, center, level_blocks
 from .estimators import AnchorFit, fit_anchor, fit_iv, predict
-from .exceptions import (
-    DomainError,
-    EmptyLevel,
-    InsufficientLevels,
-    Underidentified,
-)
+from .exceptions import DomainError, InsufficientLevels, Underidentified
 from .scm import projectability_check
 
 
@@ -56,43 +51,13 @@ def _residuals(ds: AnchorDataset, b) -> np.ndarray:
 
 def conditional_mse_quantiles(ds: AnchorDataset, b, alphas) -> ConditionalMseReport:
     """Level-wise MSE of the residuals plus nearest-rank quantiles over levels."""
-    if ds.anchor_levels is None:
-        raise EmptyLevel("dataset carries no discrete anchor levels")
+    blocks = level_blocks(ds)
     resid = _residuals(ds, b)
-    level_mse = {}
-    for label, idx in ds.anchor_levels.items():
-        idx = np.asarray(idx)
-        if idx.size == 0:
-            raise EmptyLevel(f"anchor level {label!r} has no rows")
-        level_mse[label] = float(np.mean(resid[idx] ** 2))
+    level_mse = {label: float(np.mean(resid[idx] ** 2)) for label, idx in blocks}
     values = np.array(list(level_mse.values()))
     alphas = tuple(float(a) for a in np.atleast_1d(alphas))
     quantiles = tuple(nearest_rank_quantile(values, a) for a in alphas)
     return ConditionalMseReport(level_mse=level_mse, alphas=alphas, quantiles=quantiles)
-
-
-def subset_rows(ds: AnchorDataset, rows: np.ndarray) -> AnchorDataset:
-    """Row subset with anchor level bookkeeping rebuilt; centering is reset."""
-    rows = np.asarray(rows, dtype=int)
-    levels = None
-    if ds.anchor_levels is not None:
-        # position[i] is row i's index in the subset, -1 when it is left out
-        position = np.full(ds.n, -1)
-        position[rows] = np.arange(rows.size)
-        levels = {}
-        for label, idx in ds.anchor_levels.items():
-            kept = position[np.asarray(idx, dtype=int)]
-            kept = kept[kept >= 0]
-            if kept.size:
-                levels[label] = np.sort(kept)
-    return AnchorDataset(
-        X=ds.X[rows],
-        Y=ds.Y[rows],
-        A=ds.A[rows],
-        anchor_levels=levels,
-        predictor_names=ds.predictor_names,
-        level_codes=None if ds.level_codes is None else ds.level_codes[rows],
-    )
 
 
 def assign_level_folds(levels, n_folds: int, seed: int = 0) -> dict:
@@ -118,10 +83,9 @@ class GammaCvResult:
     fold_of_level: dict
 
 
-def _fit_for(train: AnchorDataset, gamma: float, lam) -> AnchorFit:
-    if lam is not None and lam > 0:
-        return sparse.fit_anchor_lasso(train, gamma, lam)
-    return fit_anchor(train, gamma)
+def _level_rows(ds: AnchorDataset, labels) -> np.ndarray:
+    """The rows of the given anchor levels, in ascending order."""
+    return np.sort(np.concatenate([np.asarray(ds.anchor_levels[lab], dtype=int) for lab in labels]))
 
 
 def cv_gamma(
@@ -129,13 +93,14 @@ def cv_gamma(
     alphas,
     gamma_grid,
     folds: int = 5,
-    lam: float | None = None,
+    lam: float = 0.0,
     seed: int = 0,
 ) -> GammaCvResult:
     """Pick gamma by minimizing held-out conditional-MSE quantiles.
 
     Folds are assigned at anchor-level granularity, so no level is ever in
-    both the training and the evaluation split of a fold.
+    both the training and the evaluation split of a fold. A held-out level
+    with no rows is left out.
     """
     if ds.anchor_levels is None or len(ds.anchor_levels) < 2:
         raise InsufficientLevels("need at least two anchor levels")
@@ -147,18 +112,23 @@ def cv_gamma(
     sums = np.zeros((len(alphas), len(gamma_grid)))
     for fold in range(folds):
         test_levels = [lab for lab, f in fold_of_level.items() if f == fold]
-        train_levels = [lab for lab, f in fold_of_level.items() if f != fold]
-        assert not set(test_levels) & set(train_levels)
-        test_rows = np.concatenate([ds.anchor_levels[lab] for lab in test_levels])
-        train_rows = np.concatenate([ds.anchor_levels[lab] for lab in train_levels])
-        train = center(subset_rows(ds, np.sort(train_rows)))
-        test = subset_rows(ds, np.sort(test_rows))
+        train_rows = _level_rows(ds, [lab for lab, f in fold_of_level.items() if f != fold])
+        test_rows = _level_rows(ds, test_levels)
+        # level codes keep the fold's projection QR-free; it needs no level sets
+        codes = None if ds.level_codes is None else ds.level_codes[train_rows]
+        train = center(AnchorDataset(ds.X[train_rows], ds.Y[train_rows], ds.A[train_rows],
+                                     predictor_names=ds.predictor_names, level_codes=codes))
+        # the held-out rows form one block, as BLAS may round a row's x'b
+        # differently at another position; each level is a set of positions
+        x_test, y_test = ds.X[test_rows], ds.Y[test_rows]
+        positions = [np.searchsorted(test_rows, np.sort(ds.anchor_levels[lab]))
+                     for lab in test_levels if len(ds.anchor_levels[lab])]
         for j, gamma in enumerate(gamma_grid):
-            fit = _fit_for(train, gamma, lam)
-            report = conditional_mse_quantiles(test, fit, alphas)
-            sums[:, j] += np.array(report.quantiles)
+            resid = y_test - predict(sparse.fit_anchor_lasso(train, gamma, lam), x_test)
+            level_mse = [float(np.mean(resid[pos] ** 2)) for pos in positions]
+            sums[:, j] += [nearest_rank_quantile(level_mse, a) for a in alphas]
         # free this fold's row copies before the next fold makes its own
-        del train, test
+        del train, x_test, y_test
     curves = sums / folds
     selected = {
         alpha: gamma_grid[int(np.argmin(curves[i]))] for i, alpha in enumerate(alphas)

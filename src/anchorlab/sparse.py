@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .datamodel import AnchorDataset, center
+from .datamodel import AnchorDataset, center, level_blocks
 from .estimators import AnchorFit, fit_anchor, gamma_transform
-from .exceptions import DomainError, EmptyLevel, InvalidConfig, NotPositiveDefinite
+from .exceptions import DomainError, InvalidConfig, NotPositiveDefinite
 
 MAX_SWEEPS = 100_000
 # stop when the largest coordinate move in a full sweep drops below
@@ -185,14 +185,16 @@ def fit_anchor_lasso(
     lam: float,
     start: np.ndarray | None = None,
 ) -> AnchorFit:
-    """Solve the transformed lasso min ||Yt - Xt b||^2 + 2*lam*||b||_1."""
+    """Solve the transformed lasso min ||Yt - Xt b||^2 + 2*lam*||b||_1.
+
+    The one choice of solver: lam = 0 is `fit_anchor`'s exact solve (which
+    raises SingularDesign when n <= d) and ignores `start`.
+    """
     if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
-    ds = center(ds)
-    if lam == 0.0 and ds.n > ds.d:
-        # unpenalized and well-posed: the exact normal-equation solve is both
-        # faster and tighter than running descent to machine precision
+    if lam == 0.0:
         return fit_anchor(ds, gamma)
+    ds = center(ds)
     _require_finite_gamma(gamma)
     xt, yt = gamma_transform(ds, gamma)
     b, sweeps, move, converged = lasso_coordinate_descent(xt, yt, lam, start)
@@ -236,18 +238,6 @@ def lambda_path(
     )
 
 
-def _level_blocks(ds: AnchorDataset):
-    if ds.anchor_levels is None:
-        raise EmptyLevel("dataset carries no discrete anchor levels")
-    blocks = []
-    for label, idx in ds.anchor_levels.items():
-        idx = np.asarray(idx)
-        if idx.size == 0:
-            raise EmptyLevel(f"anchor level {label!r} has no rows")
-        blocks.append((label, idx))
-    return blocks
-
-
 @dataclass(frozen=True)
 class EqualWeightRisk:
     """Per-level breakdown of the equal-weight objective."""
@@ -266,7 +256,7 @@ class EqualWeightRisk:
 
 
 def equal_weight_breakdown(ds: AnchorDataset, b: np.ndarray, gamma: float) -> EqualWeightRisk:
-    blocks = _level_blocks(ds)
+    blocks = level_blocks(ds)
     resid = ds.Y - ds.X @ np.asarray(b, dtype=float)
     counts, within, means = [], [], []
     for _, idx in blocks:
@@ -290,7 +280,7 @@ def equal_weight_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> fl
 
 def _equal_weight_design(ds: AnchorDataset, gamma: float):
     """Row-rescaled stacked system whose residual energy is n * risk."""
-    blocks = _level_blocks(ds)
+    blocks = level_blocks(ds)
     n, k = ds.n, len(blocks)
     x_rows, y_rows = [], []
     for _, idx in blocks:
@@ -352,7 +342,7 @@ def anchor_compatibility(
     if active.size == 0:
         raise DomainError("active set must be nonempty")
     ds = center(ds)
-    blocks = _level_blocks(ds)
+    blocks = level_blocks(ds)
     k = len(blocks)
     gram = np.zeros((ds.d, ds.d))
     for _, idx in blocks:

@@ -8,7 +8,8 @@ Bayes-ball, a per-fit QR projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
-energy of the moments.
+energy of the moments, and cross-validation folds copied into datasets of
+their own (`subset_rows`) instead of index rows of the one dataset.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -20,17 +21,24 @@ import numpy as np
 from scipy.special import ndtr
 
 from anchorlab import numkern
-from anchorlab.datamodel import center
+from anchorlab.datamodel import AnchorDataset, center
+from anchorlab.estimators import fit_anchor
 from anchorlab.exceptions import (
     DomainError,
+    InsufficientLevels,
     InvalidConfig,
     NotPositiveDefinite,
     ProjectabilityViolated,
     SingularDesign,
     Underidentified,
 )
+from anchorlab.modelsel import (
+    GammaCvResult,
+    assign_level_folds,
+    conditional_mse_quantiles,
+)
 from anchorlab.scm import LinearScm, population_anchor, sample, shift_risk
-from anchorlab.sparse import fit_equal_weight_lasso
+from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso
 
 
 def qr_lstsq(design, response):
@@ -304,15 +312,69 @@ def whitened_projectability(model_or_ds):
     return {"holds": bool(holds), "penalty_min": float(resid @ resid)}
 
 
-def subset_levels_loop(anchor_levels, rows):
-    """Level index sets of a row subset, rebuilt with a per-row dict."""
-    position = {int(r): i for i, r in enumerate(rows)}
-    levels = {}
-    for label, idx in anchor_levels.items():
-        kept = [position[int(i)] for i in np.asarray(idx) if int(i) in position]
-        if kept:
-            levels[label] = np.array(sorted(kept))
-    return levels
+def subset_rows(ds, rows):
+    """Row subset with anchor level bookkeeping rebuilt; centering is reset."""
+    rows = np.asarray(rows, dtype=int)
+    levels = None
+    if ds.anchor_levels is not None:
+        # position[i] is row i's index in the subset, -1 when it is left out
+        position = np.full(ds.n, -1)
+        position[rows] = np.arange(rows.size)
+        levels = {}
+        for label, idx in ds.anchor_levels.items():
+            kept = position[np.asarray(idx, dtype=int)]
+            kept = kept[kept >= 0]
+            if kept.size:
+                levels[label] = np.sort(kept)
+    return AnchorDataset(
+        X=ds.X[rows],
+        Y=ds.Y[rows],
+        A=ds.A[rows],
+        anchor_levels=levels,
+        predictor_names=ds.predictor_names,
+        level_codes=None if ds.level_codes is None else ds.level_codes[rows],
+    )
+
+
+def cv_gamma(ds, alphas, gamma_grid, folds=5, lam=None, seed=0):
+    """Grouped cross-validation that copies each fold into a training and a
+    held-out dataset with `subset_rows` and scores the held-out copy with
+    `conditional_mse_quantiles`."""
+    if ds.anchor_levels is None or len(ds.anchor_levels) < 2:
+        raise InsufficientLevels("need at least two anchor levels")
+    if folds < 2:
+        raise InsufficientLevels("need at least two folds")
+    alphas = tuple(float(a) for a in np.atleast_1d(alphas))
+    gamma_grid = tuple(float(g) for g in np.atleast_1d(gamma_grid))
+    fold_of_level = assign_level_folds(ds.anchor_levels, folds, seed)
+    sums = np.zeros((len(alphas), len(gamma_grid)))
+    for fold in range(folds):
+        test_levels = [lab for lab, f in fold_of_level.items() if f == fold]
+        train_levels = [lab for lab, f in fold_of_level.items() if f != fold]
+        assert not set(test_levels) & set(train_levels)
+        test_rows = np.concatenate([ds.anchor_levels[lab] for lab in test_levels])
+        train_rows = np.concatenate([ds.anchor_levels[lab] for lab in train_levels])
+        train = center(subset_rows(ds, np.sort(train_rows)))
+        test = subset_rows(ds, np.sort(test_rows))
+        for j, gamma in enumerate(gamma_grid):
+            if lam is not None and lam > 0:
+                fit = fit_anchor_lasso(train, gamma, lam)
+            else:
+                fit = fit_anchor(train, gamma)
+            report = conditional_mse_quantiles(test, fit, alphas)
+            sums[:, j] += np.array(report.quantiles)
+        del train, test
+    curves = sums / folds
+    selected = {
+        alpha: gamma_grid[int(np.argmin(curves[i]))] for i, alpha in enumerate(alphas)
+    }
+    return GammaCvResult(
+        gamma_grid=gamma_grid,
+        alphas=alphas,
+        curves=curves,
+        selected=selected,
+        fold_of_level=fold_of_level,
+    )
 
 
 def groupwise_means(values, groups):

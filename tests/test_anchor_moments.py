@@ -18,7 +18,7 @@ from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
 from anchorlab.estimators import anchor_objective, fit_anchor, fit_iv, gamma_transform
 from anchorlab.exceptions import SingularDesign, Underidentified
-from anchorlab.modelsel import cv_gamma, subset_rows
+from anchorlab.modelsel import cv_gamma
 
 import oracles
 
@@ -44,7 +44,7 @@ def _fold(rng, d):
     labels = sorted(ds.anchor_levels)
     kept = rng.choice(len(labels), size=d + 2, replace=False)
     rows = np.sort(np.concatenate([ds.anchor_levels[labels[k]] for k in kept]))
-    return subset_rows(ds, rows)
+    return oracles.subset_rows(ds, rows)
 
 
 def _continuous(rng, d, strong=False):
@@ -289,25 +289,3 @@ def test_one_qr_per_centred_dataset(qr_calls):
 def test_projection_needs_a_centred_dataset():
     with pytest.raises(ValueError):
         _continuous(numkern.make_rng(3), 2).projection
-
-
-@given(
-    sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
-    seed=st.integers(min_value=0, max_value=2**20),
-)
-@settings(max_examples=50, deadline=None)
-def test_subset_rows_matches_loop(sizes, seed):
-    rng = numkern.make_rng(seed)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    rng.shuffle(labels)
-    n = labels.size
-    ds = from_levels(rng.standard_normal((n, 2)), rng.standard_normal(n), labels)
-    rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-    sub = subset_rows(ds, rows)
-    expected = oracles.subset_levels_loop(ds.anchor_levels, rows)
-    assert list(sub.anchor_levels) == list(expected)
-    for label, idx in expected.items():
-        assert np.array_equal(sub.anchor_levels[label], idx)
-        assert sub.anchor_levels[label].dtype == idx.dtype
-    assert np.array_equal(sub.A, ds.A[rows])
-    assert np.array_equal(sub.level_codes, ds.level_codes[rows])

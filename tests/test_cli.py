@@ -366,6 +366,30 @@ class TestErrorContract:
             ]
         ) == 3
 
+    def test_zero_lambda_is_the_dense_fit_everywhere(self, tmp_path):
+        # n <= d: every subcommand refuses the unpenalized fit alike
+        data, config = _tiny_files(tmp_path, "y,x1,x2,x3,a1\n1,2,3,4,0.5\n2,3,4,5,-0.5\n")
+        files = ["--data", str(data), "--config", str(config)]
+        outcomes = [
+            _run_in(tmp_path, [*argv, "--lambda", "0", *files], f"wide{j}")
+            for j, argv in enumerate([["fit"], ["path", "--grid", "0,1"], ["rank"]])
+        ]
+        assert {(code, err) for code, err, _ in outcomes} == {
+            (3, "numeric error: n=2 <= d=3; use the l1-penalized solver for this regime\n")
+        }
+        # n > d: cv's default lambda is 0
+        rng = numkern.make_rng(4)
+        x = rng.standard_normal((40, 2))
+        labels = rng.choice(list("abcdef"), 40)
+        data = tmp_path / "cv.csv"
+        ds = datamodel.from_levels(x, x @ [1.0, -0.5] + rng.standard_normal(40), labels)
+        datamodel.write_csv(data, ds, anchor_labels=labels)
+        argv = ["cv", "--grid", "0,1,4", "--folds", "3", "--seed", "0",
+                "--data", str(data), "--config", str(_categorical_config(tmp_path))]
+        default = _run_in(tmp_path, argv, "cv_default")
+        assert default[0] == 0
+        assert _run_in(tmp_path, [*argv, "--lambda", "0"], "cv_zero") == default
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--gamma", "-1"],
         ["fit", "--gamma", "nan"],
@@ -439,13 +463,14 @@ class TestErrorContract:
 
     def test_lasso_converges_on_a_tiny_response(self, tmp_path):
         # the squares of a response below ~1e-154 underflow to zero; the
-        # descent's stopping tolerance must not
+        # descent's stopping tolerance must not. lambda_max is ~2.6e-161
+        # here, so the descent runs
         data, config = _tiny_files(
             tmp_path, "y,x1,x2,a1\n1.49e-269,0,-5.79,2\n3.03e-162,0,8.69,0.96\n"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = cli.main(["rank", "--lambda", "0", "--data", str(data),
+            code = cli.main(["rank", "--lambda", "1e-170", "--data", str(data),
                              "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 0
 
@@ -645,6 +670,28 @@ def model_specs(draw):
         node, key, _ = draw(st.sampled_from(numbers))
         node[key] = "one" if mutation == "string" else math.nan
     return spec
+
+
+MALFORMED_MODELS = {
+    "wrapped-in-list": [IV_SPEC],
+    "string-d": {**IV_SPEC, "d": "one"},
+    "nan-in-M": {**IV_SPEC, "M": [[math.nan], [0.0], [0.0]]},
+    "B-shape": {**IV_SPEC, "B": IV_SPEC["B"][:2]},
+    "anchor-kind": {**IV_SPEC, "anchor": {"kind": "cauchy"}},
+    # X <- H and H <- X with unit weights: Id - B is singular
+    "singular": {**IV_SPEC, "B": [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("model", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_is_config_error(command, model, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MALFORMED_MODELS[model]))
+    code, err, files = _run_in(tmp_path, [*MODEL_COMMANDS[command], "--scm", str(path)], "o")
+    assert code == 2
+    assert err.startswith(f"config error: model file {path}: ")
+    assert files == {}
 
 
 @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
-from anchorlab.datamodel import center, from_levels
+from anchorlab.datamodel import AnchorDataset, center, from_levels
 from anchorlab.estimators import fit_anchor
-from anchorlab.exceptions import DomainError, EmptyLevel, InsufficientLevels
+from anchorlab.exceptions import AnchorlabError, DomainError, EmptyLevel, InsufficientLevels
 from anchorlab.modelsel import (
     anchor_stability_test,
     assign_level_folds,
@@ -13,7 +14,6 @@ from anchorlab.modelsel import (
     nearest_rank_quantile,
     quantile_gamma,
     replicability_rank,
-    subset_rows,
 )
 from anchorlab.scm import AnchorDistribution, LinearScm
 
@@ -142,15 +142,6 @@ class TestFolds:
         with pytest.raises(InsufficientLevels):
             assign_level_folds({"a": [0], "b": [1]}, 3)
 
-    def test_subset_rows_rebuilds_levels(self):
-        rng = numkern.make_rng(4)
-        ds = scm.sample(heterogeneous_model(6), 120, rng)
-        keep = np.arange(0, 120, 2)
-        sub = subset_rows(ds, keep)
-        assert sub.n == 60
-        covered = np.concatenate([np.asarray(v) for v in sub.anchor_levels.values()])
-        assert sorted(covered) == list(range(60))
-
 
 class TestCvGamma:
     def test_fold_hygiene_and_selection(self):
@@ -199,6 +190,86 @@ class TestCvGamma:
         ds = from_levels(rng.standard_normal((20, 1)), rng.standard_normal(20), ["a"] * 20)
         with pytest.raises(InsufficientLevels):
             cv_gamma(ds, [0.5], [1.0], folds=2)
+
+
+def _cv_levels(rng, d):
+    # level codes: the training folds project by level means
+    n_levels = int(rng.integers(5, 12))
+    n = int(rng.integers(3 * d + 30, 240))
+    labels = rng.integers(0, n_levels, size=n)
+    hidden = rng.standard_normal(n)
+    x = rng.standard_normal((n_levels, d))[labels] + rng.standard_normal((n, d)) + hidden[:, None]
+    y = x @ rng.standard_normal(d) + 2.0 * hidden + rng.standard_normal(n)
+    return from_levels(x, y, labels)
+
+
+def _cv_level_vectors(rng, d):
+    # scm.sample: anchor levels without codes, so one QR per training fold
+    q, p = d + 1, d + 2
+    B = np.zeros((p, p))
+    B[:d, d + 1] = rng.uniform(0.5, 1.5, d)
+    B[d, :d] = rng.uniform(-1.0, 1.0, d)
+    B[d, d + 1] = 1.5
+    M = np.zeros((p, q))
+    M[:d] = rng.uniform(-1.0, 1.0, (d, q))
+    levels = rng.standard_normal((int(rng.integers(q + 1, q + 8)), q))
+    model = LinearScm(
+        d=d, r=1, B=B, M=M, noise_scales=np.ones(p),
+        anchor=AnchorDistribution.discrete(levels),
+    )
+    return scm.sample(model, int(rng.integers(3 * d + 30, 240)), rng)
+
+
+def _cv_empty_level(rng, d):
+    # hand-built: one level holds no rows and is left out of its fold
+    ds = _cv_levels(rng, d)
+    levels = dict(ds.anchor_levels)
+    levels["empty"] = np.array([], dtype=int)
+    return AnchorDataset(
+        X=ds.X, Y=ds.Y, A=np.column_stack([ds.A, np.zeros(ds.n)]),
+        anchor_levels=levels, level_codes=ds.level_codes,
+    )
+
+
+CV_DESIGNS = {
+    "levels": _cv_levels,
+    "level-vectors": _cv_level_vectors,
+    "empty-level": _cv_empty_level,
+}
+
+
+def _cv_outcome(cv, ds, lam, folds, seed):
+    try:
+        return cv(ds, (0.1, 0.5, 0.9), (0.0, 0.5, 4.0), folds=folds, lam=lam, seed=seed)
+    except (AnchorlabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    design=st.sampled_from(sorted(CV_DESIGNS)),
+    d=st.integers(min_value=1, max_value=15),
+    folds=st.integers(min_value=2, max_value=5),
+    penalized=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=80, deadline=None)
+def test_cv_matches_fold_copy_reference_bitwise(design, d, folds, penalized, seed):
+    # the held-out residuals are one block of the parent's rows, as in a
+    # copied fold, so every curve agrees to the last bit
+    ds = CV_DESIGNS[design](numkern.make_rng(seed), d)
+    lam = 0.05 * sparse.lambda_max(ds, 1.0) if penalized else 0.0
+    got = _cv_outcome(cv_gamma, ds, lam, folds, seed)
+    ref = _cv_outcome(oracles.cv_gamma, ds, lam, folds, seed)
+    if isinstance(ref, tuple):
+        if ref[0] is ValueError:
+            # a fold whose held-out levels are all empty: the copies fail to
+            # build an empty dataset, cv_gamma finds no level to score
+            ref = (DomainError, "quantile of empty sample")
+        assert got == ref
+        return
+    assert got.curves.tobytes() == ref.curves.tobytes()
+    assert got.selected == ref.selected
+    assert got.fold_of_level == ref.fold_of_level
 
 
 class TestStabilityTest:

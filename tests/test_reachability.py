@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package is reached: its
 name is used somewhere in src/anchorlab, or `anchorlab.__all__` exports it.
-Code that only tests call belongs in the tests."""
+Code that only tests call belongs in the tests. Every top-level import of a
+module is used in that module."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,27 @@ def unreached_names() -> dict:
 
 def test_every_public_definition_is_reached():
     assert unreached_names() == {}
+
+
+def unused_imports() -> list:
+    """`module.name` of each name a top-level import binds that its module
+    never reads; `__init__.py` re-exports and `__future__` are exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unused
+
+
+def test_every_top_level_import_is_used():
+    assert unused_imports() == []
