@@ -125,6 +125,15 @@ class AnchorDataset:
         """[X Y] on and off the anchor span, for the dense solves."""
         return numkern.anchor_moments(self.projection, np.column_stack([self.X, self.Y]))
 
+    @cached_property
+    def gram_columns(self):
+        """The same blocks for the l1 descent, which reads them a column at a
+        time: `moments` when n > d, else `numkern.ColumnMoments`, so that no
+        (d+1) x (d+1) matrix is formed for a dataset wider than long."""
+        if self.n > self.d:
+            return self.moments
+        return numkern.ColumnMoments(self.projection, np.column_stack([self.X, self.Y]))
+
 
 def center(ds: AnchorDataset) -> AnchorDataset:
     """Subtract column means from X, Y and A; store those of X and Y for

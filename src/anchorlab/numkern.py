@@ -145,11 +145,61 @@ class AnchorMoments:
     gram_on: np.ndarray
     gram_off: np.ndarray
 
+    def column(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column k of gram_off and of gram_on (their row k: both are symmetric)."""
+        return self.gram_off[k], self.gram_on[k]
+
+    @property
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.diag(self.gram_off), np.diag(self.gram_on)
+
+    def off_energy(self, z: np.ndarray) -> float:
+        """z' gram_off z."""
+        return float(z @ self.gram_off @ z)
+
+
+class ColumnMoments:
+    """The Gram blocks of `AnchorMoments`, read one column at a time.
+
+    Keeps the off-anchor columns Z_off = Z - Pi_A Z, written over `data`, and
+    the anchor coordinates R of Z. Column k of gram_off is Z_off' z_off,k and
+    of gram_on R' r_k; each is formed the first time it is read and kept, so
+    memory grows with the columns read and no square matrix of Z's width is
+    formed.
+    """
+
+    def __init__(self, projection: AnchorProjection, data: np.ndarray):
+        self.on, self.off = _anchor_split(projection, data)
+        self.diagonals = (
+            np.einsum("ij,ij->j", self.off, self.off),
+            np.einsum("ij,ij->j", self.on, self.on),
+        )
+        self._columns = {}
+
+    def column(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        pair = self._columns.get(k)
+        if pair is None:
+            pair = self._columns[k] = (self.off.T @ self.off[:, k], self.on.T @ self.on[:, k])
+        return pair
+
+    def off_energy(self, z: np.ndarray) -> float:
+        """||Z_off z||^2."""
+        resid = self.off @ z
+        return float(resid @ resid)
+
+
+def _anchor_split(projection: AnchorProjection, data: np.ndarray):
+    """The anchor coordinates of `data` and its columns off the anchor span,
+    the latter in place of `data`, so that no second n-row copy is held."""
+    on = projection.coordinates(data)
+    data -= projection.expand(on)
+    return on, data
+
 
 def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMoments:
-    """Split the columns of `data` on and off the anchor span."""
-    on = projection.coordinates(data)
-    off = data - projection.expand(on)
+    """Split the columns of `data` on and off the anchor span; `data` is
+    overwritten with its off-anchor columns."""
+    on, off = _anchor_split(projection, data)
     return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
 
 
@@ -162,11 +212,11 @@ def solve_gamma(moments: AnchorMoments, gamma: float) -> np.ndarray:
 
 def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float]:
     """Off- and on-anchor energy of the residual Y - Xb: z' gram_off z and
-    ||on z||^2 with z = (-b, 1). The on-part reads the anchor coordinates,
-    so it does not cancel."""
+    ||on z||^2 with z = (-b, 1), from AnchorMoments or ColumnMoments. The
+    on-part reads the anchor coordinates, so it does not cancel."""
     z = np.append(-np.asarray(b, dtype=float), 1.0)
     on = moments.on @ z
-    return float(z @ moments.gram_off @ z), float(on @ on)
+    return moments.off_energy(z), float(on @ on)
 
 
 def anchor_svd(moments: AnchorMoments, width: int):

@@ -325,14 +325,17 @@ def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
     return numkern.solve_gamma(scm.moments, gamma)
 
 
-def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
+def _invariant_minimum(moments: numkern.AnchorMoments, split=None) -> np.ndarray:
     """Minimum of the off-anchor objective subject to R_x b = R_y.
 
     On that set the on-anchor residual vanishes, so this is also the
     training-MSE minimizer subject to E[A (Y - X'b)] = 0; a step in the null
-    space of R_x moves off the particular solution.
+    space of R_x moves off the particular solution. `split` is
+    `numkern.split_constraint(moments)` when the caller has it already.
     """
-    particular, null, consistent = numkern.split_constraint(moments)
+    if split is None:
+        split = numkern.split_constraint(moments)
+    particular, null, consistent = split
     if not consistent:
         raise ProjectabilityViolated(
             "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
@@ -590,7 +593,9 @@ def anchor_stability_causal_check(
     """
     if not scm.is_acyclic:
         raise AssumptionViolated("graph must be acyclic", which="acyclic")
-    if not projectability_check(scm)["holds"]:
+    # one IV split serves the projectability test and the IV endpoint
+    split = numkern.split_constraint(scm.moments)
+    if not split[2]:
         raise AssumptionViolated("projectability fails", which="projectability")
     shifted = {k for k in range(scm.d) if np.any(scm.M[k, :] != 0.0)}
     if shifted != set(range(scm.d)):
@@ -598,7 +603,7 @@ def anchor_stability_causal_check(
             "every predictor needs a direct anchor shift", which="anchor_coverage"
         )
     b_zero = population_anchor(scm, 0.0)
-    b_inf = population_iv(scm)
+    b_inf = _invariant_minimum(scm.moments, split)
     path = {float(g): population_anchor(scm, g) for g in gamma_grid}
     scale = max(float(np.max(np.abs(b_zero))), 1.0)
     endpoint_gap = float(np.max(np.abs(b_zero - b_inf)))

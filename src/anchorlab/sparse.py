@@ -1,8 +1,11 @@
 """l1-penalized anchor regression via cyclic coordinate descent.
 
-The penalized problem min ||Yt - Xt b||^2 + 2*lam*||b||_1 is solved on the
-gamma-transformed data by soft-thresholded coordinate descent with
-covariance updates, active-set sweeps and an exact finish on the active
+The penalized problem min ||Yt - Xt b||^2 + 2*lam*||b||_1 on the
+gamma-transformed data is b'Gb - 2b'g + 2*lam*||b||_1 + const, with
+G = G_off + gamma G_on and g = g_off + gamma g_on read from the dataset's
+second moments off and on the anchor span (`AnchorDataset.gram_columns`),
+shared by every gamma. It is solved by soft-thresholded coordinate descent
+with covariance updates, active-set sweeps and an exact finish on the active
 set, with warm starts along the lambda grid. The equal-weight variant gives
 every discrete anchor level the same weight regardless of its size; it
 reduces to the same solver through row rescaling.
@@ -21,12 +24,15 @@ import numpy as np
 
 from . import numkern
 from .datamodel import AnchorDataset, center, level_blocks
-from .estimators import AnchorFit, fit_anchor, gamma_transform
+from .estimators import AnchorFit, fit_anchor
 from .exceptions import DomainError, InvalidConfig, NotPositiveDefinite
 
 MAX_SWEEPS = 100_000
-# stop when the largest coordinate move in a full sweep drops below
-# CONVERGENCE_RTOL * std(transformed response)
+# stop when no coordinate of a full sweep moves the fitted values, by
+# ||x_k|| times the change of b_k, as much as CONVERGENCE_RTOL * ||y - mean(y)||.
+# On columns of unit root mean square that is a coefficient move below
+# CONVERGENCE_RTOL * std(y); measured in fitted values, the rule does not stop
+# early on columns of large norm, whose coefficients are small.
 CONVERGENCE_RTOL = 1e-9
 
 
@@ -38,41 +44,87 @@ def soft_threshold(z: float, threshold: float) -> float:
     return 0.0
 
 
-def lasso_coordinate_descent(
-    design: np.ndarray,
-    response: np.ndarray,
-    lam: float,
-    start: np.ndarray | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-):
-    """Cyclic coordinate descent for min ||y - Xb||^2 + 2*lam*||b||_1.
+class _DesignGram:
+    """G = X'X and g = X'y of an n-row design, G a column at a time: X'x_k
+    is formed on first use and kept in `columns` (a new dict by default)."""
 
-    Covariance updates (Friedman, Hastie & Tibshirani 2010): the gradient
-    X'(y - Xb) is kept current from Gram columns X'x_k, each formed the first
-    time coordinate k moves and kept for this call only, so memory grows with
-    the number of coordinates that ever move, never as d^2. Each full sweep
-    over all coordinates is followed by sweeps over its nonzero coordinates
-    until they settle. The fit has converged when a full sweep moves every
-    coordinate by less than CONVERGENCE_RTOL * std(response); the iterate is
-    then replaced by the exact solution on its active set (`_exact_finish`).
+    def __init__(self, design, response, columns=None):
+        self._design = design = np.asarray(design, dtype=float)
+        response = np.asarray(response, dtype=float).ravel()
+        self._columns = {} if columns is None else columns
+        self.linear = design.T @ response
+        self.diag = np.einsum("ij,ij->j", design, design)
+        # ||y - mean(y)|| from the response scaled to a largest entry of 1:
+        # the squares of a response below ~1e-154 underflow
+        scale = float(np.max(np.abs(response), initial=0.0))
+        unit = response / scale if scale > 0.0 else response
+        self.spread = scale * float(np.linalg.norm(unit - unit.mean()))
+
+    def column(self, k: int) -> np.ndarray:
+        column = self._columns.get(k)
+        if column is None:
+            column = self._columns[k] = self._design.T @ self._design[:, k]
+        return column
+
+
+class _AnchorGram:
+    """G = G_off + gamma G_on and g = g_off + gamma g_on of a centred dataset,
+    restricted to its predictors, from `ds.gram_columns`: the columns of both
+    blocks are shared by every gamma, and their combinations kept for this one."""
+
+    def __init__(self, ds: AnchorDataset, gamma: float):
+        _require_finite_gamma(gamma)
+        self._moments = ds.gram_columns
+        self._gamma = gamma
+        self._columns = {}
+        off, on = self._moments.column(ds.d)
+        response = off + gamma * on
+        self.linear = response[:-1]
+        diag_off, diag_on = self._moments.diagonals
+        self.diag = (diag_off + gamma * diag_on)[:-1]
+        # the transformed response has mean zero
+        self.spread = math.sqrt(max(float(response[-1]), 0.0))
+
+    def column(self, k: int) -> np.ndarray:
+        column = self._columns.get(k)
+        if column is None:
+            off, on = self._moments.column(k)
+            column = self._columns[k] = (off + self._gamma * on)[:-1]
+        return column
+
+    def energy(self, b) -> float:
+        """||Yt - Xt b||^2: the off-anchor plus gamma times the on-anchor energy."""
+        off, on = numkern.residual_energy(self._moments, b)
+        return off + self._gamma * on
+
+
+def gram_coordinate_descent(gram, lam: float, start=None, max_sweeps: int = MAX_SWEEPS):
+    """Cyclic coordinate descent for min b'Gb - 2b'g + 2*lam*||b||_1, which is
+    ||y - Xb||^2 + 2*lam*||b||_1 up to a constant when G = X'X and g = X'y.
+
+    `gram` supplies g (`linear`), the diagonal of G (`diag`), G a column at a
+    time (`column(k)`) and ||y - mean(y)|| (`spread`). Covariance updates
+    (Friedman, Hastie & Tibshirani 2010): the gradient g - Gb is kept current
+    from the column of each coordinate that moves. After each full sweep over
+    all coordinates the iterate is replaced by the exact solution on its
+    active set (`_finish_on`) when that solution is stationary, which ends
+    the fit; otherwise sweeps over the nonzero coordinates follow until they
+    settle. The fit has also converged when no coordinate of a full sweep
+    moves the fitted values by CONVERGENCE_RTOL * spread or more.
 
     Returns (coef, sweeps, final_move, converged), where sweeps counts both
-    kinds of sweep and final_move is the largest move of the last full
-    sweep. Inactive coordinates are exact zeros. The objective is
-    nonincreasing across sweeps.
+    kinds of sweep and final_move is the largest such move of the last full
+    sweep: ||x_k|| times the change of b_k. Inactive coordinates are exact
+    zeros. The objective is nonincreasing across sweeps.
     """
-    design = np.asarray(design, dtype=float)
-    response = np.asarray(response, dtype=float).ravel()
-    d = design.shape[1]
-    col_sq = np.einsum("ij,ij->j", design, design).tolist()
+    d = gram.linear.shape[0]
+    col_sq = gram.diag.tolist()
+    norms = np.sqrt(gram.diag).tolist()
     b = np.zeros(d) if start is None else np.array(start, dtype=float)
-    grad = design.T @ (response - design @ b)
-    columns = {}
-    # std(response) from the response scaled to a largest entry of 1: the
-    # squares of a response below ~1e-154 underflow, and its std with them
-    scale = float(np.max(np.abs(response), initial=0.0))
-    spread = scale * float((response / scale).std()) if scale > 0.0 else 0.0
-    tol = CONVERGENCE_RTOL * max(spread, 1e-300)
+    grad = gram.linear.copy()
+    for k in np.flatnonzero(b):
+        np.subtract(grad, b[k] * gram.column(k), out=grad)
+    tol = CONVERGENCE_RTOL * max(gram.spread, 1e-300)
 
     def sweep(coords) -> float:
         move = 0.0
@@ -84,10 +136,9 @@ def lasso_coordinate_descent(
             old = b[k]
             new = soft_threshold(grad[k] + sq * old, lam) / sq
             if new != old:
-                column = _gram_column(design, columns, k)
-                np.subtract(grad, (new - old) * column, out=grad)
+                np.subtract(grad, (new - old) * gram.column(k), out=grad)
                 b[k] = new
-                move = max(move, abs(new - old))
+                move = max(move, abs(new - old) * norms[k])
         return move
 
     move = np.inf
@@ -95,8 +146,9 @@ def lasso_coordinate_descent(
     while sweeps < max_sweeps:
         move = sweep(range(d))
         sweeps += 1
-        if move < tol:
-            return _exact_finish(design, response, lam, b, columns), sweeps, move, True
+        exact = _finish_on(gram, lam, b)
+        if exact is not b or move < tol:
+            return exact, sweeps, move, True
         active = np.flatnonzero(b).tolist()
         while active and sweeps < max_sweeps:
             sweeps += 1
@@ -105,67 +157,106 @@ def lasso_coordinate_descent(
     return b, sweeps, move, False
 
 
-def _gram_column(design, columns: dict, k: int) -> np.ndarray:
-    """X'x_k, formed on first use and kept in `columns`."""
-    column = columns.get(k)
-    if column is None:
-        column = columns[k] = design.T @ design[:, k]
-    return column
+def lasso_coordinate_descent(
+    design: np.ndarray,
+    response: np.ndarray,
+    lam: float,
+    start: np.ndarray | None = None,
+    max_sweeps: int = MAX_SWEEPS,
+):
+    """`gram_coordinate_descent` for min ||y - Xb||^2 + 2*lam*||b||_1 on an
+    n-row design. Gram columns X'x_k are formed the first time coordinate k
+    moves and kept for this call only, so memory grows with the number of
+    coordinates that ever move, never as d^2."""
+    return gram_coordinate_descent(_DesignGram(design, response), lam, start, max_sweeps)
 
 
 def _exact_finish(design, response, lam, b, columns):
+    """`_finish_on` for an n-row design, its Gram columns kept in `columns`."""
+    return _finish_on(_DesignGram(design, response, columns), lam, b)
+
+
+def _finish_on(gram, lam, b):
     """The lasso solution on b's active set S with b's signs s, if it is one.
 
-    Solves X_S'X_S b_S = X_S'y - lam*s from the Gram columns of S and
-    X'y. The result is returned only when its signs are s and every
-    coordinate outside S keeps |X'(y - Xb)| <= lam, that is when it
-    satisfies the stationarity conditions; otherwise b is. Nothing is read
-    from the descent's running gradient, so the result does not depend on
-    the path the descent took to S. No n x |S| copy of the design is made.
+    Solves G_SS b_S = g_S - lam*s from the columns of S. The result is
+    returned only when its signs are s and every coordinate outside S keeps
+    |g - Gb| <= lam, that is when it satisfies the stationarity conditions;
+    otherwise b is. Nothing is read from the descent's running gradient, and
+    from b only S and s, so the result does not depend on the path the
+    descent took to S.
+
+    A singular G_SS means linearly dependent columns in S. Along a null
+    vector v of G_SS the quadratic part is flat, so b_S first moves along v,
+    in the direction that does not raise ||b||_1, until a coordinate reaches
+    zero; S drops it and the solve is tried again. Only then is b read
+    beyond S and s. Of many solutions, this returns one whose active
+    columns are independent.
     """
-    active = np.flatnonzero(b)
-    if active.size == 0:
-        return b
-    signs = np.sign(b[active])
-    gram = np.stack([_gram_column(design, columns, k)[active] for k in active])
-    try:
-        exact = numkern.solve_spd(gram, (design.T @ response)[active] - lam * signs)
-    except NotPositiveDefinite:
-        return b
-    out = np.zeros_like(b)
-    out[active] = exact
-    grad = design.T @ (response - design @ out)
+    point = b
+    while True:
+        active = np.flatnonzero(point)
+        if active.size == 0:
+            return b
+        signs = np.sign(point[active])
+        columns = np.stack([gram.column(k) for k in active])
+        try:
+            exact = numkern.solve_spd(columns[:, active], gram.linear[active] - lam * signs)
+            break
+        except NotPositiveDefinite:
+            point = _null_step(columns[:, active], point, active, signs)
+    grad = gram.linear - exact @ columns
     grad[active] = 0.0
     if not (np.array_equal(np.sign(exact), signs) and np.all(np.abs(grad) <= lam)):
         return b
+    out = np.zeros_like(b)
+    out[active] = exact
     return out
 
 
+def _null_step(gram_ss, point, active, signs):
+    """point moved along a null vector v of gram_ss, oriented so that
+    s'v <= 0, until its first active coordinate reaches zero."""
+    v = np.linalg.eigh(gram_ss)[1][:, 0]
+    if signs @ v > 0.0:
+        v = -v
+    # with s'v <= 0 and v != 0, some coordinate shrinks toward zero
+    shrinking = np.flatnonzero(signs * v < 0.0)
+    steps = -point[active[shrinking]] / v[shrinking]
+    first = int(np.argmin(steps))
+    point = point.copy()
+    point[active] += steps[first] * v
+    point[active[shrinking[first]]] = 0.0
+    return point
+
+
 def lambda_max(ds: AnchorDataset, gamma: float) -> float:
-    """Smallest lambda with an all-zero solution: ||Xt' Yt||_inf.
+    """Smallest lambda with an all-zero solution: ||g||_inf, with
+    g = Xt' Yt = g_off + gamma g_on.
 
     Padded by a relative 1e-12 so the zero solution survives rounding in the
     correlation recomputation inside the solver.
     """
-    _require_finite_gamma(gamma)
-    xt, yt = gamma_transform(ds, gamma)
-    return float(np.max(np.abs(xt.T @ yt))) * (1.0 + 1e-12)
+    gram = _AnchorGram(center(ds), gamma)
+    return float(np.max(np.abs(gram.linear))) * (1.0 + 1e-12)
 
 
 def _require_finite_gamma(gamma: float) -> None:
+    if not gamma >= 0:
+        raise DomainError(f"gamma must be nonnegative, got {gamma}")
     if gamma == math.inf:
         raise DomainError("the l1-penalized fit needs a finite gamma")
 
 
-def _finish_fit(ds, gamma, lam, design, response, b, sweeps, move, converged):
+def _finish_fit(ds, gamma, lam, energy, b, sweeps, move, converged):
+    """The fit at b, whose residual energy ||Yt - Xt b||^2 is `energy`."""
     if not converged:
         warnings.warn(
             f"coordinate descent stopped after {sweeps} sweeps "
             f"(last full-sweep move {move:.3e}); returning best iterate",
             RuntimeWarning,
         )
-    resid = response - design @ b
-    objective = float(resid @ resid + 2.0 * lam * np.abs(b).sum())
+    objective = energy + 2.0 * lam * float(np.abs(b).sum())
     return AnchorFit(
         gamma=float(gamma),
         lam=float(lam),
@@ -195,10 +286,9 @@ def fit_anchor_lasso(
     if lam == 0.0:
         return fit_anchor(ds, gamma)
     ds = center(ds)
-    _require_finite_gamma(gamma)
-    xt, yt = gamma_transform(ds, gamma)
-    b, sweeps, move, converged = lasso_coordinate_descent(xt, yt, lam, start)
-    return _finish_fit(ds, gamma, lam, xt, yt, b, sweeps, move, converged)
+    gram = _AnchorGram(ds, gamma)
+    b, sweeps, move, converged = gram_coordinate_descent(gram, lam, start)
+    return _finish_fit(ds, gamma, lam, gram.energy(b), b, sweeps, move, converged)
 
 
 @dataclass(frozen=True)
@@ -224,12 +314,12 @@ def lambda_path(
     ds = center(ds)
     top = lambda_max(ds, gamma)
     grid = top * np.exp(np.linspace(0.0, np.log(ratio), n_lambdas))
-    xt, yt = gamma_transform(ds, gamma)
+    gram = _AnchorGram(ds, gamma)
     fits = []
     warm = None
     for lam in grid:
-        b, sweeps, move, converged = lasso_coordinate_descent(xt, yt, lam, warm)
-        fits.append(_finish_fit(ds, gamma, lam, xt, yt, b, sweeps, move, converged))
+        b, sweeps, move, converged = gram_coordinate_descent(gram, lam, warm)
+        fits.append(_finish_fit(ds, gamma, lam, gram.energy(b), b, sweeps, move, converged))
         warm = b
     return LambdaPath(
         lambdas=grid,
@@ -303,7 +393,8 @@ def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> Ancho
     ds = center(ds)
     design, response = _equal_weight_design(ds, gamma)
     b, sweeps, move, converged = lasso_coordinate_descent(design, response, lam)
-    return _finish_fit(ds, gamma, lam, design, response, b, sweeps, move, converged)
+    resid = response - design @ b
+    return _finish_fit(ds, gamma, lam, float(resid @ resid), b, sweeps, move, converged)
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

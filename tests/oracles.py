@@ -8,8 +8,10 @@ Bayes-ball, a per-fit QR projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
-energy of the moments, and cross-validation folds copied into datasets of
-their own (`subset_rows`) instead of index rows of the one dataset.
+energy of the moments, cross-validation folds copied into datasets of
+their own (`subset_rows`) instead of index rows of the one dataset, and the
+l1 descent on the n-row gamma-transformed data instead of Gram columns read
+from the moments.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -22,7 +24,7 @@ from scipy.special import ndtr
 
 from anchorlab import numkern
 from anchorlab.datamodel import AnchorDataset, center
-from anchorlab.estimators import fit_anchor
+from anchorlab.estimators import fit_anchor, gamma_transform
 from anchorlab.exceptions import (
     DomainError,
     InsufficientLevels,
@@ -38,7 +40,7 @@ from anchorlab.modelsel import (
     conditional_mse_quantiles,
 )
 from anchorlab.scm import LinearScm, population_anchor, sample, shift_risk
-from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso
+from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso, soft_threshold
 
 
 def qr_lstsq(design, response):
@@ -125,6 +127,88 @@ def kkt_violation_loop(design, response, b, lam):
 def lasso_objective(design, response, b, lam):
     resid = response - design @ b
     return float(resid @ resid + 2.0 * lam * np.abs(b).sum())
+
+
+# --- the l1 descent on the n-row gamma-transformed data --------------------
+
+def row_lasso_descent(design, response, lam, start=None, max_sweeps=100_000, rtol=1e-9):
+    """Covariance-update coordinate descent on an n-row design, as the library
+    ran it on `gamma_transform`'s data before it read Gram columns from the
+    moments: Gram columns X'x_k formed per call, active-set sweeps after each
+    full sweep, and the exact finish only once no coordinate of a full sweep
+    changes the fitted values by rtol * ||y - mean(y)|| or more. (The library
+    then measured moves in coefficient units, against rtol * std(y), which
+    stops early on columns of large norm.)
+
+    Returns (coef, sweeps, final_move, converged).
+    """
+    design = np.asarray(design, dtype=float)
+    response = np.asarray(response, dtype=float).ravel()
+    d = design.shape[1]
+    col_sq = np.einsum("ij,ij->j", design, design).tolist()
+    norms = np.linalg.norm(design, axis=0).tolist()
+    b = np.zeros(d) if start is None else np.array(start, dtype=float)
+    grad = design.T @ (response - design @ b)
+    columns = {}
+    tol = rtol * max(float(np.linalg.norm(response - response.mean())), 1e-300)
+
+    def column(k):
+        if k not in columns:
+            columns[k] = design.T @ design[:, k]
+        return columns[k]
+
+    def sweep(coords):
+        move = 0.0
+        for k in coords:
+            sq = col_sq[k]
+            if sq == 0.0:
+                b[k] = 0.0
+                continue
+            old = b[k]
+            new = soft_threshold(grad[k] + sq * old, lam) / sq
+            if new != old:
+                np.subtract(grad, (new - old) * column(k), out=grad)
+                b[k] = new
+                move = max(move, abs(new - old) * norms[k])
+        return move
+
+    def exact_finish():
+        active = np.flatnonzero(b)
+        if active.size == 0:
+            return b
+        signs = np.sign(b[active])
+        gram = np.stack([column(k)[active] for k in active])
+        try:
+            exact = numkern.solve_spd(gram, (design.T @ response)[active] - lam * signs)
+        except NotPositiveDefinite:
+            return b
+        out = np.zeros_like(b)
+        out[active] = exact
+        full = design.T @ (response - design @ out)
+        full[active] = 0.0
+        if not (np.array_equal(np.sign(exact), signs) and np.all(np.abs(full) <= lam)):
+            return b
+        return out
+
+    move = np.inf
+    sweeps = 0
+    while sweeps < max_sweeps:
+        move = sweep(range(d))
+        sweeps += 1
+        if move < tol:
+            return exact_finish(), sweeps, move, True
+        active = np.flatnonzero(b).tolist()
+        while active and sweeps < max_sweeps:
+            sweeps += 1
+            if sweep(active) < tol:
+                break
+    return b, sweeps, move, False
+
+
+def row_lambda_max(ds, gamma):
+    """||Xt' Yt||_inf on `gamma_transform`'s data, padded by a relative 1e-12."""
+    xt, yt = gamma_transform(ds, gamma)
+    return float(np.max(np.abs(xt.T @ yt))) * (1.0 + 1e-12)
 
 
 def _qr_project(ds, values):

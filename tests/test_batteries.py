@@ -54,3 +54,19 @@ def test_worst_case_identity_catches_a_tenth_of_a_percent():
     report = batteries.run_scm_checks(scm.example_iv_chain(), seed=0)
     assert not report["checks"][0]["passed"]
     assert report["checks"][0]["exact_gap"] > 1e-4
+
+
+def test_stability_chain_splits_each_model_once(monkeypatch):
+    # the projectability test and the IV endpoint read one split per model
+    calls = []
+    split = numkern.split_constraint
+
+    def counted(moments):
+        calls.append(moments)
+        return split(moments)
+
+    monkeypatch.setattr(numkern, "split_constraint", counted)
+    report = batteries.check_stability_chain(seed=1, n_models=6, n_shifts=1)
+    assert report["passed"]
+    assert len(calls) == 6
+    assert len({id(moments) for moments in calls}) == 6

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import cli, datamodel, numkern, sparse
 from anchorlab.batteries import random_scm
+from anchorlab.estimators import gamma_transform
 from anchorlab.scm import (
     Shift,
     example_confounder_shift,
@@ -22,6 +23,8 @@ from anchorlab.scm import (
     scm_to_dict,
     shift_risk,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -474,18 +477,45 @@ class TestErrorContract:
                              "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 0
 
-    def test_nonconvergence_warning_names_the_full_sweep_move(self, tmp_path):
-        # x1 and x2 are collinear after the gamma = 0 transform, so the descent
-        # runs to its sweep cap; active-set sweeps follow the last full sweep
+    def test_nonconvergence_warning_names_the_full_sweep_move(self, wide_files, monkeypatch):
+        # two sweeps do not reach this fit: a full sweep, whose largest move
+        # (8.109 in fitted-value norm) the warning names, and an active-set
+        # sweep that moves less
+        descent = sparse.gram_coordinate_descent
+        monkeypatch.setattr(
+            sparse, "gram_coordinate_descent",
+            lambda gram, lam, start=None: descent(gram, lam, start, max_sweeps=2),
+        )
+        out = wide_files["data"].parent / "capped"
+        with pytest.warns(RuntimeWarning,
+                          match=r"after 2 sweeps \(last full-sweep move 8\.109e\+00\)"):
+            code = cli.main(["fit", "--gamma", "1", "--lambda", wide_files["lam"],
+                             "--data", str(wide_files["data"]),
+                             "--config", str(wide_files["config"]), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "fit.json").read_text())["converged"] is False
+
+    def test_collinear_columns_converge(self, tmp_path):
+        # x1 and x2 are collinear after the gamma = 0 transform, so the exact
+        # finish meets a singular active Gram and steps to the solution on x2
         data = tmp_path / "collinear.csv"
         data.write_text(
             "y,x1,x2,env\n-2.6e-238,3,-3,v\n2.00001,-2,0.0,w\n4.178471598672189,1e-06,0,v\n"
         )
-        with pytest.warns(RuntimeWarning, match=r"after 100000 sweeps \(last full-sweep move "):
+        config = _categorical_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["rank", "--lambda", "0.3", "--data", str(data),
-                             "--config", str(_categorical_config(tmp_path)),
-                             "--out", str(tmp_path / "o")])
+                             "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 0
+        ds = datamodel.center(datamodel.read_csv(data, datamodel.load_column_config(config)))
+        fit = sparse.fit_anchor_lasso(ds, 0.0, 0.3)
+        assert fit.converged and fit.coef[0] == 0.0
+        xt, yt = gamma_transform(ds, 0.0)
+        assert oracles.kkt_violation(xt, yt, fit.coef, 0.3) <= 1e-9 * 0.3
+        with open(tmp_path / "o" / "ranking.csv", newline="") as fh:
+            l_scores = [float(row["l_score"]) for row in csv.DictReader(fh)]
+        assert l_scores == [float(f"{abs(c):.12g}") for c in fit.coef]
 
     def test_json_format_outputs(self, example2_files, tmp_path):
         out = tmp_path / "rankjson"

@@ -314,13 +314,13 @@ class TestReplicabilityRank:
         ds = self._dataset(13)
         lam = 0.03 * sparse.lambda_max(ds, 0.0)
         calls = []
-        descent = sparse.lasso_coordinate_descent
+        descent = sparse.gram_coordinate_descent
 
         def counted(*args, **kwargs):
-            calls.append(args[3] if len(args) > 3 else kwargs.get("start"))
+            calls.append(args[2] if len(args) > 2 else kwargs.get("start"))
             return descent(*args, **kwargs)
 
-        monkeypatch.setattr(sparse, "lasso_coordinate_descent", counted)
+        monkeypatch.setattr(sparse, "gram_coordinate_descent", counted)
         table = replicability_rank(ds, lam, gamma_range=(0.0, 1.0), grid_size=21)
         assert len(calls) == 21
         assert calls[0] is None and all(start is not None for start in calls[1:])

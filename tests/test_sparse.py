@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
@@ -403,3 +403,73 @@ class TestExcessRiskScaling:
             oracles.excess_risk_scaling(model, 1.0, [100, 200], replicates=0)
         with pytest.raises(InvalidConfig):
             oracles.excess_risk_scaling(model, 1.0, [100], replicates=2)
+
+
+GRAM_GAMMAS = (0.0, 1e-8, 1.0, 1e8)
+
+
+def _gram_case(seed, wide, categorical, ill_conditioned):
+    """A centred dataset with n > d or n <= d, level-coded or continuous
+    anchors, and optionally predictors on scales from 1e-3 to 1e3 with two
+    of them correlated at ~0.995."""
+    rng = numkern.make_rng(seed)
+    n, d = (12, 20) if wide else (40, 10)
+    x = rng.standard_normal((n, d))
+    y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.3 * rng.standard_normal(n)
+    if ill_conditioned:
+        x[:, 1] = x[:, 0] + 0.1 * x[:, 1]
+        x *= np.logspace(-3.0, 3.0, d)
+    if categorical:
+        return center(from_levels(x, y, np.array([str(v) for v in rng.integers(0, 4, n)])))
+    return center(AnchorDataset(X=x, Y=y, A=rng.standard_normal((n, 2))))
+
+
+class TestGramDescent:
+    """The descent over Gram columns read from the moments against the
+    n-row descent on the gamma-transformed data."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        wide=st.booleans(),
+        categorical=st.booleans(),
+        ill_conditioned=st.booleans(),
+        gamma=st.sampled_from(GRAM_GAMMAS),
+        fraction=st.sampled_from((0.01, 0.2, 0.9)),
+    )
+    # columns of norm ~1e7: a move tolerance in coefficient units stopped the
+    # warm fit at KKT 0.12 * lam
+    @example(seed=3765, wide=True, categorical=False, ill_conditioned=True,
+             gamma=1e8, fraction=0.01)
+    def test_matches_row_descent(self, seed, wide, categorical, ill_conditioned, gamma, fraction):
+        ds = _gram_case(seed, wide, categorical, ill_conditioned)
+        lam = fraction * lambda_max(ds, gamma)
+        fit = fit_anchor_lasso(ds, gamma, lam)
+        ref, _, _, converged = oracles.row_lasso_descent(*gamma_transform(ds, gamma), lam)
+        assert fit.converged and converged
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(fit.coef - ref)) <= 1e-10 * scale
+        # warm start from the neighbouring gamma's solution
+        other = GRAM_GAMMAS[(GRAM_GAMMAS.index(gamma) + 1) % len(GRAM_GAMMAS)]
+        start = fit_anchor_lasso(ds, other, fraction * lambda_max(ds, other)).coef
+        assert np.array_equal(fit_anchor_lasso(ds, gamma, lam, start).coef, fit.coef)
+
+    @pytest.mark.parametrize("gamma", GRAM_GAMMAS)
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_lambda_grid_matches_row_form(self, gamma, wide):
+        ds = _gram_case(31, wide, categorical=True, ill_conditioned=False)
+        top = oracles.row_lambda_max(ds, gamma)
+        assert lambda_max(ds, gamma) == pytest.approx(top, rel=1e-12, abs=0.0)
+        grid = top * np.exp(np.linspace(0.0, np.log(1e-2), 8))
+        path = lambda_path(ds, gamma, n_lambdas=8, ratio=1e-2)
+        np.testing.assert_allclose(path.lambdas, grid, rtol=1e-12, atol=0.0)
+
+    def test_wide_data_forms_no_square_gram(self):
+        # n <= d: the columns come from the off-anchor data and the anchor
+        # coordinates, one per coordinate that moves, shared across gamma
+        ds = _gram_case(32, wide=True, categorical=False, ill_conditioned=False)
+        for gamma in (0.0, 1.0, 4.0):
+            fit_anchor_lasso(ds, gamma, 0.2 * lambda_max(ds, gamma))
+        assert "moments" not in vars(ds)
+        assert isinstance(ds.gram_columns, numkern.ColumnMoments)
+        assert len(ds.gram_columns._columns) < ds.d
