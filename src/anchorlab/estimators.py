@@ -111,7 +111,7 @@ def fit_iv(ds: AnchorDataset) -> AnchorFit:
     pseudo-inverse solution is returned.
     """
     ds = center(ds)
-    coef, null, _ = numkern.split_constraint(ds.moments)
+    coef, null, _ = ds.moments.split
     if null.shape[1]:
         raise Underidentified(
             f"anchor-projected design has rank {ds.d - null.shape[1]} < d={ds.d}"

@@ -7,6 +7,7 @@ through an explicitly seeded generator; no global RNG state is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -156,6 +157,12 @@ class AnchorMoments:
     def off_energy(self, z: np.ndarray) -> float:
         """z' gram_off z."""
         return float(z @ self.gram_off @ z)
+
+    @cached_property
+    def split(self):
+        """`split_constraint` of these moments, computed on first use and
+        shared by the projectability test and the IV solve."""
+        return split_constraint(self)
 
 
 class ColumnMoments:

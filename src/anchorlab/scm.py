@@ -325,17 +325,14 @@ def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
     return numkern.solve_gamma(scm.moments, gamma)
 
 
-def _invariant_minimum(moments: numkern.AnchorMoments, split=None) -> np.ndarray:
+def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
     """Minimum of the off-anchor objective subject to R_x b = R_y.
 
     On that set the on-anchor residual vanishes, so this is also the
     training-MSE minimizer subject to E[A (Y - X'b)] = 0; a step in the null
-    space of R_x moves off the particular solution. `split` is
-    `numkern.split_constraint(moments)` when the caller has it already.
+    space of R_x moves off the particular solution.
     """
-    if split is None:
-        split = numkern.split_constraint(moments)
-    particular, null, consistent = split
+    particular, null, consistent = moments.split
     if not consistent:
         raise ProjectabilityViolated(
             "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
@@ -440,7 +437,7 @@ def projectability_check(model_or_ds) -> dict:
     else:
         ds = center(model_or_ds)
         moments, rows = ds.moments, ds.n
-    particular, _, consistent = numkern.split_constraint(moments)
+    particular, _, consistent = moments.split
     penalty = numkern.residual_energy(moments, particular)[1]
     return {"holds": bool(consistent), "penalty_min": penalty / rows}
 
@@ -593,9 +590,7 @@ def anchor_stability_causal_check(
     """
     if not scm.is_acyclic:
         raise AssumptionViolated("graph must be acyclic", which="acyclic")
-    # one IV split serves the projectability test and the IV endpoint
-    split = numkern.split_constraint(scm.moments)
-    if not split[2]:
+    if not scm.moments.split[2]:
         raise AssumptionViolated("projectability fails", which="projectability")
     shifted = {k for k in range(scm.d) if np.any(scm.M[k, :] != 0.0)}
     if shifted != set(range(scm.d)):
@@ -603,7 +598,7 @@ def anchor_stability_causal_check(
             "every predictor needs a direct anchor shift", which="anchor_coverage"
         )
     b_zero = population_anchor(scm, 0.0)
-    b_inf = _invariant_minimum(scm.moments, split)
+    b_inf = _invariant_minimum(scm.moments)
     path = {float(g): population_anchor(scm, g) for g in gamma_grid}
     scale = max(float(np.max(np.abs(b_zero))), 1.0)
     endpoint_gap = float(np.max(np.abs(b_zero - b_inf)))

@@ -2,13 +2,16 @@
 
 The penalized problem min ||Yt - Xt b||^2 + 2*lam*||b||_1 on the
 gamma-transformed data is b'Gb - 2b'g + 2*lam*||b||_1 + const, with
-G = G_off + gamma G_on and g = g_off + gamma g_on read from the dataset's
-second moments off and on the anchor span (`AnchorDataset.gram_columns`),
-shared by every gamma. It is solved by soft-thresholded coordinate descent
-with covariance updates, active-set sweeps and an exact finish on the active
-set, with warm starts along the lambda grid. The equal-weight variant gives
-every discrete anchor level the same weight regardless of its size; it
-reduces to the same solver through row rescaling.
+G = G_off + gamma G_on and g = g_off + gamma g_on read from second moments
+of [X Y] off and on the anchor span, shared by every gamma. Every l1 fit
+runs the one solver, `gram_coordinate_descent` on an `_AnchorGram`:
+soft-thresholded coordinate descent with covariance updates, active-set
+sweeps and an exact finish on the active set, with warm starts along the
+lambda grid. The anchor lasso reads the dataset's moments
+(`AnchorDataset.gram_columns`). The equal-weight variant gives every
+discrete anchor level the same weight regardless of its size: it reads the
+moments of [X Y] with each row scaled by sqrt(n / (k n_l)) and the level
+means as the anchor span, whose energy is n times the equal-weight risk.
 
 Note the penalty convention: the objective carries 2*lam*||b||_1, so lambda
 values from halved conventions must be doubled before comparison.
@@ -29,7 +32,7 @@ from .exceptions import DomainError, InvalidConfig, NotPositiveDefinite
 
 MAX_SWEEPS = 100_000
 # stop when no coordinate of a full sweep moves the fitted values, by
-# ||x_k|| times the change of b_k, as much as CONVERGENCE_RTOL * ||y - mean(y)||.
+# ||x_k|| times the change of b_k, as much as CONVERGENCE_RTOL * ||y||.
 # On columns of unit root mean square that is a coefficient move below
 # CONVERGENCE_RTOL * std(y); measured in fitted values, the rule does not stop
 # early on columns of large norm, whose coefficients are small.
@@ -44,46 +47,31 @@ def soft_threshold(z: float, threshold: float) -> float:
     return 0.0
 
 
-class _DesignGram:
-    """G = X'X and g = X'y of an n-row design, G a column at a time: X'x_k
-    is formed on first use and kept in `columns` (a new dict by default)."""
-
-    def __init__(self, design, response, columns=None):
-        self._design = design = np.asarray(design, dtype=float)
-        response = np.asarray(response, dtype=float).ravel()
-        self._columns = {} if columns is None else columns
-        self.linear = design.T @ response
-        self.diag = np.einsum("ij,ij->j", design, design)
-        # ||y - mean(y)|| from the response scaled to a largest entry of 1:
-        # the squares of a response below ~1e-154 underflow
-        scale = float(np.max(np.abs(response), initial=0.0))
-        unit = response / scale if scale > 0.0 else response
-        self.spread = scale * float(np.linalg.norm(unit - unit.mean()))
-
-    def column(self, k: int) -> np.ndarray:
-        column = self._columns.get(k)
-        if column is None:
-            column = self._columns[k] = self._design.T @ self._design[:, k]
-        return column
-
-
 class _AnchorGram:
-    """G = G_off + gamma G_on and g = g_off + gamma g_on of a centred dataset,
-    restricted to its predictors, from `ds.gram_columns`: the columns of both
-    blocks are shared by every gamma, and their combinations kept for this one."""
+    """G = G_off + gamma G_on and g = g_off + gamma g_on restricted to the
+    predictors, from a column source of [X Y] (`AnchorMoments` or
+    `ColumnMoments`): the columns of both blocks are shared by every gamma,
+    and their combinations kept for this one."""
 
-    def __init__(self, ds: AnchorDataset, gamma: float):
-        _require_finite_gamma(gamma)
-        self._moments = ds.gram_columns
+    def __init__(self, columns, gamma: float):
+        if not gamma >= 0:
+            raise DomainError(f"gamma must be nonnegative, got {gamma}")
+        if gamma == math.inf:
+            raise DomainError("the l1-penalized fit needs a finite gamma")
+        self._moments = columns
         self._gamma = gamma
         self._columns = {}
-        off, on = self._moments.column(ds.d)
+        diag_off, diag_on = columns.diagonals
+        off, on = columns.column(len(diag_off) - 1)
         response = off + gamma * on
         self.linear = response[:-1]
-        diag_off, diag_on = self._moments.diagonals
         self.diag = (diag_off + gamma * diag_on)[:-1]
-        # the transformed response has mean zero
-        self.spread = math.sqrt(max(float(response[-1]), 0.0))
+        # ||y||, floored at max_k |g_k| / ||x_k|| <= ||y|| (Cauchy-Schwarz):
+        # ||y||^2 underflows for a response below ~1e-162, the bound does not
+        moving = self.diag > 0.0
+        bound = np.abs(self.linear[moving]) / np.sqrt(self.diag[moving])
+        norm = math.sqrt(max(float(response[-1]), 0.0))
+        self.spread = max(norm, float(bound.max(initial=0.0)))
 
     def column(self, k: int) -> np.ndarray:
         column = self._columns.get(k)
@@ -103,7 +91,7 @@ def gram_coordinate_descent(gram, lam: float, start=None, max_sweeps: int = MAX_
     ||y - Xb||^2 + 2*lam*||b||_1 up to a constant when G = X'X and g = X'y.
 
     `gram` supplies g (`linear`), the diagonal of G (`diag`), G a column at a
-    time (`column(k)`) and ||y - mean(y)|| (`spread`). Covariance updates
+    time (`column(k)`) and ||y|| (`spread`). Covariance updates
     (Friedman, Hastie & Tibshirani 2010): the gradient g - Gb is kept current
     from the column of each coordinate that moves. After each full sweep over
     all coordinates the iterate is replaced by the exact solution on its
@@ -157,34 +145,15 @@ def gram_coordinate_descent(gram, lam: float, start=None, max_sweeps: int = MAX_
     return b, sweeps, move, False
 
 
-def lasso_coordinate_descent(
-    design: np.ndarray,
-    response: np.ndarray,
-    lam: float,
-    start: np.ndarray | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-):
-    """`gram_coordinate_descent` for min ||y - Xb||^2 + 2*lam*||b||_1 on an
-    n-row design. Gram columns X'x_k are formed the first time coordinate k
-    moves and kept for this call only, so memory grows with the number of
-    coordinates that ever move, never as d^2."""
-    return gram_coordinate_descent(_DesignGram(design, response), lam, start, max_sweeps)
-
-
-def _exact_finish(design, response, lam, b, columns):
-    """`_finish_on` for an n-row design, its Gram columns kept in `columns`."""
-    return _finish_on(_DesignGram(design, response, columns), lam, b)
-
-
 def _finish_on(gram, lam, b):
     """The lasso solution on b's active set S with b's signs s, if it is one.
 
     Solves G_SS b_S = g_S - lam*s from the columns of S. The result is
-    returned only when its signs are s and every coordinate outside S keeps
-    |g - Gb| <= lam, that is when it satisfies the stationarity conditions;
-    otherwise b is. Nothing is read from the descent's running gradient, and
-    from b only S and s, so the result does not depend on the path the
-    descent took to S.
+    returned only when its signs are s (at lam = 0 any signs) and every
+    coordinate outside S keeps |g - Gb| <= lam, that is when it satisfies
+    the stationarity conditions; otherwise b is. Nothing is read from the
+    descent's running gradient, and from b only S and s, so the result does
+    not depend on the path the descent took to S.
 
     A singular G_SS means linearly dependent columns in S. Along a null
     vector v of G_SS the quadratic part is flat, so b_S first moves along v,
@@ -207,7 +176,8 @@ def _finish_on(gram, lam, b):
             point = _null_step(columns[:, active], point, active, signs)
     grad = gram.linear - exact @ columns
     grad[active] = 0.0
-    if not (np.array_equal(np.sign(exact), signs) and np.all(np.abs(grad) <= lam)):
+    signed = lam == 0.0 or np.array_equal(np.sign(exact), signs)
+    if not (signed and np.all(np.abs(grad) <= lam)):
         return b
     out = np.zeros_like(b)
     out[active] = exact
@@ -237,31 +207,25 @@ def lambda_max(ds: AnchorDataset, gamma: float) -> float:
     Padded by a relative 1e-12 so the zero solution survives rounding in the
     correlation recomputation inside the solver.
     """
-    gram = _AnchorGram(center(ds), gamma)
+    gram = _AnchorGram(center(ds).gram_columns, gamma)
     return float(np.max(np.abs(gram.linear))) * (1.0 + 1e-12)
 
 
-def _require_finite_gamma(gamma: float) -> None:
-    if not gamma >= 0:
-        raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    if gamma == math.inf:
-        raise DomainError("the l1-penalized fit needs a finite gamma")
-
-
-def _finish_fit(ds, gamma, lam, energy, b, sweeps, move, converged):
-    """The fit at b, whose residual energy ||Yt - Xt b||^2 is `energy`."""
+def _descent_fit(ds, gram, gamma, lam, start=None) -> AnchorFit:
+    """The fit of `gram_coordinate_descent` on `gram`, the Gram of the
+    centred `ds` at this gamma."""
+    b, sweeps, move, converged = gram_coordinate_descent(gram, lam, start)
     if not converged:
         warnings.warn(
             f"coordinate descent stopped after {sweeps} sweeps "
             f"(last full-sweep move {move:.3e}); returning best iterate",
             RuntimeWarning,
         )
-    objective = energy + 2.0 * lam * float(np.abs(b).sum())
     return AnchorFit(
         gamma=float(gamma),
         lam=float(lam),
         coef=b,
-        objective=objective,
+        objective=gram.energy(b) + 2.0 * lam * float(np.abs(b).sum()),
         iterations=sweeps,
         converged=converged,
         x_means=ds.x_means,
@@ -286,9 +250,7 @@ def fit_anchor_lasso(
     if lam == 0.0:
         return fit_anchor(ds, gamma)
     ds = center(ds)
-    gram = _AnchorGram(ds, gamma)
-    b, sweeps, move, converged = gram_coordinate_descent(gram, lam, start)
-    return _finish_fit(ds, gamma, lam, gram.energy(b), b, sweeps, move, converged)
+    return _descent_fit(ds, _AnchorGram(ds.gram_columns, gamma), gamma, lam, start)
 
 
 @dataclass(frozen=True)
@@ -314,13 +276,11 @@ def lambda_path(
     ds = center(ds)
     top = lambda_max(ds, gamma)
     grid = top * np.exp(np.linspace(0.0, np.log(ratio), n_lambdas))
-    gram = _AnchorGram(ds, gamma)
+    gram = _AnchorGram(ds.gram_columns, gamma)
     fits = []
-    warm = None
     for lam in grid:
-        b, sweeps, move, converged = gram_coordinate_descent(gram, lam, warm)
-        fits.append(_finish_fit(ds, gamma, lam, gram.energy(b), b, sweeps, move, converged))
-        warm = b
+        warm = fits[-1].coef if fits else None
+        fits.append(_descent_fit(ds, gram, gamma, lam, warm))
     return LambdaPath(
         lambdas=grid,
         fits=tuple(fits),
@@ -368,33 +328,32 @@ def equal_weight_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> fl
     return equal_weight_breakdown(ds, b, gamma).value
 
 
-def _equal_weight_design(ds: AnchorDataset, gamma: float):
-    """Row-rescaled stacked system whose residual energy is n * risk."""
+def _equal_weight_data(ds: AnchorDataset):
+    """The level-mean projection and [X Y] of the centred `ds`, row i scaled
+    by sqrt(n / (k n_l)) for its level l of k with n_l rows. Off the anchor
+    span plus gamma times on it, a residual's energy is then n times its
+    equal-weight risk."""
     blocks = level_blocks(ds)
-    n, k = ds.n, len(blocks)
-    x_rows, y_rows = [], []
-    for _, idx in blocks:
-        xa, ya = ds.X[idx], ds.Y[idx]
-        x_mean, y_mean = xa.mean(axis=0), ya.mean()
-        within_scale = np.sqrt(n / (k * idx.size))
-        x_rows.append((xa - x_mean) * within_scale)
-        y_rows.append((ya - y_mean) * within_scale)
-        mean_scale = np.sqrt(n * gamma / k)
-        x_rows.append(x_mean[None, :] * mean_scale)
-        y_rows.append(np.array([y_mean * mean_scale]))
-    return np.vstack(x_rows), np.concatenate(y_rows)
+    codes = np.empty(ds.n, dtype=np.intp)
+    scale = np.empty(ds.n)
+    for level, (_, idx) in enumerate(blocks):
+        codes[idx] = level
+        scale[idx] = math.sqrt(ds.n / (len(blocks) * idx.size))
+    data = np.column_stack([ds.X, ds.Y])
+    data *= scale[:, None]
+    return numkern.AnchorProjection(None, codes), data
 
 
 def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> AnchorFit:
-    """Minimize n * equal-weight risk + 2*lam*||b||_1 by coordinate descent."""
+    """Minimize n * equal-weight risk + 2*lam*||b||_1 by coordinate descent
+    on the level-reweighted moments, held as `AnchorDataset.gram_columns`
+    holds them: whole when n > d, a column at a time otherwise."""
     if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
-    _require_finite_gamma(gamma)
     ds = center(ds)
-    design, response = _equal_weight_design(ds, gamma)
-    b, sweeps, move, converged = lasso_coordinate_descent(design, response, lam)
-    resid = response - design @ b
-    return _finish_fit(ds, gamma, lam, float(resid @ resid), b, sweeps, move, converged)
+    moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
+    gram = _AnchorGram(moments(*_equal_weight_data(ds)), gamma)
+    return _descent_fit(ds, gram, gamma, lam)
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -433,13 +392,9 @@ def anchor_compatibility(
     if active.size == 0:
         raise DomainError("active set must be nonempty")
     ds = center(ds)
-    blocks = level_blocks(ds)
-    k = len(blocks)
-    gram = np.zeros((ds.d, ds.d))
-    for _, idx in blocks:
-        xa = ds.X[idx]
-        gram += xa.T @ xa / idx.size
-    gram /= k
+    # the level-reweighted [X Y]'[X Y] is n times the pooled Gram
+    moments = numkern.anchor_moments(*_equal_weight_data(ds))
+    gram = (moments.gram_off + moments.gram_on)[: ds.d, : ds.d] / ds.n
     rest = np.setdiff1d(np.arange(ds.d), active)
     lip = max(float(np.linalg.eigvalsh(gram).max()), 1e-12)
     rng = numkern.make_rng(seed)

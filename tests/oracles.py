@@ -9,9 +9,10 @@ population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
 energy of the moments, cross-validation folds copied into datasets of
-their own (`subset_rows`) instead of index rows of the one dataset, and the
+their own (`subset_rows`) instead of index rows of the one dataset, the
 l1 descent on the n-row gamma-transformed data instead of Gram columns read
-from the moments.
+from the moments, and the equal-weight l1 descent on a stacked n-row copy
+(`equal_weight_design`) instead of the level-reweighted moments.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from anchorlab import numkern
-from anchorlab.datamodel import AnchorDataset, center
+from anchorlab.datamodel import AnchorDataset, center, level_blocks
 from anchorlab.estimators import fit_anchor, gamma_transform
 from anchorlab.exceptions import (
     DomainError,
@@ -129,7 +130,7 @@ def lasso_objective(design, response, b, lam):
     return float(resid @ resid + 2.0 * lam * np.abs(b).sum())
 
 
-# --- the l1 descent on the n-row gamma-transformed data --------------------
+# --- the l1 descent on n-row data ------------------------------------------
 
 def row_lasso_descent(design, response, lam, start=None, max_sweeps=100_000, rtol=1e-9):
     """Covariance-update coordinate descent on an n-row design, as the library
@@ -209,6 +210,23 @@ def row_lambda_max(ds, gamma):
     """||Xt' Yt||_inf on `gamma_transform`'s data, padded by a relative 1e-12."""
     xt, yt = gamma_transform(ds, gamma)
     return float(np.max(np.abs(xt.T @ yt))) * (1.0 + 1e-12)
+
+
+def equal_weight_design(ds, gamma):
+    """Row-rescaled stacked system whose residual energy is n * risk."""
+    blocks = level_blocks(ds)
+    n, k = ds.n, len(blocks)
+    x_rows, y_rows = [], []
+    for _, idx in blocks:
+        xa, ya = ds.X[idx], ds.Y[idx]
+        x_mean, y_mean = xa.mean(axis=0), ya.mean()
+        within_scale = np.sqrt(n / (k * idx.size))
+        x_rows.append((xa - x_mean) * within_scale)
+        y_rows.append((ya - y_mean) * within_scale)
+        mean_scale = np.sqrt(n * gamma / k)
+        x_rows.append(x_mean[None, :] * mean_scale)
+        y_rows.append(np.array([y_mean * mean_scale]))
+    return np.vstack(x_rows), np.concatenate(y_rows)
 
 
 def _qr_project(ds, values):

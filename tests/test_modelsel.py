@@ -290,6 +290,22 @@ class TestStabilityTest:
         assert report["max_gap"] == pytest.approx(1.0, abs=0.05)
         assert report["iv_included"]
 
+    def test_splits_once(self, monkeypatch):
+        # the projectability test and the IV fit read the one split of the
+        # centred dataset's moments
+        calls = []
+        split = numkern.split_constraint
+
+        def counted(moments):
+            calls.append(moments)
+            return split(moments)
+
+        monkeypatch.setattr(numkern, "split_constraint", counted)
+        ds = scm.sample(scm.example_iv_chain(), 5000, numkern.make_rng(13))
+        report = anchor_stability_test(ds)
+        assert report["iv_included"]
+        assert len(calls) == 1
+
     def test_degenerate_grid_warns_in_report(self):
         model = scm.example_iv_chain()
         ds = scm.sample(model, 5000, numkern.make_rng(12))

@@ -1,7 +1,7 @@
-"""Every public top-level function and class of the package is reached: its
-name is used somewhere in src/anchorlab, or `anchorlab.__all__` exports it.
-Code that only tests call belongs in the tests. Every top-level import of a
-module is used in that module."""
+"""Every top-level function and class of the package is reached: its name is
+used somewhere in src/anchorlab, or, for a public one, `anchorlab.__all__`
+exports it. Code that only tests call belongs in the tests, a private `_name`
+too. Every top-level import of a module is used in that module."""
 
 import ast
 from pathlib import Path
@@ -12,14 +12,14 @@ PACKAGE = Path(anchorlab.__file__).parent
 
 
 def unreached_names() -> dict:
-    """{name: module file} of each public top-level def or class that no
-    name or attribute in the package uses and `__all__` does not list."""
+    """{name: module file} of each top-level def or class that no name or
+    attribute in the package uses and `__all__` does not list."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     defined = {
         node.name: module
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -35,7 +35,13 @@ def unreached_names() -> dict:
 
 
 def test_every_public_definition_is_reached():
-    assert unreached_names() == {}
+    unreached = unreached_names().items()
+    assert {name: module for name, module in unreached if not name.startswith("_")} == {}
+
+
+def test_every_private_definition_is_reached():
+    unreached = unreached_names().items()
+    assert {name: module for name, module in unreached if name.startswith("_")} == {}
 
 
 def unused_imports() -> list:

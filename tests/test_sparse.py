@@ -2,6 +2,7 @@ import itertools
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from anchorlab.sparse import (
     equal_weight_objective,
     fit_anchor_lasso,
     fit_equal_weight_lasso,
+    gram_coordinate_descent,
     lambda_max,
     lambda_path,
-    lasso_coordinate_descent,
     soft_threshold,
 )
 
@@ -76,8 +77,7 @@ class TestFitAnchorLasso:
     def test_zero_lambda_descent_also_agrees(self):
         # exercise the coordinate solver itself at lambda = 0
         ds = _random_ds(4, n=100, d=5)
-        xt, yt = gamma_transform(ds, 2.0)
-        b, *_ = lasso_coordinate_descent(xt, yt, 0.0)
+        b, *_ = gram_coordinate_descent(sparse._AnchorGram(ds.gram_columns, 2.0), 0.0)
         assert np.max(np.abs(b - fit_anchor(ds, 2.0).coef)) < 1e-6
 
     def test_kkt_conditions(self):
@@ -93,10 +93,11 @@ class TestFitAnchorLasso:
         ds = _random_ds(20)
         xt, yt = gamma_transform(ds, 1.0)
         lam = 0.1 * lambda_max(ds, 1.0)
+        gram = sparse._AnchorGram(ds.gram_columns, 1.0)
         b = np.zeros(ds.d)
         prev = oracles.lasso_objective(xt, yt, b, lam)
         for _ in range(30):
-            b, _, move, _ = lasso_coordinate_descent(xt, yt, lam, start=b, max_sweeps=1)
+            b, _, move, _ = gram_coordinate_descent(gram, lam, start=b, max_sweeps=1)
             cur = oracles.lasso_objective(xt, yt, b, lam)
             assert cur <= prev + 1e-9
             prev = cur
@@ -153,7 +154,8 @@ class TestCovarianceDescent:
         ds = _random_ds(seed, n=12, d=20) if wide else _random_ds(seed, n=40, d=10)
         xt, yt = gamma_transform(ds, gamma)
         lam = fraction * lambda_max(ds, gamma)
-        b, _, _, converged = lasso_coordinate_descent(xt, yt, lam)
+        gram = sparse._AnchorGram(ds.gram_columns, gamma)
+        b, _, _, converged = gram_coordinate_descent(gram, lam)
         assert converged
         assert oracles.kkt_violation(xt, yt, b, lam) <= 1e-9 * lam
         ref, *_ = oracles.residual_update_descent(xt, yt, lam)
@@ -162,34 +164,37 @@ class TestCovarianceDescent:
         # warm start from the solution of the neighbouring gamma
         other = DESCENT_GAMMAS[(DESCENT_GAMMAS.index(gamma) + 1) % len(DESCENT_GAMMAS)]
         start = fit_anchor_lasso(ds, other, fraction * lambda_max(ds, other)).coef
-        warm, *_ = lasso_coordinate_descent(xt, yt, lam, start)
+        warm, *_ = gram_coordinate_descent(gram, lam, start)
         assert np.array_equal(warm, b)
 
     def test_exact_finish_only_accepts_a_stationary_point(self):
         ds = _random_ds(40)
         lam = 0.2 * lambda_max(ds, 1.0)
-        b, *_ = lasso_coordinate_descent(ds.X, ds.Y, lam)
+        # at gamma = 1 the transformed data are the centred X and Y
+        gram = sparse._AnchorGram(ds.gram_columns, 1.0)
+        b, *_ = gram_coordinate_descent(gram, lam)
         top = int(np.argmax(np.abs(b)))
-        exact = sparse._exact_finish(ds.X, ds.Y, lam, b, {})
+        exact = sparse._finish_on(gram, lam, b)
         assert oracles.kkt_violation(ds.X, ds.Y, exact, lam) <= 1e-12 * lam
         # the wrong sign on the largest coefficient: the solve keeps its sign
         flipped = b.copy()
         flipped[top] = -flipped[top]
-        assert sparse._exact_finish(ds.X, ds.Y, lam, flipped, {}) is flipped
+        assert sparse._finish_on(gram, lam, flipped) is flipped
         # the largest coefficient left out: its gradient then exceeds lam
         dropped = b.copy()
         dropped[top] = 0.0
-        assert sparse._exact_finish(ds.X, ds.Y, lam, dropped, {}) is dropped
+        assert sparse._finish_on(gram, lam, dropped) is dropped
 
     def test_no_d_by_d_gram(self):
         # Gram columns are formed only for coordinates that move, so at
         # n << d the solver's memory stays far below one d x d matrix
+        lam = 0.5 * lambda_max(_random_ds(30, n=20, d=2000), 1.0)
+        # a fresh dataset, whose column source is built inside the window
         ds = _random_ds(30, n=20, d=2000)
-        xt, yt = gamma_transform(ds, 1.0)
-        lam = 0.5 * lambda_max(ds, 1.0)
         tracemalloc.start()
         try:
-            b, _, _, converged = lasso_coordinate_descent(xt, yt, lam)
+            gram = sparse._AnchorGram(ds.gram_columns, 1.0)
+            b, _, _, converged = gram_coordinate_descent(gram, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -325,6 +330,101 @@ class TestEqualWeight:
             ours = oracles.population_equal_weight_risk(skew, np.array([b]), gamma)
             ref = scm.worst_case_risk(uniform, np.array([b]), gamma)
             assert ours == pytest.approx(ref, abs=1e-6)
+
+
+EQUAL_WEIGHT_GAMMAS = (0.0, 1.0, 1e8)
+
+
+def _scm_level_ds(seed, n, d):
+    """`scm.sample` of a model with three anchor levels drawn with
+    probabilities 0.6, 0.3 and 0.1: level sets but no level codes."""
+    rng = numkern.make_rng(seed)
+    p = d + 2  # d predictors, Y and one hidden variable
+    B = np.zeros((p, p))
+    B[d, :3] = [1.5, -2.0, 1.0]
+    B[:d, d + 1] = 0.5
+    B[d, d + 1] = 1.0
+    model = scm.LinearScm(
+        d=d, r=1, B=B, M=rng.standard_normal((p, 1)), noise_scales=np.ones(p),
+        anchor=scm.AnchorDistribution.discrete([[-1.0], [0.5], [2.0]], [0.6, 0.3, 0.1]),
+    )
+    return center(scm.sample(model, n, rng))
+
+
+def _equal_weight_case(seed, wide, sampled):
+    """A centred dataset with unbalanced discrete anchor levels, n > d or
+    n <= d, from `from_levels` or from `scm.sample`."""
+    n, d = (12, 20) if wide else (40, 10)
+    if sampled:
+        return _scm_level_ds(seed, n, d)
+    n_per = (2, 3, 7) if wide else (25, 4, 11)
+    return center(_level_ds(seed, n_per=n_per, d=d, beta=np.r_[1.5, -2.0, 1.0, np.zeros(d - 3)]))
+
+
+class TestEqualWeightDescent:
+    """The descent over level-reweighted moments against the n-row descent
+    on the stacked equal-weight system."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        wide=st.booleans(),
+        sampled=st.booleans(),
+        gamma=st.sampled_from(EQUAL_WEIGHT_GAMMAS),
+        fraction=st.sampled_from((0.01, 0.2, 0.9)),
+    )
+    def test_matches_stacked_descent(self, seed, wide, sampled, gamma, fraction):
+        ds = _equal_weight_case(seed, wide, sampled)
+        design, response = oracles.equal_weight_design(ds, gamma)
+        lam = fraction * float(np.max(np.abs(design.T @ response)))
+        fit = fit_equal_weight_lasso(ds, gamma, lam)
+        ref, _, _, converged = oracles.row_lasso_descent(design, response, lam)
+        assert fit.converged and converged
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(fit.coef - ref)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("gamma", EQUAL_WEIGHT_GAMMAS)
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_zero_lambda_is_least_squares(self, gamma, sampled):
+        # lam = 0 on n > d: one full sweep and the exact finish, whatever
+        # the signs of the sweep's iterate, to the accuracy of the normal
+        # equations of the stacked system, eps * cond(design)^2
+        ds = _equal_weight_case(35, wide=False, sampled=sampled)
+        design, response = oracles.equal_weight_design(ds, gamma)
+        fit = fit_equal_weight_lasso(ds, gamma, 0.0)
+        ref = oracles.qr_lstsq(design, response)
+        assert fit.converged and fit.iterations == 1
+        bound = 1e-13 * np.linalg.cond(design) ** 2
+        assert np.max(np.abs(fit.coef - ref)) <= bound * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("gamma", EQUAL_WEIGHT_GAMMAS)
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_energy_is_n_times_equal_weight_risk(self, gamma, wide, sampled):
+        ds = _equal_weight_case(33, wide, sampled)
+        projection, data = sparse._equal_weight_data(ds)
+        moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
+        gram = sparse._AnchorGram(moments(projection, data), gamma)
+        rng = numkern.make_rng(330)
+        for b in (np.zeros(ds.d), rng.standard_normal(ds.d)):
+            risk = ds.n * equal_weight_objective(ds, b, gamma)
+            assert gram.energy(b) == pytest.approx(risk, rel=1e-12, abs=0.0)
+
+    def test_wide_data_forms_no_square_gram(self):
+        # n <= d: the weighted columns are read one at a time, as for the
+        # anchor lasso
+        ds = center(_level_ds(34, n_per=(4, 6, 10), d=3000))
+        design, response = oracles.equal_weight_design(ds, 1.0)
+        lam = 0.5 * float(np.max(np.abs(design.T @ response)))
+        del design
+        tracemalloc.start()
+        try:
+            fit = fit_equal_weight_lasso(ds, 1.0, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and np.count_nonzero(fit.coef) > 0
+        assert peak < 0.05 * 8 * ds.d**2
 
 
 class TestAnchorCompatibility:
@@ -463,6 +563,21 @@ class TestGramDescent:
         grid = top * np.exp(np.linspace(0.0, np.log(1e-2), 8))
         path = lambda_path(ds, gamma, n_lambdas=8, ratio=1e-2)
         np.testing.assert_allclose(path.lambdas, grid, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, d", [(40, 10), (12, 20)])
+    def test_tiny_response_converges(self, n, d):
+        # ||y||^2 underflows below ~1e-162; the spread's floor keeps the move
+        # tolerance at the response's scale, so the sweeps do not run to the cap
+        for seed in range(10):
+            ds = _random_ds(seed, n=n, d=d)
+            tiny = AnchorDataset(X=ds.X, Y=1e-165 * ds.Y, A=ds.A)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fit = fit_anchor_lasso(tiny, 1.0, 0.01 * lambda_max(tiny, 1.0))
+            ref = fit_anchor_lasso(ds, 1.0, 0.01 * lambda_max(ds, 1.0)).coef
+            assert fit.converged
+            scale = 1e-165 * float(np.max(np.abs(ref)))
+            assert np.max(np.abs(fit.coef - 1e-165 * ref)) <= 1e-10 * scale
 
     def test_wide_data_forms_no_square_gram(self):
         # n <= d: the columns come from the off-anchor data and the anchor
