@@ -109,15 +109,11 @@ def random_scenario(rng, d: int = 2, q: int = 2) -> ReplicabilityScenario:
     )
 
 
-def _bounded_random_shift_cov(rng, bound: np.ndarray) -> np.ndarray:
-    """Random covariance dominated by `bound` in the PSD order."""
-    p = bound.shape[0]
-    vals, vecs = np.linalg.eigh(bound)
-    keep = vals > 1e-12 * max(float(vals.max()), 1e-300)
-    half = vecs[:, keep] * np.sqrt(vals[keep])
-    k = int(keep.sum())
+def _bounded_random_shift_cov(rng, half: np.ndarray) -> np.ndarray:
+    """Random covariance dominated by Q = half @ half.T in the PSD order."""
+    p, k = half.shape
     if k == 0:
-        return np.zeros_like(bound)
+        return np.zeros((p, p))
     raw = rng.standard_normal((k, k))
     inner = raw @ raw.T
     top = float(np.linalg.eigvalsh(inner).max())
@@ -192,7 +188,7 @@ def check_random_shift_bound(seed: int = 0, n_models: int = 50, n_b: int = 5) ->
             rng, d=int(rng.integers(1, 3)), r=1, q=int(rng.integers(1, 3))
         )
         gamma = float(rng.uniform(0.1, 8.0))
-        cov = _bounded_random_shift_cov(rng, perturbation_set(model, gamma).bound)
+        cov = _bounded_random_shift_cov(rng, perturbation_set(model, gamma).half)
         for _ in range(n_b):
             b = rng.uniform(-2.0, 2.0, size=model.d)
             risk = shift_risk(model, b, Shift(covariance=cov))

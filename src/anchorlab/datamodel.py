@@ -115,7 +115,7 @@ class AnchorDataset:
     def projection(self) -> numkern.AnchorProjection:
         """Pi_A for this centred dataset, built on first use and shared by
         every fit on it: level sums when the anchors carry level codes, else
-        one QR of A."""
+        one thin SVD of A."""
         if not self.centered:
             raise DomainError("the anchor projection needs a centred dataset")
         return numkern.AnchorProjection(self.A, self.level_codes)

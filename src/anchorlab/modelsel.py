@@ -114,7 +114,7 @@ def cv_gamma(
         test_levels = [lab for lab, f in fold_of_level.items() if f == fold]
         train_rows = _level_rows(ds, [lab for lab, f in fold_of_level.items() if f != fold])
         test_rows = _level_rows(ds, test_levels)
-        # level codes keep the fold's projection QR-free; it needs no level sets
+        # level codes keep the fold's projection free of an SVD; it needs no level sets
         codes = None if ds.level_codes is None else ds.level_codes[train_rows]
         train = center(AnchorDataset(ds.X[train_rows], ds.Y[train_rows], ds.A[train_rows],
                                      predictor_names=ds.predictor_names, level_codes=codes))

@@ -1,4 +1,5 @@
-"""Deterministic numeric kernels: SPD solves, projections, quantiles, RNG.
+"""Deterministic numeric kernels on numpy alone: SPD solves, projections,
+quantiles, RNG.
 
 Everything here is a pure function on immutable inputs. Random sampling goes
 through an explicitly seeded generator; no global RNG state is touched.
@@ -10,17 +11,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from .exceptions import DomainError, NotPositiveDefinite
 
-# The one numerical-rank rule. Columns of a thin QR whose R diagonal falls
-# below this fraction of the largest diagonal are dropped, and a singular
-# value of anchor coordinates counts toward their rank only above this
-# fraction of the spectral norm of the columns they project (`anchor_svd`);
-# sample and population IV solves and the projectability test all use it.
-QR_RANK_RTOL = 1e-10
+# The one numerical-rank rule: a singular value counts only above this
+# fraction of a spectral norm, the largest singular value of the anchor block
+# in `orthonormal_range` (the projection) and that of the projected columns in
+# `anchor_svd` (the sample and population IV solves and the projectability
+# test).
+RANK_RTOL = 1e-10
 
 # Cholesky pivots below trace/dim times this floor mean "not positive
 # definite"; callers may retry after adding ridge ~1e-8 * Id.
@@ -49,30 +48,28 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     pivots = np.diag(chol) ** 2
-    if pivots.min() <= floor:
+    # written so that a NaN pivot fails too
+    if not pivots.min() > floor:
         raise NotPositiveDefinite(
             f"pivot {pivots.min():.3e} below floor {floor:.3e}"
         )
-    half = scipy.linalg.solve_triangular(chol, rhs, lower=True)
-    return scipy.linalg.solve_triangular(chol.T, half, lower=False)
+    return np.linalg.solve(gram, rhs)
 
 
 def orthonormal_range(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the numerical column space of `basis`.
 
-    Thin QR with column pivoting; columns with |R_ii| below QR_RANK_RTOL
-    times the largest diagonal are discarded, so exactly collinear inputs
-    (e.g. a full dummy set after centering) are handled silently.
+    Thin SVD; the left singular vectors whose singular value exceeds
+    RANK_RTOL times the largest are kept, so exactly collinear inputs (e.g.
+    a full dummy set after centering) are handled silently.
     """
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     if basis.ndim != 2:
         raise DomainError("expected a 2-d array")
-    q_mat, r_mat, _ = scipy.linalg.qr(basis, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((basis.shape[0], 0))
-    rank = int(np.sum(diag >= QR_RANK_RTOL * diag[0]))
-    return q_mat[:, :rank]
+    if not np.isfinite(basis).all():
+        raise DomainError("the basis holds a non-finite entry")
+    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
+    return u[:, sv > RANK_RTOL * sv.max(initial=0.0)]
 
 
 class AnchorProjection:
@@ -80,10 +77,10 @@ class AnchorProjection:
 
     With integer `codes`, the anchor block must be the 0/1 indicator matrix
     of those codes (each row holds one 1, in column codes[i]), centred or
-    not; Pi_A then replaces each row by its level mean and no QR runs. For
-    a centred indicator block this holds on mean-zero columns, the only ones
-    the estimators project; `anchors` is then not read. Any other block
-    takes one pivoted QR.
+    not; Pi_A then replaces each row by its level mean and no factorisation
+    runs. For a centred indicator block this holds on mean-zero columns, the
+    only ones the estimators project; `anchors` is then not read. Any other
+    block takes one thin SVD (`orthonormal_range`).
 
     `coordinates` maps columns V to R with R'R = V' Pi_A V: the coefficients
     in an orthonormal basis of the span, or sqrt(n_l) times the level means
@@ -228,7 +225,7 @@ def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float
 
 def anchor_svd(moments: AnchorMoments, width: int):
     """SVD (u, s, vt) of the anchor coordinates of the first `width` columns,
-    with vt square, and their rank: the singular values above QR_RANK_RTOL
+    with vt square, and their rank: the singular values above RANK_RTOL
     times the spectral norm of those columns themselves (the root of the top
     eigenvalue of gram_off + gram_on). Measured against the columns and not
     against their projection, an (almost) annihilated block reads as rank
@@ -238,7 +235,7 @@ def anchor_svd(moments: AnchorMoments, width: int):
     u, sv, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < width)
     gram = moments.gram_off[:width, :width] + moments.gram_on[:width, :width]
     scale = max(float(np.sqrt(np.linalg.norm(gram, ord=2))), 1e-300)
-    return u, sv, vt, int(np.sum(sv > QR_RANK_RTOL * scale))
+    return u, sv, vt, int(np.sum(sv > RANK_RTOL * scale))
 
 
 def split_constraint(moments: AnchorMoments):
@@ -258,9 +255,10 @@ def split_constraint(moments: AnchorMoments):
 
 def normal_quantile(p: float) -> float:
     """Standard-normal quantile, |error| <= 1e-9 on (0, 1)."""
+    from statistics import NormalDist  # on first use, not with the CLI
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0, 1), got {p}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def chi2_1_quantile(alpha: float) -> float:

@@ -29,7 +29,7 @@ from .exceptions import (
 )
 
 # PerturbationSet drops eigenvalues of its bound below this fraction of the
-# largest. Eigenvalues are squared singular values, so numkern.QR_RANK_RTOL
+# largest. Eigenvalues are squared singular values, so numkern.RANK_RTOL
 # would sit below their round-off.
 RANK_TOL = 1e-9
 
@@ -385,33 +385,35 @@ class PerturbationSet:
     bound: np.ndarray
     _eigvals: np.ndarray = field(repr=False, default=None)
     _eigvecs: np.ndarray = field(repr=False, default=None)
+    _keep: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         vals, vecs = np.linalg.eigh(self.bound)
         object.__setattr__(self, "_eigvals", vals)
         object.__setattr__(self, "_eigvecs", vecs)
+        object.__setattr__(self, "_keep", vals > RANK_TOL * max(float(vals.max()), 1e-300))
+
+    @property
+    def half(self) -> np.ndarray:
+        """Q^{1/2} on range(Q), sqrt(lambda_k) v_k over the kept eigenpairs."""
+        return self._eigvecs[:, self._keep] * np.sqrt(self._eigvals[self._keep])
 
     def contains(self, v, tol: float = 1e-9) -> bool:
         """v is inside iff v lies in range(Q) and v' Q^+ v <= 1."""
         v = np.asarray(v, dtype=float).ravel()
-        scale = max(float(self._eigvals.max()), 1e-300)
         coords = self._eigvecs.T @ v
-        in_range = self._eigvals > RANK_TOL * scale
-        off_range = coords[~in_range]
+        off_range = coords[~self._keep]
         if off_range.size and np.abs(off_range).max() > tol * max(1.0, np.linalg.norm(v)):
             return False
-        quad = float(np.sum(coords[in_range] ** 2 / self._eigvals[in_range]))
+        quad = float(np.sum(coords[self._keep] ** 2 / self._eigvals[self._keep]))
         return quad <= 1.0 + tol
 
     def boundary_grid(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Points v = Q^{1/2} u with u uniform on the sphere in range(Q)."""
-        scale = max(float(self._eigvals.max()), 1e-300)
-        keep = self._eigvals > RANK_TOL * scale
-        half = self._eigvecs[:, keep] * np.sqrt(self._eigvals[keep])
-        dim = int(keep.sum())
-        if dim == 0:
+        half = self.half
+        if half.shape[1] == 0:
             return np.zeros((count, self.bound.shape[0]))
-        u = rng.standard_normal((count, dim))
+        u = rng.standard_normal((count, half.shape[1]))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         return u @ half.T
 

@@ -63,9 +63,13 @@ class _AnchorGram:
         self._columns = {}
         diag_off, diag_on = columns.diagonals
         off, on = columns.column(len(diag_off) - 1)
-        response = off + gamma * on
+        with np.errstate(over="ignore", invalid="ignore"):
+            response = off + gamma * on
+            diag = diag_off + gamma * diag_on
+        if not (np.isfinite(response).all() and np.isfinite(diag).all()):
+            raise DomainError(f"gamma = {gamma:g} overflows G_off + gamma G_on")
         self.linear = response[:-1]
-        self.diag = (diag_off + gamma * diag_on)[:-1]
+        self.diag = diag[:-1]
         # ||y||, floored at max_k |g_k| / ||x_k|| <= ||y|| (Cauchy-Schwarz):
         # ||y||^2 underflows for a response below ~1e-162, the bound does not
         moving = self.diag > 0.0

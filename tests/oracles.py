@@ -4,7 +4,7 @@ These deliberately use different algorithms than the production code:
 accelerated proximal gradient instead of coordinate descent, residual
 updates instead of covariance updates and an exact finish, explicit QR
 least squares instead of Cholesky, undirected-trail enumeration instead of
-Bayes-ball, a per-fit QR projection instead of cached anchor moments,
+Bayes-ball, a per-fit projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
@@ -21,7 +21,6 @@ acceptance suite runs, and the equal-weight population risk it measures.
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from anchorlab import numkern
 from anchorlab.datamodel import AnchorDataset, center, level_blocks
@@ -235,15 +234,15 @@ def _qr_project(ds, values):
 
 
 def qr_gamma_transform(ds, gamma):
-    """The gamma-transform with a fresh pivoted QR of the centred anchors per
-    projected column block; no level sums, no cached moments."""
+    """The gamma-transform with a fresh orthonormal basis of the centred anchors
+    per projected column block; no level sums, no cached moments."""
     ds = center(ds)
     shrink = np.sqrt(gamma) - 1.0
     return ds.X + shrink * _qr_project(ds, ds.X), ds.Y + shrink * _qr_project(ds, ds.Y)
 
 
 def qr_fit_anchor(ds, gamma):
-    """Anchor-regression coefficients as OLS on the QR-transformed data.
+    """Anchor-regression coefficients as OLS on the freshly transformed data.
 
     Raises SingularDesign and Underidentified under the same rules as the
     library: n <= d or a non-positive-definite transformed Gram matrix, and
@@ -273,7 +272,7 @@ def row_anchor_objective(ds, b, gamma):
 
 
 def qr_fit_iv(ds):
-    """Two-stage least squares by QR least squares on the QR-projected data.
+    """Two-stage least squares by QR least squares on the freshly projected data.
 
     Not through the normal equations: they square the condition number of
     P X, which on weak-anchor designs costs more than the 1e-9 the tests
@@ -283,7 +282,7 @@ def qr_fit_iv(ds):
     x_proj, y_proj = _qr_project(ds, ds.X), _qr_project(ds, ds.Y)
     sv = np.linalg.svd(x_proj, compute_uv=False)
     scale = max(float(np.linalg.norm(ds.X, ord=2)), 1e-300)
-    if int(np.sum(sv > numkern.QR_RANK_RTOL * scale)) < ds.d:
+    if int(np.sum(sv > numkern.RANK_RTOL * scale)) < ds.d:
         raise Underidentified("rank(P X) < d")
     return qr_lstsq(x_proj, y_proj)
 
@@ -492,8 +491,7 @@ def chi2_1_cdf(x):
     """CDF of the chi-squared distribution with 1 df."""
     if x <= 0.0:
         return 0.0
-    root = np.sqrt(x)
-    return float(ndtr(root) - ndtr(-root))
+    return math.erf(math.sqrt(x / 2.0))
 
 
 def chi2_1_quantile_bisection(alpha, tol=1e-12):

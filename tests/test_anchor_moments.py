@@ -1,7 +1,7 @@
 """The cached anchor projection and moments against the per-fit QR reference.
 
 Every fit projects through `AnchorDataset.projection` (level sums for
-categorical anchors, one QR for any other anchor block) and every dense fit
+categorical anchors, one thin SVD for any other anchor block) and every dense fit
 solves from the Gram matrices in `AnchorDataset.moments`. These tests pin
 both to the QR-based estimator in `oracles` on every anchor kind the library
 builds.

@@ -464,6 +464,30 @@ class TestErrorContract:
         assert code == 3
         assert "at least two rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--gamma", "1e307", "--lambda", "0.5"],
+        ["path", "--grid", "1e306,1e307", "--lambda", "0.5"],
+        ["rank", "--grid", "0,1e307", "--lambda", "0.5"],
+    ])
+    def test_overflowing_gamma_lasso_is_numeric_error(self, argv, tmp_path, capsys):
+        # gamma times the anchor energy of a column exceeds the largest double,
+        # so G_off + gamma G_on cannot be formed; the descent must not run on it
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(50)
+        x1 = a + rng.standard_normal(50)
+        x2 = rng.standard_normal(50)
+        y = x1 + rng.standard_normal(50)
+        table = np.column_stack([y, x1, x2, a]).tolist()
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in table)
+        data, config = _tiny_files(tmp_path, "y,x1,x2,a1\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv + ["--data", str(data), "--config", str(config),
+                                    "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error:")
+
     def test_lasso_converges_on_a_tiny_response(self, tmp_path):
         # the squares of a response below ~1e-154 underflow to zero; the
         # descent's stopping tolerance must not. lambda_max is ~2.6e-161

@@ -204,7 +204,7 @@ def _cv_levels(rng, d):
 
 
 def _cv_level_vectors(rng, d):
-    # scm.sample: anchor levels without codes, so one QR per training fold
+    # scm.sample: anchor levels without codes, so one SVD per training fold
     q, p = d + 1, d + 2
     B = np.zeros((p, p))
     B[:d, d + 1] = rng.uniform(0.5, 1.5, d)

@@ -43,8 +43,24 @@ class TestSolveSpd:
             numkern.solve_spd(np.diag([1.0, -1.0]), np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("row, col", [(1, 2), (2, 2)])
+    def test_solve_spd_rejects(self, bad, row, col):
+        g = np.eye(3) + 0.1
+        g[row, col] = g[col, row] = bad
+        with pytest.raises(NotPositiveDefinite):
+            numkern.solve_spd(g, np.ones(3))
+
+    def test_orthonormal_range_rejects(self, bad):
+        a = numkern.make_rng(9).standard_normal((20, 3))
+        a[4, 1] = bad
+        with pytest.raises(DomainError):
+            numkern.orthonormal_range(a)
+
+
 class TestProjectColumns:
-    """`AnchorProjection(anchors).project`, the projection through one QR."""
+    """`AnchorProjection(anchors).project`, the projection through one thin SVD."""
 
     def test_ones_column_gives_means(self):
         rng = numkern.make_rng(3)
@@ -83,6 +99,20 @@ class TestProjectColumns:
         pu = numkern.AnchorProjection(a).project(u)
         pv = numkern.AnchorProjection(a).project(v)
         assert abs(pu @ v - u @ pv) < 1e-9
+
+    def test_rank_rule_is_the_singular_value_rule(self):
+        # Kahan's matrix: column pivoting keeps its order and every |R_ii|
+        # stays above 2e-2 of |R_00|, yet sigma_min / sigma_max is ~1e-12,
+        # so only the singular values reveal its rank (89, not 90)
+        n, c = 90, 0.285
+        kahan = np.diag(np.sqrt(1 - c * c) ** np.arange(n)) @ (
+            np.eye(n) - c * np.triu(np.ones((n, n)), 1)
+        )
+        kahan[np.diag_indices(n)] += 1e3 * np.finfo(float).eps * (n - np.arange(n))
+        sv = np.linalg.svd(kahan, compute_uv=False)
+        rank = int(np.sum(sv > numkern.RANK_RTOL * sv[0]))
+        assert rank < n
+        assert numkern.orthonormal_range(kahan).shape == (n, rank)
 
     def test_residual_orthogonal_to_anchors(self):
         rng = numkern.make_rng(8)

@@ -1,9 +1,13 @@
 """Every top-level function and class of the package is reached: its name is
 used somewhere in src/anchorlab, or, for a public one, `anchorlab.__all__`
 exports it. Code that only tests call belongs in the tests, a private `_name`
-too. Every top-level import of a module is used in that module."""
+too. Every top-level import of a module is used in that module, and importing
+the CLI loads no scipy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import anchorlab
@@ -66,3 +70,14 @@ def unused_imports() -> list:
 
 def test_every_top_level_import_is_used():
     assert unused_imports() == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, anchorlab.cli; print(*sorted(sys.modules))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "anchorlab.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
