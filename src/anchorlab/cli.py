@@ -185,7 +185,6 @@ def cmd_path(args) -> int:
     if args.shift is not None:
         shift = np.array(_parse_float_list(args.shift, "shift"))
     model = _load_model(args.scm) if args.scm is not None else None
-    out = _outdir(args)
 
     rows = []
     if args.data is not None:
@@ -225,6 +224,7 @@ def cmd_path(args) -> int:
             )
         rows.append(row)
 
+    out = _outdir(args)
     if args.format == "json":
         payload = [
             {key: ("inf" if isinstance(v, float) and v == math.inf else v)

@@ -6,12 +6,11 @@ The estimator solves
 
 with P the projection onto the anchor columns. gamma = 0 partials the
 anchors out, gamma = 1 is OLS, gamma -> infinity is two-stage least squares.
-The infinite endpoint gets its own code path (`fit_iv`) because the
-transformed design's conditioning degrades linearly in gamma.
 
 Every fit projects through `AnchorDataset.projection`, built once per
 centred dataset. The dense solves, the IV solve and the objectives read the
-data only through `AnchorDataset.moments`, shared by all gamma values.
+data only through `AnchorDataset.moments` and its one factorisation, shared
+by all gamma values.
 
 A scikit-learn style wrapper (`AnchorRegression`) is provided at the bottom
 so the estimator composes with pipelines and grid search.
@@ -69,33 +68,38 @@ def anchor_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> float:
 
 
 def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
-    """Plug-in estimator: OLS on the gamma-transformed data.
-
-    The transformed Gram matrix is X'(Id - P)X + gamma X'PX, so every gamma
-    solves from the dataset's two cached Gram matrices. gamma = inf is
-    routed to `fit_iv`. Raises SingularDesign when the transformed Gram
-    matrix is not positive definite (in particular n <= d).
-    """
-    if gamma == GAMMA_INF:
-        return fit_iv(ds)
+    """Plug-in estimator: OLS on the gamma-transformed data, whose Gram
+    matrix X'(Id - P)X + gamma X'PX every gamma reads from the one `GammaPath`
+    of the dataset's moments; gamma = inf is two-stage least squares. Raises
+    SingularDesign where a finite-gamma minimizer is not unique (n <= d, or a
+    predictor in the anchor span at gamma = 0), and Underidentified where the
+    anchors identify fewer than d directions of X."""
     if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
     ds = center(ds)
-    if ds.n <= ds.d:
-        raise SingularDesign(
-            f"n={ds.n} <= d={ds.d}; use the l1-penalized solver for this regime"
-        )
-    try:
-        coef = numkern.solve_gamma(ds.moments, gamma)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign(
-            "transformed design is singular; add ridge or reduce d"
-        ) from exc
+    if gamma == GAMMA_INF:
+        path = ds.moments.path
+        if path.rank < ds.d:
+            raise Underidentified(f"anchor-projected design has rank {path.rank} < d={ds.d}")
+        coef = path.limit
+        objective = numkern.residual_energy(ds.moments, coef)[1]
+    else:
+        if ds.n <= ds.d:
+            raise SingularDesign(
+                f"n={ds.n} <= d={ds.d}; use the l1-penalized solver for this regime"
+            )
+        try:
+            coef = ds.moments.path.coef(gamma)
+        except NotPositiveDefinite as exc:
+            raise SingularDesign(
+                f"transformed design is singular: {exc}; add ridge or reduce d"
+            ) from exc
+        objective = anchor_objective(ds, coef, gamma)
     return AnchorFit(
         gamma=float(gamma),
         lam=0.0,
         coef=coef,
-        objective=anchor_objective(ds, coef, gamma),
+        objective=objective,
         x_means=ds.x_means,
         y_mean=ds.y_mean,
         predictor_names=ds.predictor_names,
@@ -103,28 +107,10 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
 
 
 def fit_iv(ds: AnchorDataset) -> AnchorFit:
-    """Two-stage least squares: minimize the anchor-projected residual only.
-
-    Solves R_x b = R_y in the anchor coordinates R = [R_x R_y] of the data
-    by the truncated SVD the population IV limit uses. Raises Underidentified
-    when rank(R_x) = rank(P X) < d: the minimizer is then not unique and no
-    pseudo-inverse solution is returned.
-    """
-    ds = center(ds)
-    coef, null, _ = ds.moments.split
-    if null.shape[1]:
-        raise Underidentified(
-            f"anchor-projected design has rank {ds.d - null.shape[1]} < d={ds.d}"
-        )
-    return AnchorFit(
-        gamma=GAMMA_INF,
-        lam=0.0,
-        coef=coef,
-        objective=numkern.residual_energy(ds.moments, coef)[1],
-        x_means=ds.x_means,
-        y_mean=ds.y_mean,
-        predictor_names=ds.predictor_names,
-    )
+    """Two-stage least squares, `fit_anchor` at gamma = inf: minimize the
+    anchor-projected residual only, the limit the population IV solve takes
+    too."""
+    return fit_anchor(ds, GAMMA_INF)
 
 
 def predict(fit: AnchorFit, x_new: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Deterministic numeric kernels on numpy alone: SPD solves, projections,
-quantiles, RNG.
+"""Deterministic numeric kernels on numpy alone: anchor projections and
+moments, the one factorisation of the gamma path, SPD solves, quantiles, RNG.
 
 Everything here is a pure function on immutable inputs. Random sampling goes
 through an explicitly seeded generator; no global RNG state is touched.
@@ -7,22 +7,23 @@ through an explicitly seeded generator; no global RNG state is touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DomainError, NotPositiveDefinite
+from .exceptions import DomainError, NotPositiveDefinite, ProjectabilityViolated
 
 # The one numerical-rank rule: a singular value counts only above this
-# fraction of a spectral norm, the largest singular value of the anchor block
-# in `orthonormal_range` (the projection) and that of the projected columns in
-# `anchor_svd` (the sample and population IV solves and the projectability
-# test).
+# fraction of a spectral norm, that of the anchor block in `orthonormal_range`
+# (the projection) and that of the whitened design in `GammaPath` (the IV
+# limit); a residual counts only above it times the norm of [X Y].
 RANK_RTOL = 1e-10
 
 # Cholesky pivots below trace/dim times this floor mean "not positive
-# definite"; callers may retry after adding ridge ~1e-8 * Id.
+# definite"; `GammaPath` takes the same floor, at gamma = 1, for a direction
+# without off-anchor energy.
 SPD_PIVOT_RTOL = 1e-12
 
 
@@ -156,10 +157,9 @@ class AnchorMoments:
         return float(z @ self.gram_off @ z)
 
     @cached_property
-    def split(self):
-        """`split_constraint` of these moments, computed on first use and
-        shared by the projectability test and the IV solve."""
-        return split_constraint(self)
+    def path(self) -> "GammaPath":
+        """The one factorisation behind every dense solve on these moments."""
+        return GammaPath(self)
 
 
 class ColumnMoments:
@@ -207,13 +207,6 @@ def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMome
     return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
 
 
-def solve_gamma(moments: AnchorMoments, gamma: float) -> np.ndarray:
-    """Coefficients of the last column on the others under
-    gram_off + gamma * gram_on; raises NotPositiveDefinite when singular."""
-    gram = moments.gram_off + gamma * moments.gram_on
-    return solve_spd(gram[:-1, :-1], gram[:-1, -1])
-
-
 def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float]:
     """Off- and on-anchor energy of the residual Y - Xb: z' gram_off z and
     ||on z||^2 with z = (-b, 1), from AnchorMoments or ColumnMoments. The
@@ -223,34 +216,82 @@ def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float
     return moments.off_energy(z), float(on @ on)
 
 
-def anchor_svd(moments: AnchorMoments, width: int):
-    """SVD (u, s, vt) of the anchor coordinates of the first `width` columns,
-    with vt square, and their rank: the singular values above RANK_RTOL
-    times the spectral norm of those columns themselves (the root of the top
-    eigenvalue of gram_off + gram_on). Measured against the columns and not
-    against their projection, an (almost) annihilated block reads as rank
-    deficient rather than as full rank on its own round-off."""
-    coords = moments.on[:, :width]
-    # full matrices only when that keeps u no larger than coords itself
-    u, sv, vt = np.linalg.svd(coords, full_matrices=coords.shape[0] < width)
-    gram = moments.gram_off[:width, :width] + moments.gram_on[:width, :width]
-    scale = max(float(np.sqrt(np.linalg.norm(gram, ord=2))), 1e-300)
-    return u, sv, vt, int(np.sum(sv > RANK_RTOL * scale))
+class GammaPath:
+    """Every dense solve of `AnchorMoments`: the coefficients of the last
+    column on the others at any gamma in [0, inf], from one factorisation.
 
+    The SVD R_x = U S V' rotates X so that each row of S is rounded at its
+    own scale. Eigenvectors of V'G_off,xx V at or below the pivot floor of
+    gamma = 1 span N, the directions inside the anchor span; they only fit
+    the on-anchor residual, and one with no more anchor energy than the
+    floor has none (`degenerate`). The rest, K with eigenvalues L, are
+    whitened, and the SVD C = S V'K L^(-1/2) = P Sigma Q' (N's span taken
+    out) diagonalises every gamma, with u = L^(-1/2) K'V' G_off,xy:
 
-def split_constraint(moments: AnchorMoments):
-    """For R_x b = R_y: the particular solution from the truncated SVD of R_x,
-    an orthonormal basis of its null space, and whether the system is
-    consistent, all under the rank rule of `anchor_svd`.
+        b = V K L^(-1/2) Q (Id + gamma Sigma^2)^-1 (Q'u + gamma Sigma P'U'R_y)
 
-    Appending R_y never lowers the rank, but its scale can hide a small
-    singular value of R_x, so only a larger joint rank means inconsistent.
+    plus the N part. At gamma = inf a sigma above RANK_RTOL ||[Id; C]||_2 is
+    identified, and the other directions keep their off-anchor minimum
+    (`limit`). `penalty` is the on-anchor energy of its identified part, and
+    the constraints are `consistent` when it is at most (RANK_RTOL ||[X Y]||_2)^2.
     """
-    d = moments.on.shape[1] - 1
-    u, sv, vt, rank = anchor_svd(moments, d)
-    particular = vt[:rank].T @ (u[:, :rank].T @ moments.on[:, d] / sv[:rank])
-    consistent = anchor_svd(moments, d + 1)[-1] <= rank
-    return particular, vt[rank:].T, consistent
+
+    def __init__(self, moments: AnchorMoments):
+        d = moments.gram_off.shape[0] - 1
+        g_xx, g_xy = moments.gram_off[:d, :d], moments.gram_off[:d, d]
+        u, s, vt = np.linalg.svd(moments.on[:, :d], full_matrices=moments.on.shape[0] < d)
+        anchored = np.eye(s.size, d) * s[:, None]
+        r_y = u[:, : s.size].T @ moments.on[:, d]
+        vals, vecs = np.linalg.eigh(vt @ g_xx @ vt.T)
+        floor = SPD_PIVOT_RTOL * (np.trace(g_xx) + np.trace(moments.gram_on[:d, :d])) / max(d, 1)
+        inside = vals <= floor
+        q, t, wt = np.linalg.svd(anchored @ vecs[:, inside], full_matrices=False)
+        fits = t**2 > floor
+        q = q[:, fits]
+        lift = (vecs[:, inside] @ wt[fits].T / t[fits]) @ q.T
+        whiten = vecs[:, ~inside] / np.sqrt(vals[~inside])
+        coords = anchored @ whiten
+        coords -= q @ (q.T @ coords)
+        p, sv, qt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
+        pad = (0, whiten.shape[1] - sv.size)
+        self._sv = np.pad(sv, pad)
+        self._on = np.pad(p[:, : sv.size].T @ (r_y - q @ (q.T @ r_y)), pad)
+        self._off = qt @ (whiten.T @ (vt @ g_xy))
+        basis = whiten @ qt.T
+        self._basis = vt.T @ (basis - lift @ (anchored @ basis))
+        self._offset = vt.T @ (lift @ r_y)
+        self.in_span, self.degenerate = int(inside.sum()), int(inside.sum() - fits.sum())
+        kept = self._sv > RANK_RTOL * math.sqrt(1.0 + sv.max(initial=0.0) ** 2)
+        self.rank = int(kept.sum() + fits.sum())
+        identified = self._offset + self._basis @ np.divide(
+            self._on, self._sv, out=np.zeros_like(self._sv), where=kept
+        )
+        self.limit = identified + self._basis @ np.where(kept, 0.0, self._off)
+        self.penalty = residual_energy(moments, identified)[1]
+        scale = np.linalg.eigvalsh(moments.gram_off + moments.gram_on)[-1]
+        self.consistent = self.penalty <= RANK_RTOL**2 * scale
+
+    def coef(self, gamma: float) -> np.ndarray:
+        """The minimiser of the off- plus gamma times the on-anchor energy,
+        `limit` at gamma = inf. Raises NotPositiveDefinite where it is not
+        unique (X has a degenerate direction, or gamma = 0 leaves a direction
+        in the anchor span free), and ProjectabilityViolated at gamma = inf
+        when the constraints R_x b = R_y are inconsistent."""
+        if self.degenerate:
+            raise NotPositiveDefinite(f"{self.degenerate} direction(s) of X carry no energy")
+        if gamma == 0.0 and self.in_span:
+            raise NotPositiveDefinite(f"{self.in_span} direction(s) of X lie in the anchor span")
+        if gamma == math.inf:
+            if not self.consistent:
+                raise ProjectabilityViolated(
+                    "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
+                    "cannot be driven to zero"
+                )
+            return self.limit
+        # divided through by max(1, gamma), so that gamma sigma^2 is never formed
+        a, b = (1.0, gamma) if gamma <= 1.0 else (1.0 / gamma, 1.0)
+        weights = (a * self._off + b * self._sv * self._on) / (a + b * self._sv**2)
+        return self._basis @ weights + self._offset
 
 
 def normal_quantile(p: float) -> float:

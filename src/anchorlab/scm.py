@@ -21,12 +21,7 @@ import numpy as np
 
 from . import numkern
 from .datamodel import AnchorDataset, center
-from .exceptions import (
-    AssumptionViolated,
-    CyclicGraph,
-    DomainError,
-    ProjectabilityViolated,
-)
+from .exceptions import AssumptionViolated, CyclicGraph, DomainError
 
 # PerturbationSet drops eigenvalues of its bound below this fraction of the
 # largest. Eigenvalues are squared singular values, so numkern.RANK_RTOL
@@ -318,41 +313,18 @@ def _population_moments(scm, anchor, kappa, xi_cov, noise_cov) -> numkern.Anchor
 
 def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
     """Population coefficient for penalty weight gamma (inf for the IV limit)."""
-    if gamma == math.inf:
-        return population_iv(scm)
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    return numkern.solve_gamma(scm.moments, gamma)
-
-
-def _invariant_minimum(moments: numkern.AnchorMoments) -> np.ndarray:
-    """Minimum of the off-anchor objective subject to R_x b = R_y.
-
-    On that set the on-anchor residual vanishes, so this is also the
-    training-MSE minimizer subject to E[A (Y - X'b)] = 0; a step in the null
-    space of R_x moves off the particular solution.
-    """
-    particular, null, consistent = moments.split
-    if not consistent:
-        raise ProjectabilityViolated(
-            "rank(Cov(A,X)) < rank([Cov(A,X) | Cov(A,Y)]); the penalty "
-            "cannot be driven to zero"
-        )
-    if null.shape[1] == 0:
-        return particular
-    d = particular.shape[0]
-    gxx, gxy = moments.gram_off[:d, :d], moments.gram_off[:d, d]
-    z = numkern.solve_spd(null.T @ gxx @ null, null.T @ (gxy - gxx @ particular))
-    return particular + null @ z
+    return scm.moments.path.coef(gamma)
 
 
 def population_iv(scm: LinearScm) -> np.ndarray:
-    """Training-MSE minimizer subject to E[A (Y - X'b)] = 0.
-
-    Requires the constraint system to be consistent (projectability),
-    otherwise the limit does not exist and ProjectabilityViolated is raised.
+    """Training-MSE minimizer subject to E[A (Y - X'b)] = 0, on which the
+    on-anchor residual vanishes. Requires the constraint system to be
+    consistent (projectability), otherwise the limit does not exist and
+    ProjectabilityViolated is raised.
     """
-    return _invariant_minimum(scm.moments)
+    return scm.moments.path.coef(math.inf)
 
 
 def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None) -> float:
@@ -430,18 +402,16 @@ def projectability_check(model_or_ds) -> dict:
 
     Works on a LinearScm (population moments) or an AnchorDataset (the
     moments of the centred sample, per row). Returns {"holds": bool,
-    "penalty_min": float}: holds compares rank(R_x) with rank([R_x R_y])
-    under the rank rule of `numkern.anchor_svd`, and penalty_min is the
-    truncated-SVD minimum of E[(P_A (Y - X'b))^2] = ||R_y - R_x b||^2.
+    "penalty_min": float}, the consistency of R_x b = R_y and the on-anchor
+    energy ||R_y - R_x b||^2 at the IV limit of `numkern.GammaPath`.
     """
     if isinstance(model_or_ds, LinearScm):
         moments, rows = model_or_ds.moments, 1
     else:
         ds = center(model_or_ds)
         moments, rows = ds.moments, ds.n
-    particular, _, consistent = moments.split
-    penalty = numkern.residual_energy(moments, particular)[1]
-    return {"holds": bool(consistent), "penalty_min": penalty / rows}
+    path = moments.path
+    return {"holds": bool(path.consistent), "penalty_min": path.penalty / rows}
 
 
 @dataclass(frozen=True)
@@ -481,8 +451,8 @@ def replicability_experiment(scen: ReplicabilityScenario) -> dict:
     train = _population_moments(scm, scm.anchor, scen.kappa, scen.xi_cov, train_noise)
     test_anchor = scen.test_anchor if scen.test_anchor is not None else scm.anchor
     test = _population_moments(scm, test_anchor, scen.kappa_test, scen.xi_cov_test, test_noise)
-    b_train = _invariant_minimum(train)
-    b_test = _invariant_minimum(test)
+    b_train = train.path.coef(math.inf)
+    b_test = test.path.coef(math.inf)
     return {
         "b_train": b_train,
         "b_test": b_test,
@@ -592,7 +562,7 @@ def anchor_stability_causal_check(
     """
     if not scm.is_acyclic:
         raise AssumptionViolated("graph must be acyclic", which="acyclic")
-    if not scm.moments.split[2]:
+    if not scm.moments.path.consistent:
         raise AssumptionViolated("projectability fails", which="projectability")
     shifted = {k for k in range(scm.d) if np.any(scm.M[k, :] != 0.0)}
     if shifted != set(range(scm.d)):
@@ -600,7 +570,7 @@ def anchor_stability_causal_check(
             "every predictor needs a direct anchor shift", which="anchor_coverage"
         )
     b_zero = population_anchor(scm, 0.0)
-    b_inf = _invariant_minimum(scm.moments)
+    b_inf = population_iv(scm)
     path = {float(g): population_anchor(scm, g) for g in gamma_grid}
     scale = max(float(np.max(np.abs(b_zero))), 1.0)
     endpoint_gap = float(np.max(np.abs(b_zero - b_inf)))

@@ -242,22 +242,30 @@ def qr_gamma_transform(ds, gamma):
 
 
 def qr_fit_anchor(ds, gamma):
-    """Anchor-regression coefficients as OLS on the freshly transformed data.
+    """Anchor-regression coefficients by QR least squares on the freshly
+    projected data, [(Id - P)X; sqrt(gamma) PX] against the same stack of Y.
 
-    Raises SingularDesign and Underidentified under the same rules as the
-    library: n <= d or a non-positive-definite transformed Gram matrix, and
-    rank(P X) < d relative to ||X||_2 at gamma = inf.
+    The two blocks are formed apart: X + (sqrt(gamma) - 1) PX would cancel
+    the off-anchor part at large gamma. Raises SingularDesign when n <= d or
+    when the stack has rank < d, by its singular values relative to
+    ||X||_2 max(1, sqrt(gamma)) (at gamma = 0 the stack is (Id - P)X, so a
+    predictor in the anchor span is singular there), and Underidentified
+    when rank(P X) < d relative to ||X||_2 at gamma = inf.
     """
     ds = center(ds)
     if gamma == math.inf:
         return qr_fit_iv(ds)
     if ds.n <= ds.d:
         raise SingularDesign("n <= d")
-    xt, yt = qr_gamma_transform(ds, gamma)
-    try:
-        return numkern.solve_spd(xt.T @ xt, xt.T @ yt)
-    except NotPositiveDefinite as exc:
-        raise SingularDesign(str(exc)) from exc
+    x_on, y_on = _qr_project(ds, ds.X), _qr_project(ds, ds.Y)
+    root = math.sqrt(gamma)
+    design = np.vstack([ds.X - x_on, root * x_on])
+    response = np.concatenate([ds.Y - y_on, root * y_on])
+    sv = np.linalg.svd(design, compute_uv=False)
+    scale = float(np.linalg.norm(ds.X, ord=2)) * max(1.0, root)
+    if int(np.sum(sv > numkern.RANK_RTOL * scale)) < ds.d:
+        raise SingularDesign("the stacked design has rank < d")
+    return qr_lstsq(design, response)
 
 
 def row_anchor_objective(ds, b, gamma):

@@ -57,16 +57,30 @@ def test_worst_case_identity_catches_a_tenth_of_a_percent():
 
 
 def test_stability_chain_splits_each_model_once(monkeypatch):
-    # the projectability test and the IV endpoint read one split per model
+    # the projectability test, the gamma path and the IV endpoint read one
+    # factorisation per model
     calls = []
-    split = numkern.split_constraint
+    factorise = numkern.GammaPath
 
     def counted(moments):
         calls.append(moments)
-        return split(moments)
+        return factorise(moments)
 
-    monkeypatch.setattr(numkern, "split_constraint", counted)
+    monkeypatch.setattr(numkern, "GammaPath", counted)
     report = batteries.check_stability_chain(seed=1, n_models=6, n_shifts=1)
     assert report["passed"]
     assert len(calls) == 6
     assert len({id(moments) for moments in calls}) == 6
+
+
+def test_verify_factorises_each_model_once(monkeypatch):
+    # verify --seed 7: every moments object the battery solves on, a model or
+    # one side of a replicability scenario, is factorised once
+    calls, built = [], []
+    factorise, moments = numkern.GammaPath, scm._population_moments
+    monkeypatch.setattr(numkern, "GammaPath", lambda m: calls.append(m) or factorise(m))
+    monkeypatch.setattr(scm, "_population_moments",
+                        lambda *args: built.append(moments(*args)) or built[-1])
+    assert batteries.run_battery(seed=7)["passed"]
+    assert len(calls) == len({id(m) for m in calls}) > 0
+    assert {id(m) for m in calls} <= {id(m) for m in built}

@@ -89,6 +89,18 @@ def _tiny_files(root, text):
     return data, config
 
 
+def _overflow_files(root, columns=("x1", "x2")):
+    """50 rows: x1 driven by the one continuous anchor a1, x2 not; y on x1.
+    gamma near the largest double times the anchor energy of x1 overflows."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(50)
+    table = {"x1": a + rng.standard_normal(50), "x2": rng.standard_normal(50)}
+    y = table["x1"] + rng.standard_normal(50)
+    rows = np.column_stack([y, *(table[c] for c in columns), a]).tolist()
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    return _tiny_files(root, ",".join(["y", *columns, "a1"]) + "\n" + text)
+
+
 def _categorical_config(root):
     config = root / "cat.json"
     config.write_text(
@@ -472,14 +484,7 @@ class TestErrorContract:
     def test_overflowing_gamma_lasso_is_numeric_error(self, argv, tmp_path, capsys):
         # gamma times the anchor energy of a column exceeds the largest double,
         # so G_off + gamma G_on cannot be formed; the descent must not run on it
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(50)
-        x1 = a + rng.standard_normal(50)
-        x2 = rng.standard_normal(50)
-        y = x1 + rng.standard_normal(50)
-        table = np.column_stack([y, x1, x2, a]).tolist()
-        rows = "".join(",".join(map(repr, row)) + "\n" for row in table)
-        data, config = _tiny_files(tmp_path, "y,x1,x2,a1\n" + rows)
+        data, config = _overflow_files(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(argv + ["--data", str(data), "--config", str(config),
@@ -487,6 +492,66 @@ class TestErrorContract:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric error:")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("columns", [("x1",), ("x1", "x2")])
+    def test_largest_gamma_dense_fit_reaches_the_iv_limit(self, columns, tmp_path):
+        # the dense path never forms gamma sigma^2, so 1e308 does not overflow;
+        # where the IV limit is identified (x1 alone) the fit is at it
+        data, config = _overflow_files(tmp_path, columns)
+        codes, coefs = {}, {}
+        for gamma in ("1e308", "inf"):
+            out = tmp_path / gamma
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                codes[gamma] = cli.main(["fit", "--gamma", gamma, "--lambda", "0",
+                                         "--data", str(data), "--config", str(config),
+                                         "--out", str(out)])
+            if codes[gamma] == 0:
+                coefs[gamma] = np.array(list(_read_coef(out / "coefficients.csv").values()))
+        assert codes["1e308"] == 0 and np.isfinite(coefs["1e308"]).all()
+        if columns == ("x1",):
+            assert codes["inf"] == 0
+            np.testing.assert_allclose(coefs["1e308"], coefs["inf"], rtol=1e-9)
+        else:
+            assert codes["inf"] == 3  # one anchor, two predictors
+
+    def test_predictor_in_the_anchor_span(self, tmp_path, capsys):
+        # a site-level covariate, constant within each of 8 levels: gamma = 0
+        # partials it out entirely; every gamma > 0 fits its anchor part alone
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 8, 200)
+        site = rng.standard_normal(8)[labels]
+        y = 2.0 * site + rng.standard_normal(200)
+        data = tmp_path / "site.csv"
+        data.write_text("y,x1,env\n" + "".join(
+            f"{a!r},{b!r},s{c}\n" for a, b, c in zip(y.tolist(), site.tolist(), labels.tolist())))
+        config = _categorical_config(tmp_path)
+
+        def fit(gamma):
+            return cli.main(["fit", "--gamma", gamma, "--data", str(data),
+                             "--config", str(config), "--out", str(tmp_path / gamma)])
+
+        assert fit("0") == 3
+        assert "anchor span" in capsys.readouterr().err
+        assert not (tmp_path / "0").exists()
+        coefs = []
+        for gamma in ("0.5", "1", "inf"):
+            assert fit(gamma) == 0
+            coefs.append(_read_coef(tmp_path / gamma / "coefficients.csv")["x1"])
+        assert coefs[1] == pytest.approx(coefs[0], rel=1e-9)
+        assert coefs[2] == pytest.approx(coefs[0], rel=1e-9)
+
+    @pytest.mark.parametrize("argv, text", [
+        (["path", "--grid", "1e308", "--lambda", "0.5"], None),
+        (["path", "--grid", "0,1"], "y,x1,a1\n1,2,0.5\n2,x,1\n3,1,2\n"),
+    ])
+    def test_failed_path_leaves_no_out_directory(self, argv, text, tmp_path):
+        data, config = _overflow_files(tmp_path) if text is None else _tiny_files(tmp_path, text)
+        code = cli.main(argv + ["--data", str(data), "--config", str(config),
+                                "--out", str(tmp_path / "o")])
+        assert code in (2, 3)
+        assert not (tmp_path / "o").exists()
 
     def test_lasso_converges_on_a_tiny_response(self, tmp_path):
         # the squares of a response below ~1e-154 underflow to zero; the
@@ -607,6 +672,9 @@ def _run_in(root, argv, name):
             code = cli.main(argv + ["--out", str(out)])
         except SystemExit as exc:  # argparse rejects a flag
             code = exc.code
+    if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC):
+        # an input or numeric error writes nothing, not even the directory
+        assert not out.exists(), (code, err.getvalue())
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
     return code, err.getvalue(), files
 

@@ -154,6 +154,16 @@ class TestCvGamma:
         fold_ids = set(res.fold_of_level.values())
         assert fold_ids == set(range(5))
 
+    def test_factorises_once_per_fold(self, monkeypatch):
+        # every gamma of a fold's grid evaluates the one factorisation of
+        # that fold's training moments
+        calls = []
+        factorise = numkern.GammaPath
+        monkeypatch.setattr(numkern, "GammaPath", lambda m: calls.append(m) or factorise(m))
+        ds = scm.sample(heterogeneous_model(), 400, numkern.make_rng(6))
+        cv_gamma(ds, [0.5], (0.0, 0.25, 1.0, 4.0), folds=4, seed=0)
+        assert len(calls) == 4
+
     def test_single_gamma_grid(self):
         rng = numkern.make_rng(6)
         ds = scm.sample(heterogeneous_model(8), 400, rng)
@@ -291,16 +301,16 @@ class TestStabilityTest:
         assert report["iv_included"]
 
     def test_splits_once(self, monkeypatch):
-        # the projectability test and the IV fit read the one split of the
-        # centred dataset's moments
+        # every fit, the projectability test and the IV fit read the one
+        # factorisation of the centred dataset's moments
         calls = []
-        split = numkern.split_constraint
+        factorise = numkern.GammaPath
 
         def counted(moments):
             calls.append(moments)
-            return split(moments)
+            return factorise(moments)
 
-        monkeypatch.setattr(numkern, "split_constraint", counted)
+        monkeypatch.setattr(numkern, "GammaPath", counted)
         ds = scm.sample(scm.example_iv_chain(), 5000, numkern.make_rng(13))
         report = anchor_stability_test(ds)
         assert report["iv_included"]

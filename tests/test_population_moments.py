@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from anchorlab import numkern, scm
@@ -18,6 +19,8 @@ from anchorlab.batteries import random_scenario, random_scm
 from anchorlab.exceptions import ProjectabilityViolated
 
 import oracles
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GAMMAS = (0.0, 0.5, 1.0, 7.0, 1e3, math.inf)
 COEF_RTOL = 1e-9

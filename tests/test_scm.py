@@ -288,9 +288,9 @@ class TestProjectability:
             population_iv(model)
 
     def test_large_y_scale_does_not_hide_a_weak_anchor(self):
-        # Y = 1e6 X_1: against ||[X Y]|| the weak anchor on X_2 (1e-8) falls
-        # under the rank cut, against ||X|| it does not; the system is
-        # consistent with b = (1e6, 0)
+        # Y = 1e6 X_1: against ||[X Y]|| the weak anchor on X_2 (1e-8) would
+        # fall under the rank cut; against the whitened design of X it does
+        # not, and the system is consistent with b = (1e6, 0)
         B = np.zeros((3, 3))
         B[2, 0] = 1e6
         model = LinearScm(
@@ -298,10 +298,14 @@ class TestProjectability:
             noise_scales=np.ones(3),
             anchor=AnchorDistribution.gaussian(np.eye(2)),
         )
-        assert numkern.anchor_svd(model.moments, 2)[-1] == 2
-        assert numkern.anchor_svd(model.moments, 3)[-1] == 1
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(numkern, "solve_spd", None)
+            b = population_iv(model)
+        path = model.moments.path
+        assert path.rank == 2 and path.consistent
         assert projectability_check(model)["holds"]
-        np.testing.assert_allclose(population_iv(model), [1e6, 0.0], rtol=1e-12, atol=1e-6)
+        assert np.array_equal(b, path.coef(math.inf))
+        np.testing.assert_allclose(b, [1e6, 0.0], rtol=1e-12, atol=1e-6)
 
     def test_sample_version_agrees(self):
         model = example_iv_chain()
