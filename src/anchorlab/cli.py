@@ -44,7 +44,8 @@ def _fmt(x) -> str:
 
 
 def _round_tripped(obj):
-    """Clamp every float in a JSON tree to 12 significant digits."""
+    """Clamp every float in a JSON tree to 12 significant digits; a
+    non-finite one becomes its FLOAT_FORMAT string, as in the CSV outputs."""
     if isinstance(obj, dict):
         return {str(k): _round_tripped(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -56,13 +57,13 @@ def _round_tripped(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
     return obj
 
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_tripped(payload), fh, indent=2, sort_keys=True)
+        json.dump(_round_tripped(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -77,7 +78,7 @@ def _write_table(path, header, rows) -> None:
 
 
 def _nonnegative(value: float, name: str) -> float:
-    """Reject negative and NaN penalty weights as input errors."""
+    """Reject negative and NaN values of a nonnegative option as input errors."""
     if not value >= 0:
         raise InvalidConfig(f"{name} must be nonnegative, got {value}")
     return value
@@ -163,7 +164,7 @@ def cmd_fit(args) -> int:
     _write_json(
         os.path.join(out, "fit.json"),
         {
-            "gamma": "inf" if fit.gamma == math.inf else fit.gamma,
+            "gamma": fit.gamma,
             "lambda": fit.lam,
             "objective": fit.objective,
             "iterations": fit.iterations,
@@ -196,7 +197,8 @@ def cmd_path(args) -> int:
         names = ds.predictor_names
         coefs = []
         for gamma in gammas:
-            # warm start; the exact finish makes it agree with a cold fit
+            # warm start; the last solve reads only the active set and signs,
+            # so it agrees with a cold fit
             start = coefs[-1] if coefs else None
             coefs.append(sparse.fit_anchor_lasso(ds, gamma, args.lam, start).coef)
     elif model is not None:
@@ -213,7 +215,7 @@ def cmd_path(args) -> int:
                 f"--shift must have {model.p} components, got {shift.shape[0]}"
             )
     for gamma, coef in zip(gammas, coefs):
-        row = ["inf" if gamma == math.inf else gamma, *coef]
+        row = [gamma, *coef]
         if model is not None:
             risk_shift = scm_mod.Shift(vector=shift) if shift is not None else None
             row.append(scm_mod.shift_risk(model, coef, risk_shift))
@@ -226,12 +228,7 @@ def cmd_path(args) -> int:
 
     out = _outdir(args)
     if args.format == "json":
-        payload = [
-            {key: ("inf" if isinstance(v, float) and v == math.inf else v)
-             for key, v in zip(header, row)}
-            for row in rows
-        ]
-        _write_json(os.path.join(out, "path.json"), payload)
+        _write_json(os.path.join(out, "path.json"), [dict(zip(header, row)) for row in rows])
     else:
         _write_table(os.path.join(out, "path.csv"), header, rows)
     return EXIT_OK
@@ -244,6 +241,8 @@ def cmd_cv(args) -> int:
     if any(g == math.inf for g in gammas):
         raise InvalidConfig("cv grid must be finite")
     alphas = _parse_float_list(args.alpha, "alpha")
+    if not all(0.0 <= a <= 1.0 for a in alphas):
+        raise InvalidConfig(f"alpha levels must lie in [0, 1], got {args.alpha!r}")
     result = modelsel.cv_gamma(
         _load_dataset(args),
         alphas=alphas,
@@ -430,6 +429,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "lam"):
             _nonnegative(args.lam, "lambda")
+        if hasattr(args, "seed"):
+            _nonnegative(args.seed, "seed")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

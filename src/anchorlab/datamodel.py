@@ -127,7 +127,7 @@ class AnchorDataset:
 
     @cached_property
     def gram_columns(self):
-        """The same blocks for the l1 descent, which reads them a column at a
+        """The same blocks for the l1 solver, which reads them a column at a
         time: `moments` when n > d, else `numkern.ColumnMoments`, so that no
         (d+1) x (d+1) matrix is formed for a dataset wider than long."""
         if self.n > self.d:

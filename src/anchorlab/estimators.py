@@ -136,7 +136,7 @@ class AnchorRegression:
         Penalty weight on the anchor-projected residual.
     lam : float, default 0.0
         l1 penalty; `sparse.fit_anchor_lasso` solves 0 exactly and positive
-        values by coordinate descent, which also covers n <= d.
+        values by feature-sign search, which also covers n <= d.
     """
 
     def __init__(self, gamma: float = 1.0, lam: float = 0.0):

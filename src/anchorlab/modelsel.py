@@ -228,7 +228,8 @@ def replicability_rank(
         grid = list(np.geomspace(low, high, grid_size))
     fits = []
     for g in grid:
-        # warm start; the exact finish makes it agree with a cold fit
+        # warm start; the last solve reads only the active set and signs,
+        # so it agrees with a cold fit
         start = fits[-1].coef if fits else None
         fits.append(sparse.fit_anchor_lasso(ds, g, lam, start))
     mags = np.abs(np.stack([fit.coef for fit in fits]))

@@ -1,13 +1,13 @@
-"""l1-penalized anchor regression via cyclic coordinate descent.
+"""l1-penalized anchor regression via feature-sign search.
 
 The penalized problem min ||Yt - Xt b||^2 + 2*lam*||b||_1 on the
 gamma-transformed data is b'Gb - 2b'g + 2*lam*||b||_1 + const, with
 G = G_off + gamma G_on and g = g_off + gamma g_on read from second moments
 of [X Y] off and on the anchor span, shared by every gamma. Every l1 fit
-runs the one solver, `gram_coordinate_descent` on an `_AnchorGram`:
-soft-thresholded coordinate descent with covariance updates, active-set
-sweeps and an exact finish on the active set, with warm starts along the
-lambda grid. The anchor lasso reads the dataset's moments
+runs the one solver, `feature_sign` on an `_AnchorGram`: exact solves on
+an active set with fixed signs, which a sign flip shrinks and the largest
+gradient above lambda grows, in finitely many steps, with warm starts along
+the lambda grid. The anchor lasso reads the dataset's moments
 (`AnchorDataset.gram_columns`). The equal-weight variant gives every
 discrete anchor level the same weight regardless of its size: it reads the
 moments of [X Y] with each row scaled by sqrt(n / (k n_l)) and the level
@@ -30,21 +30,7 @@ from .datamodel import AnchorDataset, center, level_blocks
 from .estimators import AnchorFit, fit_anchor
 from .exceptions import DomainError, InvalidConfig, NotPositiveDefinite
 
-MAX_SWEEPS = 100_000
-# stop when no coordinate of a full sweep moves the fitted values, by
-# ||x_k|| times the change of b_k, as much as CONVERGENCE_RTOL * ||y||.
-# On columns of unit root mean square that is a coefficient move below
-# CONVERGENCE_RTOL * std(y); measured in fitted values, the rule does not stop
-# early on columns of large norm, whose coefficients are small.
-CONVERGENCE_RTOL = 1e-9
-
-
-def soft_threshold(z: float, threshold: float) -> float:
-    if z > threshold:
-        return z - threshold
-    if z < -threshold:
-        return z + threshold
-    return 0.0
+MAX_STEPS = 100_000
 
 
 class _AnchorGram:
@@ -69,13 +55,6 @@ class _AnchorGram:
         if not (np.isfinite(response).all() and np.isfinite(diag).all()):
             raise DomainError(f"gamma = {gamma:g} overflows G_off + gamma G_on")
         self.linear = response[:-1]
-        self.diag = diag[:-1]
-        # ||y||, floored at max_k |g_k| / ||x_k|| <= ||y|| (Cauchy-Schwarz):
-        # ||y||^2 underflows for a response below ~1e-162, the bound does not
-        moving = self.diag > 0.0
-        bound = np.abs(self.linear[moving]) / np.sqrt(self.diag[moving])
-        norm = math.sqrt(max(float(response[-1]), 0.0))
-        self.spread = max(norm, float(bound.max(initial=0.0)))
 
     def column(self, k: int) -> np.ndarray:
         column = self._columns.get(k)
@@ -90,118 +69,95 @@ class _AnchorGram:
         return off + self._gamma * on
 
 
-def gram_coordinate_descent(gram, lam: float, start=None, max_sweeps: int = MAX_SWEEPS):
-    """Cyclic coordinate descent for min b'Gb - 2b'g + 2*lam*||b||_1, which is
-    ||y - Xb||^2 + 2*lam*||b||_1 up to a constant when G = X'X and g = X'y.
+def feature_sign(gram, lam: float, start=None, max_steps: int = MAX_STEPS):
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for
+    min b'Gb - 2b'g + 2*lam*||b||_1, which is ||y - Xb||^2 + 2*lam*||b||_1 up
+    to a constant when G = X'X and g = X'y.
 
-    `gram` supplies g (`linear`), the diagonal of G (`diag`), G a column at a
-    time (`column(k)`) and ||y|| (`spread`). Covariance updates
-    (Friedman, Hastie & Tibshirani 2010): the gradient g - Gb is kept current
-    from the column of each coordinate that moves. After each full sweep over
-    all coordinates the iterate is replaced by the exact solution on its
-    active set (`_finish_on`) when that solution is stationary, which ends
-    the fit; otherwise sweeps over the nonzero coordinates follow until they
-    settle. The fit has also converged when no coordinate of a full sweep
-    moves the fitted values by CONVERGENCE_RTOL * spread or more.
+    `gram` supplies g (`linear`) and G a column at a time (`column(k)`).
+    Each step solves G_SS x = g_S - lam*s on the active set S with signs s,
+    from the columns of S. When x keeps the signs s (at lam = 0, any signs)
+    it becomes the iterate b; when a sign flips, b moves toward x as far as
+    the first zero crossing, and that coordinate leaves S. After b = x, the
+    inactive coordinate with the largest |g - Gb| above lam joins S with the
+    sign of that gradient; when there is none, b is a solution.
 
-    Returns (coef, sweeps, final_move, converged), where sweeps counts both
-    kinds of sweep and final_move is the largest such move of the last full
-    sweep: ||x_k|| times the change of b_k. Inactive coordinates are exact
-    zeros. The objective is nonincreasing across sweeps.
+    Linearly dependent columns in S, as when |S| exceeds the rank of G, show
+    as a singular G_SS or as a coordinate that joined S and comes back from
+    the solve with the wrong sign; b then takes a `_null_step`. Every step
+    lowers the objective, so no b = x recurs in exact arithmetic; when one
+    does in floating point, no step lowers the objective any further, and
+    the fit has converged.
+
+    Returns (coef, steps, converged), where steps counts the solves. The
+    result is the last solve, which reads only S and s, so a warm start
+    from `start` gives the same bits as a cold one. Inactive coordinates
+    are exact zeros.
     """
-    d = gram.linear.shape[0]
-    col_sq = gram.diag.tolist()
-    norms = np.sqrt(gram.diag).tolist()
-    b = np.zeros(d) if start is None else np.array(start, dtype=float)
-    grad = gram.linear.copy()
-    for k in np.flatnonzero(b):
-        np.subtract(grad, b[k] * gram.column(k), out=grad)
-    tol = CONVERGENCE_RTOL * max(gram.spread, 1e-300)
-
-    def sweep(coords) -> float:
-        move = 0.0
-        for k in coords:
-            sq = col_sq[k]
-            if sq == 0.0:
-                b[k] = 0.0
+    b = np.zeros(gram.linear.shape[0]) if start is None else np.array(start, dtype=float)
+    joined = None  # the coordinate that joins S at zero, and its sign
+    seen = set()
+    steps = 0
+    while steps < max_steps:
+        active = np.flatnonzero(b)
+        signs = np.sign(b[active])
+        grow = None
+        if joined is not None:
+            grow = int(np.searchsorted(active, joined[0]))
+            active = np.insert(active, grow, joined[0])
+            signs = np.insert(signs, grow, joined[1])
+            joined = None
+        grad = gram.linear
+        if active.size:
+            steps += 1
+            columns = np.stack([gram.column(k) for k in active])
+            gram_ss = columns[:, active]
+            try:
+                exact = numkern.solve_spd(gram_ss, gram.linear[active] - lam * signs)
+            except NotPositiveDefinite:
+                exact = None
+            if exact is None or (grow is not None and exact[grow] * signs[grow] <= 0.0):
+                b = _null_step(gram_ss, b, active, signs)
                 continue
-            old = b[k]
-            new = soft_threshold(grad[k] + sq * old, lam) / sq
-            if new != old:
-                np.subtract(grad, (new - old) * gram.column(k), out=grad)
-                b[k] = new
-                move = max(move, abs(new - old) * norms[k])
-        return move
-
-    move = np.inf
-    sweeps = 0
-    while sweeps < max_sweeps:
-        move = sweep(range(d))
-        sweeps += 1
-        exact = _finish_on(gram, lam, b)
-        if exact is not b or move < tol:
-            return exact, sweeps, move, True
-        active = np.flatnonzero(b).tolist()
-        while active and sweeps < max_sweeps:
-            sweeps += 1
-            if sweep(active) < tol:
-                break
-    return b, sweeps, move, False
+            if lam > 0.0 and not np.array_equal(np.sign(exact), signs):
+                b = _to_first_zero(b, active, signs, exact - b[active])
+                continue
+            b = np.zeros_like(b)
+            b[active] = exact
+            grad = gram.linear - exact @ columns
+            grad[active] = 0.0
+        key = (active.tobytes(), np.sign(b[active]).tobytes())
+        if key in seen:
+            return b, steps, True
+        seen.add(key)
+        k = int(np.argmax(np.abs(grad)))
+        if not abs(grad[k]) > lam:
+            return b, steps, True
+        joined = (k, np.sign(grad[k]))
+    return b, steps, False
 
 
-def _finish_on(gram, lam, b):
-    """The lasso solution on b's active set S with b's signs s, if it is one.
-
-    Solves G_SS b_S = g_S - lam*s from the columns of S. The result is
-    returned only when its signs are s (at lam = 0 any signs) and every
-    coordinate outside S keeps |g - Gb| <= lam, that is when it satisfies
-    the stationarity conditions; otherwise b is. Nothing is read from the
-    descent's running gradient, and from b only S and s, so the result does
-    not depend on the path the descent took to S.
-
-    A singular G_SS means linearly dependent columns in S. Along a null
-    vector v of G_SS the quadratic part is flat, so b_S first moves along v,
-    in the direction that does not raise ||b||_1, until a coordinate reaches
-    zero; S drops it and the solve is tried again. Only then is b read
-    beyond S and s. Of many solutions, this returns one whose active
-    columns are independent.
-    """
-    point = b
-    while True:
-        active = np.flatnonzero(point)
-        if active.size == 0:
-            return b
-        signs = np.sign(point[active])
-        columns = np.stack([gram.column(k) for k in active])
-        try:
-            exact = numkern.solve_spd(columns[:, active], gram.linear[active] - lam * signs)
-            break
-        except NotPositiveDefinite:
-            point = _null_step(columns[:, active], point, active, signs)
-    grad = gram.linear - exact @ columns
-    grad[active] = 0.0
-    signed = lam == 0.0 or np.array_equal(np.sign(exact), signs)
-    if not (signed and np.all(np.abs(grad) <= lam)):
-        return b
+def _to_first_zero(b, active, signs, direction):
+    """b moved along `direction` on `active` until the first coordinate that
+    moves against its sign reaches zero, which leaves the active set."""
+    shrinking = np.flatnonzero(signs * direction < 0.0)
+    steps = -b[active[shrinking]] / direction[shrinking]
+    first = int(np.argmin(steps))
     out = np.zeros_like(b)
-    out[active] = exact
+    out[active] = b[active] + steps[first] * direction
+    out[active[shrinking[first]]] = 0.0
     return out
 
 
-def _null_step(gram_ss, point, active, signs):
-    """point moved along a null vector v of gram_ss, oriented so that
-    s'v <= 0, until its first active coordinate reaches zero."""
+def _null_step(gram_ss, b, active, signs):
+    """b moved along a null vector v of gram_ss, on which the quadratic part
+    is flat, until a coordinate reaches zero; v is oriented so that s'v <= 0,
+    which does not raise ||b||_1."""
     v = np.linalg.eigh(gram_ss)[1][:, 0]
     if signs @ v > 0.0:
         v = -v
     # with s'v <= 0 and v != 0, some coordinate shrinks toward zero
-    shrinking = np.flatnonzero(signs * v < 0.0)
-    steps = -point[active[shrinking]] / v[shrinking]
-    first = int(np.argmin(steps))
-    point = point.copy()
-    point[active] += steps[first] * v
-    point[active[shrinking[first]]] = 0.0
-    return point
+    return _to_first_zero(b, active, signs, v)
 
 
 def lambda_max(ds: AnchorDataset, gamma: float) -> float:
@@ -215,14 +171,13 @@ def lambda_max(ds: AnchorDataset, gamma: float) -> float:
     return float(np.max(np.abs(gram.linear))) * (1.0 + 1e-12)
 
 
-def _descent_fit(ds, gram, gamma, lam, start=None) -> AnchorFit:
-    """The fit of `gram_coordinate_descent` on `gram`, the Gram of the
-    centred `ds` at this gamma."""
-    b, sweeps, move, converged = gram_coordinate_descent(gram, lam, start)
+def _l1_fit(ds, gram, gamma, lam, start=None) -> AnchorFit:
+    """The fit of `feature_sign` on `gram`, the Gram of the centred `ds` at
+    this gamma."""
+    b, steps, converged = feature_sign(gram, lam, start)
     if not converged:
         warnings.warn(
-            f"coordinate descent stopped after {sweeps} sweeps "
-            f"(last full-sweep move {move:.3e}); returning best iterate",
+            f"feature-sign search stopped after {steps} steps; returning best iterate",
             RuntimeWarning,
         )
     return AnchorFit(
@@ -230,7 +185,7 @@ def _descent_fit(ds, gram, gamma, lam, start=None) -> AnchorFit:
         lam=float(lam),
         coef=b,
         objective=gram.energy(b) + 2.0 * lam * float(np.abs(b).sum()),
-        iterations=sweeps,
+        iterations=steps,
         converged=converged,
         x_means=ds.x_means,
         y_mean=ds.y_mean,
@@ -254,7 +209,7 @@ def fit_anchor_lasso(
     if lam == 0.0:
         return fit_anchor(ds, gamma)
     ds = center(ds)
-    return _descent_fit(ds, _AnchorGram(ds.gram_columns, gamma), gamma, lam, start)
+    return _l1_fit(ds, _AnchorGram(ds.gram_columns, gamma), gamma, lam, start)
 
 
 @dataclass(frozen=True)
@@ -284,7 +239,7 @@ def lambda_path(
     fits = []
     for lam in grid:
         warm = fits[-1].coef if fits else None
-        fits.append(_descent_fit(ds, gram, gamma, lam, warm))
+        fits.append(_l1_fit(ds, gram, gamma, lam, warm))
     return LambdaPath(
         lambdas=grid,
         fits=tuple(fits),
@@ -349,7 +304,7 @@ def _equal_weight_data(ds: AnchorDataset):
 
 
 def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> AnchorFit:
-    """Minimize n * equal-weight risk + 2*lam*||b||_1 by coordinate descent
+    """Minimize n * equal-weight risk + 2*lam*||b||_1 by feature-sign search
     on the level-reweighted moments, held as `AnchorDataset.gram_columns`
     holds them: whole when n > d, a column at a time otherwise."""
     if not (gamma >= 0 and lam >= 0):
@@ -357,7 +312,7 @@ def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> Ancho
     ds = center(ds)
     moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
     gram = _AnchorGram(moments(*_equal_weight_data(ds)), gamma)
-    return _descent_fit(ds, gram, gamma, lam)
+    return _l1_fit(ds, gram, gamma, lam)
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately use different algorithms than the production code:
-accelerated proximal gradient instead of coordinate descent, residual
-updates instead of covariance updates and an exact finish, explicit QR
-least squares instead of Cholesky, undirected-trail enumeration instead of
+accelerated proximal gradient and cyclic coordinate descent instead of
+feature-sign steps on Gram columns, active-set solves by QR of the n-row
+columns instead of Cholesky-tested solves of the Gram, explicit QR least
+squares instead of Cholesky, undirected-trail enumeration instead of
 Bayes-ball, a per-fit projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
@@ -29,7 +30,6 @@ from anchorlab.exceptions import (
     DomainError,
     InsufficientLevels,
     InvalidConfig,
-    NotPositiveDefinite,
     ProjectabilityViolated,
     SingularDesign,
     Underidentified,
@@ -40,7 +40,7 @@ from anchorlab.modelsel import (
     conditional_mse_quantiles,
 )
 from anchorlab.scm import LinearScm, population_anchor, sample, shift_risk
-from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso, soft_threshold
+from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso
 
 
 def qr_lstsq(design, response):
@@ -134,13 +134,15 @@ def lasso_objective(design, response, b, lam):
 def row_lasso_descent(design, response, lam, start=None, max_sweeps=100_000, rtol=1e-9):
     """Covariance-update coordinate descent on an n-row design, as the library
     ran it on `gamma_transform`'s data before it read Gram columns from the
-    moments: Gram columns X'x_k formed per call, active-set sweeps after each
-    full sweep, and the exact finish only once no coordinate of a full sweep
-    changes the fitted values by rtol * ||y - mean(y)|| or more. (The library
-    then measured moves in coefficient units, against rtol * std(y), which
-    stops early on columns of large norm.)
+    moments: Gram columns X'x_k formed per call, and active-set sweeps after
+    each full sweep until no coordinate of a full sweep changes the fitted
+    values by rtol * ||y - mean(y)|| or more. The sweeps then end in
+    `row_active_set_repair`, exact active-set solves by QR of the n-row
+    columns, so a descent that crawls on an ill-conditioned design still
+    ends at the solution.
 
-    Returns (coef, sweeps, final_move, converged).
+    Returns (coef, sweeps, final_move, converged), where converged means
+    that `kkt_violation` on the n-row data is at most 1e-9 * lam.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float).ravel()
@@ -165,30 +167,13 @@ def row_lasso_descent(design, response, lam, start=None, max_sweeps=100_000, rto
                 b[k] = 0.0
                 continue
             old = b[k]
-            new = soft_threshold(grad[k] + sq * old, lam) / sq
+            z = grad[k] + sq * old
+            new = math.copysign(max(abs(z) - lam, 0.0), z) / sq
             if new != old:
                 np.subtract(grad, (new - old) * column(k), out=grad)
                 b[k] = new
                 move = max(move, abs(new - old) * norms[k])
         return move
-
-    def exact_finish():
-        active = np.flatnonzero(b)
-        if active.size == 0:
-            return b
-        signs = np.sign(b[active])
-        gram = np.stack([column(k)[active] for k in active])
-        try:
-            exact = numkern.solve_spd(gram, (design.T @ response)[active] - lam * signs)
-        except NotPositiveDefinite:
-            return b
-        out = np.zeros_like(b)
-        out[active] = exact
-        full = design.T @ (response - design @ out)
-        full[active] = 0.0
-        if not (np.array_equal(np.sign(exact), signs) and np.all(np.abs(full) <= lam)):
-            return b
-        return out
 
     move = np.inf
     sweeps = 0
@@ -196,13 +181,61 @@ def row_lasso_descent(design, response, lam, start=None, max_sweeps=100_000, rto
         move = sweep(range(d))
         sweeps += 1
         if move < tol:
-            return exact_finish(), sweeps, move, True
+            break
         active = np.flatnonzero(b).tolist()
         while active and sweeps < max_sweeps:
             sweeps += 1
             if sweep(active) < tol:
                 break
-    return b, sweeps, move, False
+    b = row_active_set_repair(design, response, lam, b)
+    return b, sweeps, move, kkt_violation(design, response, b, lam) <= 1e-9 * lam
+
+
+def row_active_set_repair(design, response, lam, b, max_steps=10_000):
+    """Active-set steps on the n-row data from b until its stationarity
+    violation is at most 1e-9 * lam.
+
+    Each step solves X_S'X_S x = X_S'y - lam*s on b's support S with signs
+    s through a QR of the n-row X_S, never through X'X. When a sign of x
+    flips, b moves toward x up to the first zero crossing, which leaves S;
+    when X_S is rank deficient (|diag R| below 1e-12 of its largest), b
+    moves along a right null vector of X_S, the direction that does not
+    raise ||b||_1, to the first zero. Otherwise b = x, and the coordinate of
+    largest |X'(y - Xb)| above lam is minimised over exactly, which enters
+    it with its own sign.
+    """
+    b = np.array(b, dtype=float)
+    for _ in range(max_steps):
+        active = np.flatnonzero(b)
+        signs = np.sign(b[active])
+        direction = None
+        if active.size:
+            q, r = np.linalg.qr(design[:, active])
+            pivots = np.abs(np.diag(r))
+            if pivots.min() <= 1e-12 * pivots.max():
+                direction = np.linalg.svd(design[:, active])[2][-1]
+                direction = -direction if signs @ direction > 0.0 else direction
+            else:
+                x = np.linalg.solve(r, q.T @ response - np.linalg.solve(r.T, lam * signs))
+                if not np.array_equal(np.sign(x), signs):
+                    direction = x - b[active]
+                else:
+                    b[active] = x
+        if direction is not None:
+            shrinking = np.flatnonzero(signs * direction < 0.0)
+            steps = -b[active[shrinking]] / direction[shrinking]
+            b[active] += steps.min() * direction
+            b[active[shrinking[np.argmin(steps)]]] = 0.0
+            continue
+        if kkt_violation(design, response, b, lam) <= 1e-9 * lam:
+            return b
+        grad = design.T @ (response - design @ b)
+        grad[active] = 0.0
+        k = int(np.argmax(np.abs(grad)))
+        if not abs(grad[k]) > lam:
+            return b
+        b[k] = (grad[k] - math.copysign(lam, grad[k])) / (design[:, k] @ design[:, k])
+    return b
 
 
 def row_lambda_max(ds, gamma):

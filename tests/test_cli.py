@@ -483,7 +483,7 @@ class TestErrorContract:
     ])
     def test_overflowing_gamma_lasso_is_numeric_error(self, argv, tmp_path, capsys):
         # gamma times the anchor energy of a column exceeds the largest double,
-        # so G_off + gamma G_on cannot be formed; the descent must not run on it
+        # so G_off + gamma G_on cannot be formed; the l1 solver must not run on it
         data, config = _overflow_files(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -493,6 +493,44 @@ class TestErrorContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric error:")
         assert not (tmp_path / "o").exists()
+
+    def test_huge_gamma_lasso_agrees_across_gamma(self, tmp_path):
+        # far above gamma ~ 1e16, G_off is lost in the rounding of gamma G_on,
+        # so G_SS of x1 and x2 is singular to working precision. A step along its
+        # null vector must not raise ||b||_1: x2 = 99.9 carries x1's anchor
+        # part at 90 times its l1 norm
+        data, config = _overflow_files(tmp_path)
+        ds = datamodel.center(datamodel.read_csv(data, datamodel.load_column_config(config)))
+        ref = sparse.fit_anchor_lasso(ds, 1e16, 0.5).coef
+        for gamma in (1e50, 1e100, 1e200, 1e305):
+            coef = sparse.fit_anchor_lasso(ds, gamma, 0.5).coef
+            assert np.max(np.abs(coef - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_infinite_objective_is_strict_json(self, tmp_path):
+        # y = x1 + 3 a2 + noise with x1 = a1 + noise: the on-anchor residual
+        # times gamma = 1e308 overflows, so the objective is inf, which JSON
+        # can only hold as a string
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((50, 2))
+        x1 = a[:, 0] + rng.standard_normal(50)
+        y = x1 + 3.0 * a[:, 1] + rng.standard_normal(50)
+        data = tmp_path / "strong.csv"
+        data.write_text("y,x1,a1,a2\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in np.column_stack([y, x1, a]).tolist()
+        ))
+        config = tmp_path / "strong.json"
+        config.write_text(json.dumps({"response": "y", "anchors": [
+            {"name": "a1", "kind": "continuous"}, {"name": "a2", "kind": "continuous"}]}))
+        out = tmp_path / "o"
+        code = cli.main(["fit", "--gamma", "1e308", "--data", str(data),
+                         "--config", str(config), "--out", str(out)])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        fit = json.loads((out / "fit.json").read_text(), parse_constant=reject)
+        assert fit["objective"] == "inf" and fit["gamma"] == 1e308
 
     @pytest.mark.parametrize("columns", [("x1",), ("x1", "x2")])
     def test_largest_gamma_dense_fit_reaches_the_iv_limit(self, columns, tmp_path):
@@ -555,8 +593,8 @@ class TestErrorContract:
 
     def test_lasso_converges_on_a_tiny_response(self, tmp_path):
         # the squares of a response below ~1e-154 underflow to zero; the
-        # descent's stopping tolerance must not. lambda_max is ~2.6e-161
-        # here, so the descent runs
+        # solver's stop must not depend on them. lambda_max is ~2.6e-161
+        # here, so the l1 solver runs
         data, config = _tiny_files(
             tmp_path, "y,x1,x2,a1\n1.49e-269,0,-5.79,2\n3.03e-162,0,8.69,0.96\n"
         )
@@ -566,18 +604,16 @@ class TestErrorContract:
                              "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 0
 
-    def test_nonconvergence_warning_names_the_full_sweep_move(self, wide_files, monkeypatch):
-        # two sweeps do not reach this fit: a full sweep, whose largest move
-        # (8.109 in fitted-value norm) the warning names, and an active-set
-        # sweep that moves less
-        descent = sparse.gram_coordinate_descent
+    def test_nonconvergence_warning_names_the_step_count(self, wide_files, monkeypatch):
+        # two active-set solves do not reach this fit; the warning counts them
+        solver = sparse.feature_sign
         monkeypatch.setattr(
-            sparse, "gram_coordinate_descent",
-            lambda gram, lam, start=None: descent(gram, lam, start, max_sweeps=2),
+            sparse, "feature_sign",
+            lambda gram, lam, start=None: solver(gram, lam, start, max_steps=2),
         )
         out = wide_files["data"].parent / "capped"
-        with pytest.warns(RuntimeWarning,
-                          match=r"after 2 sweeps \(last full-sweep move 8\.109e\+00\)"):
+        text = "feature-sign search stopped after 2 steps; returning best iterate"
+        with pytest.warns(RuntimeWarning, match=f"^{text}$"):
             code = cli.main(["fit", "--gamma", "1", "--lambda", wide_files["lam"],
                              "--data", str(wide_files["data"]),
                              "--config", str(wide_files["config"]), "--out", str(out)])
@@ -586,7 +622,7 @@ class TestErrorContract:
 
     def test_collinear_columns_converge(self, tmp_path):
         # x1 and x2 are collinear after the gamma = 0 transform, so the exact
-        # finish meets a singular active Gram and steps to the solution on x2
+        # solve meets a singular active Gram and steps to the solution on x2
         data = tmp_path / "collinear.csv"
         data.write_text(
             "y,x1,x2,env\n-2.6e-238,3,-3,v\n2.00001,-2,0.0,w\n4.178471598672189,1e-06,0,v\n"
@@ -631,6 +667,9 @@ GAMMA = st.one_of(FINITE, st.just("inf"))
 GRID = st.lists(GAMMA, min_size=1, max_size=3).map(",".join)
 FINITE_GRID = st.lists(FINITE, min_size=1, max_size=3).map(",".join)
 LAMBDA = st.sampled_from(["0", "0.3"])
+# quantile levels and seeds, valid or not: alpha must lie in [0, 1], a seed be >= 0
+ALPHA = st.sampled_from(["0.5,0.9", "0", "1", "1.5", "nan", "0.5,-0.5"])
+SEED = st.sampled_from(["0", "3", "-1"])
 
 
 @st.composite
@@ -653,7 +692,7 @@ def cli_inputs(draw):
         flags = ["--grid", draw(GRID), "--lambda", draw(LAMBDA)]
     elif command == "cv":
         # an infinite cv grid exits 2 before the data are read
-        flags = ["--grid", draw(FINITE_GRID), "--alpha", "0.5,0.9", "--seed", "0",
+        flags = ["--grid", draw(FINITE_GRID), "--alpha", draw(ALPHA), "--seed", draw(SEED),
                  "--folds", str(draw(st.integers(1, 3))), "--lambda", draw(LAMBDA)]
     else:
         flags = ["--lambda", draw(LAMBDA)]
@@ -679,10 +718,18 @@ def _run_in(root, argv, name):
     return code, err.getvalue(), files
 
 
+THREE_LEVELS = "y,x1,a\n1,2,u\n2,3,u\n3,1,v\n4,2,v\n5,0,w\n6,1,w\n"
+
+
 @given(inputs=cli_inputs())
 @example(inputs=("y,a\n1,u\n2,v\n3,u\n", True, ["fit", "--gamma", "inf"]))
 @example(inputs=("y,x1,a\n1,2,u\n2,3,v\n3,1,v\n4,2,v\n", True,
                  ["cv", "--grid", "1", "--folds", "2", "--seed", "0"]))
+# three two-row levels that cv fits: an alpha above 1 or a negative seed
+# reached the quantile rank or the generator
+@example(inputs=(THREE_LEVELS, True,
+                 ["cv", "--grid", "1", "--folds", "3", "--seed", "0", "--alpha", "1.5"]))
+@example(inputs=(THREE_LEVELS, True, ["cv", "--grid", "1", "--folds", "3", "--seed", "-1"]))
 @settings(max_examples=80, deadline=None)
 def test_exit_code_contract(inputs):
     text, categorical, argv = inputs
@@ -699,6 +746,24 @@ def test_exit_code_contract(inputs):
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
         assert _run_in(root, argv, "second") == first
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cv", "--grid", "1", "--alpha", "1.5", "--seed", "0"], "alpha"),
+    (["cv", "--grid", "1", "--alpha", "nan", "--seed", "0"], "alpha"),
+    (["cv", "--grid", "1", "--alpha", "0.5,-0.5", "--seed", "0"], "alpha"),
+    (["cv", "--grid", "1", "--seed", "-1"], "seed"),
+    (["simulate", "--n", "30", "--seed", "-1"], "seed"),
+    (["verify", "--seed", "-1"], "seed"),
+])
+def test_bad_alpha_or_seed_is_rejected_before_reading(argv, name, tmp_path):
+    # none of the input files exists: the value is rejected before any is read
+    inputs = (["--scm", str(tmp_path / "m.json")] if argv[0] != "cv" else
+              ["--data", str(tmp_path / "d.csv"), "--config", str(tmp_path / "c.json")])
+    code, err, files = _run_in(tmp_path, argv + inputs, "o")
+    assert code == 2
+    assert err.startswith(f"config error: {name}")
+    assert files == {}
 
 
 # --- options a subcommand does not read ------------------------------------

@@ -335,18 +335,18 @@ class TestReplicabilityRank:
         assert table.gamma_grid[0] == 0.0
 
     def test_warm_started_grid_fits_once_per_gamma(self, monkeypatch):
-        # 21 descent fits for a 21-point grid from 0: the l-scores reuse the
+        # 21 lasso fits for a 21-point grid from 0: the l-scores reuse the
         # gamma = 0 fit, and warm starts leave every fit equal to a cold one
         ds = self._dataset(13)
         lam = 0.03 * sparse.lambda_max(ds, 0.0)
         calls = []
-        descent = sparse.gram_coordinate_descent
+        solver = sparse.feature_sign
 
         def counted(*args, **kwargs):
             calls.append(args[2] if len(args) > 2 else kwargs.get("start"))
-            return descent(*args, **kwargs)
+            return solver(*args, **kwargs)
 
-        monkeypatch.setattr(sparse, "gram_coordinate_descent", counted)
+        monkeypatch.setattr(sparse, "feature_sign", counted)
         table = replicability_rank(ds, lam, gamma_range=(0.0, 1.0), grid_size=21)
         assert len(calls) == 21
         assert calls[0] is None and all(start is not None for start in calls[1:])
