@@ -152,9 +152,9 @@ class AnchorMoments:
     def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
         return np.diag(self.gram_off), np.diag(self.gram_on)
 
-    def off_energy(self, z: np.ndarray) -> float:
-        """z' gram_off z."""
-        return float(z @ self.gram_off @ z)
+    def off_energy(self, z: np.ndarray):
+        """z' gram_off z, one per row of a (k, d + 1) stack z."""
+        return unstack(np.vecdot(z @ self.gram_off, z))
 
     @cached_property
     def path(self) -> "GammaPath":
@@ -207,13 +207,20 @@ def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMome
     return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
 
 
-def residual_energy(moments: AnchorMoments, b: np.ndarray) -> tuple[float, float]:
+def unstack(values):
+    """The Python scalar of a one-row result, or the array of a stack's rows."""
+    return values.item() if np.ndim(values) == 0 else values
+
+
+def residual_energy(moments: AnchorMoments, b: np.ndarray):
     """Off- and on-anchor energy of the residual Y - Xb: z' gram_off z and
-    ||on z||^2 with z = (-b, 1), from AnchorMoments or ColumnMoments. The
-    on-part reads the anchor coordinates, so it does not cancel."""
-    z = np.append(-np.asarray(b, dtype=float), 1.0)
-    on = moments.on @ z
-    return moments.off_energy(z), float(on @ on)
+    ||on z||^2 with z = (-b, 1), from AnchorMoments (per row of a stack b)
+    or ColumnMoments. The on-part reads the anchor coordinates, so it does
+    not cancel."""
+    b = np.asarray(b, dtype=float)
+    z = np.concatenate((-b, np.ones(b.shape[:-1] + (1,))), axis=-1)
+    on = z @ moments.on.T
+    return moments.off_energy(z), unstack(np.vecdot(on, on))
 
 
 class GammaPath:

@@ -114,7 +114,7 @@ class AnchorDistribution:
 
 @dataclass(frozen=True)
 class Shift:
-    """Deterministic shift vector or a mean-zero random shift covariance."""
+    """Deterministic shift vector (or a (k, p) stack) or a mean-zero random shift covariance."""
 
     vector: np.ndarray | None = None
     covariance: np.ndarray | None = None
@@ -123,7 +123,7 @@ class Shift:
         if (self.vector is None) == (self.covariance is None):
             raise DomainError("specify exactly one of vector or covariance")
         if self.vector is not None:
-            object.__setattr__(self, "vector", np.asarray(self.vector, float).ravel())
+            object.__setattr__(self, "vector", np.atleast_1d(np.asarray(self.vector, float)))
         else:
             object.__setattr__(self, "covariance", np.atleast_2d(np.asarray(self.covariance, float)))
 
@@ -210,9 +210,9 @@ class LinearScm:
         return _population_moments(self, self.anchor, 1.0, None, self.noise_covariance())
 
     def residual_weights(self, b: np.ndarray) -> np.ndarray:
-        """Vector w with Y - X'b = w'(noise + M A) at equilibrium."""
+        """Vector w with Y - X'b = w'(noise + M A) at equilibrium, a row per row of b."""
         inv = self.unmixing()
-        b = np.asarray(b, dtype=float).ravel()
+        b = np.atleast_1d(np.asarray(b, dtype=float))
         return inv[self.y_index, :] - b @ inv[: self.d, :]
 
 
@@ -267,6 +267,8 @@ def sample(
     if shift is None:
         inputs = noise + a_vals @ scm.M.T
     elif shift.vector is not None:
+        if shift.vector.ndim != 1:
+            raise DomainError("sample takes one shift vector, not a stack")
         inputs = noise + shift.vector
     else:
         chol = np.linalg.cholesky(
@@ -327,23 +329,25 @@ def population_iv(scm: LinearScm) -> np.ndarray:
     return scm.moments.path.coef(math.inf)
 
 
-def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None) -> float:
+def shift_risk(scm: LinearScm, b: np.ndarray, shift: Shift | None = None):
     """Exact population MSE of b under the shifted distribution: the risk
     w' Sigma_eps w with no anchor input (the off-anchor part of
-    `worst_case_risk`) plus the energy of the shift along w."""
+    `worst_case_risk`) plus the energy of the shift along w. Stacks of b and
+    of shift vectors give a risk per row, paired when both are stacks."""
     w = scm.residual_weights(b)
-    base = float(w @ scm.noise_covariance() @ w)
-    if shift is None:
-        return base
-    if shift.vector is not None:
-        return base + float(w @ shift.vector) ** 2
-    return base + float(w @ shift.covariance @ w)
+    risk = np.vecdot(w * scm.noise_scales**2, w)
+    if shift is not None and shift.vector is not None:
+        risk = risk + np.vecdot(w, shift.vector) ** 2
+    elif shift is not None:
+        risk = risk + np.vecdot(w @ shift.covariance, w)
+    return numkern.unstack(risk)
 
 
-def worst_case_risk(scm: LinearScm, b: np.ndarray, gamma: float) -> float:
-    """Penalized criterion at b from the model's moments, off-anchor + gamma
-    on-anchor; equals the supremum of shift_risk over the gamma-ellipsoid."""
-    if gamma < 0:
+def worst_case_risk(scm: LinearScm, b: np.ndarray, gamma: float):
+    """Penalized criterion at b (or each row of a stack) from the model's
+    moments, off-anchor + gamma on-anchor; equals the supremum of shift_risk
+    over the gamma-ellipsoid."""
+    if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
     off, on = numkern.residual_energy(scm.moments, b)
     return off + gamma * on
@@ -370,15 +374,14 @@ class PerturbationSet:
         """Q^{1/2} on range(Q), sqrt(lambda_k) v_k over the kept eigenpairs."""
         return self._eigvecs[:, self._keep] * np.sqrt(self._eigvals[self._keep])
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        """v is inside iff v lies in range(Q) and v' Q^+ v <= 1."""
-        v = np.asarray(v, dtype=float).ravel()
-        coords = self._eigvecs.T @ v
-        off_range = coords[~self._keep]
-        if off_range.size and np.abs(off_range).max() > tol * max(1.0, np.linalg.norm(v)):
-            return False
-        quad = float(np.sum(coords[self._keep] ** 2 / self._eigvals[self._keep]))
-        return quad <= 1.0 + tol
+    def contains(self, v, tol: float = 1e-9):
+        """v is inside iff v lies in range(Q) and v' Q^+ v <= 1, per row of a stack."""
+        v = np.asarray(v, dtype=float)
+        coords = v @ self._eigvecs
+        off_range = np.abs(coords[..., ~self._keep]).max(axis=-1, initial=0.0)
+        quad = np.sum(coords[..., self._keep] ** 2 / self._eigvals[self._keep], axis=-1)
+        in_range = off_range <= tol * np.maximum(1.0, np.sqrt(np.vecdot(v, v)))
+        return numkern.unstack(in_range & (quad <= 1.0 + tol))
 
     def boundary_grid(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Points v = Q^{1/2} u with u uniform on the sphere in range(Q)."""
@@ -391,8 +394,8 @@ class PerturbationSet:
 
 
 def perturbation_set(scm: LinearScm, gamma: float) -> PerturbationSet:
-    if gamma < 0:
-        raise DomainError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be nonnegative and finite, got {gamma}")
     gram = scm.anchor.second_moment()
     return PerturbationSet(gamma=float(gamma), bound=gamma * scm.M @ gram @ scm.M.T)
 

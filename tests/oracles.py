@@ -12,8 +12,10 @@ row-wise objective and structural worst-case risk instead of the residual
 energy of the moments, cross-validation folds copied into datasets of
 their own (`subset_rows`) instead of index rows of the one dataset, the
 l1 descent on the n-row gamma-transformed data instead of Gram columns read
-from the moments, and the equal-weight l1 descent on a stacked n-row copy
-(`equal_weight_design`) instead of the level-reweighted moments.
+from the moments, the equal-weight l1 descent on a stacked n-row copy
+(`equal_weight_design`) instead of the level-reweighted moments, and the
+certification battery's quantities scored one vector and one shift at a time
+instead of as one stack per model.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 from anchorlab import numkern
+from anchorlab.batteries import random_stable_scm
 from anchorlab.datamodel import AnchorDataset, center, level_blocks
 from anchorlab.estimators import fit_anchor, gamma_transform
 from anchorlab.exceptions import (
@@ -39,7 +42,15 @@ from anchorlab.modelsel import (
     assign_level_folds,
     conditional_mse_quantiles,
 )
-from anchorlab.scm import LinearScm, population_anchor, sample, shift_risk
+from anchorlab.scm import (
+    LinearScm,
+    Shift,
+    anchor_stability_causal_check,
+    population_anchor,
+    sample,
+    shift_risk,
+    worst_case_risk,
+)
 from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso
 
 
@@ -401,6 +412,59 @@ def structural_worst_case_risk(model, b, gamma):
     return float(w @ model.noise_covariance() @ w) + gamma * float(
         mw @ model.anchor.second_moment() @ mw
     )
+
+
+def loop_worst_case_report(model, pset, points, coefs):
+    """`batteries._worst_case_report` one coefficient vector at a time."""
+    exact, inside, grid = [], [], []
+    for b in coefs:
+        w = model.residual_weights(b)
+        risk = worst_case_risk(model, b, pset.gamma)
+        qw = pset.bound @ w
+        energy = float(w @ qw)
+        v_star = qw / np.sqrt(energy) if energy > 0.0 else np.zeros_like(qw)
+        at_star = shift_risk(model, b, Shift(vector=v_star))
+        exact.append(abs(at_star - risk) / max(abs(risk), 1e-300))
+        inside.append(pset.contains(v_star))
+        grid.append(shift_risk(model, b) + float(np.max((points @ w) ** 2)) - risk)
+    return {
+        "passed": max(exact) <= 1e-12 and all(inside) and max(grid) <= 1e-8,
+        "exact_gap": max(exact),
+        "min_gap": min(grid),
+        "max_gap": max(grid),
+    }
+
+
+def loop_stability_chain(seed=0, n_models=50, n_shifts=100):
+    """`batteries.check_stability_chain` scoring one shift at a time."""
+    rng = numkern.make_rng(seed)
+    gamma_grid = np.geomspace(1e-3, 1e3, 25)
+    worst_end, worst_path, worst_effect, worst_const = 0.0, 0.0, 0.0, 0.0
+    for _ in range(n_models):
+        model = random_stable_scm(rng, d=int(rng.integers(1, 4)))
+        report = anchor_stability_causal_check(model, gamma_grid)
+        worst_end = max(worst_end, report["endpoint_gap"])
+        worst_path = max(worst_path, report["path_gap"])
+        worst_effect = max(worst_effect, report.get("effect_gap", math.inf))
+        b_zero = report["b_zero"]
+        base = shift_risk(model, b_zero)
+        for _ in range(n_shifts):
+            v = model.M @ rng.uniform(-3.0, 3.0, size=model.q)
+            risk = shift_risk(model, b_zero, Shift(vector=v))
+            worst_const = max(worst_const, abs(risk - base))
+    return {
+        "name": "stability_chain",
+        "passed": (
+            worst_end < 1e-8
+            and worst_path < 1e-7
+            and worst_effect < 1e-8
+            and worst_const < 1e-9
+        ),
+        "max_endpoint_gap": worst_end,
+        "max_path_gap": worst_path,
+        "max_effect_gap": worst_effect,
+        "max_risk_variation": worst_const,
+    }
 
 
 def covariance_side_blocks(model, anchor, kappa, xi_cov, noise_cov):

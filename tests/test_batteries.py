@@ -3,6 +3,10 @@ import pytest
 
 from anchorlab import batteries, numkern, scm
 
+import oracles
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_worst_case_identity_passes_on_seeds_0_to_149():
     failing = [
@@ -40,20 +44,87 @@ def test_replicability_seed_141_sides_agree_to_rounding():
         assert report["discrepancy"] <= 1e-12 * scale
 
 
-@pytest.fixture
-def inflated_risk(monkeypatch):
+def scale_worst_case_risk(monkeypatch, factor):
     real = scm.worst_case_risk
     monkeypatch.setattr(
-        batteries, "worst_case_risk", lambda model, b, gamma: 1.001 * real(model, b, gamma)
+        batteries, "worst_case_risk", lambda model, b, gamma: factor * real(model, b, gamma)
     )
 
 
-@pytest.mark.usefixtures("inflated_risk")
-def test_worst_case_identity_catches_a_tenth_of_a_percent():
+def test_worst_case_identity_catches_a_tenth_of_a_percent(monkeypatch):
+    scale_worst_case_risk(monkeypatch, 1.001)
     assert not batteries.check_worst_case_identity(seed=0, n_models=20)["passed"]
     report = batteries.run_scm_checks(scm.example_iv_chain(), seed=0)
     assert not report["checks"][0]["passed"]
     assert report["checks"][0]["exact_gap"] > 1e-4
+
+
+def test_boundary_grid_catches_an_understated_risk(monkeypatch):
+    # 1e-6 below the supremum: the grid points of the one-anchor models,
+    # which sit on it, overshoot the criterion by more than 1e-8
+    scale_worst_case_risk(monkeypatch, 0.999999)
+    report = batteries.check_worst_case_identity(seed=0, n_models=20)
+    assert not report["passed"]
+    assert report["max_gap"] > 1e-8
+
+
+def test_stacked_reports_match_the_per_vector_loops(monkeypatch):
+    # each model's stacked report next to the per-vector loop on the same
+    # inputs
+    scored = []
+    stacked = batteries._worst_case_report
+
+    def report(model, pset, points, coefs):
+        got = stacked(model, pset, points, coefs)
+        ref = oracles.loop_worst_case_report(model, pset, points, coefs)
+        risk = np.abs(scm.worst_case_risk(model, coefs, pset.gamma)).max()
+        assert got["passed"] == ref["passed"]
+        for key in ("exact_gap", "min_gap", "max_gap"):
+            assert abs(got[key] - ref[key]) <= 1e-12 * max(1.0, risk), (key, got, ref)
+        scored.append(model)
+        return got
+
+    monkeypatch.setattr(batteries, "_worst_case_report", report)
+    for seed in range(20):
+        batteries.check_worst_case_identity(seed=seed)
+    for q in (3, 4):
+        rng = numkern.make_rng(q)
+        for seed in range(20):
+            batteries.run_scm_checks(batteries.random_scm(rng, d=2, r=1, q=q), seed=seed)
+    assert len(scored) == 20 * 100 + 2 * 20
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stacked_shifts_match_the_per_shift_loop(seed):
+    # equal gaps before the shifts mean the same models were drawn, so the
+    # stacked draw leaves the generator where the loop does; an absolute
+    # 1e-12 on the variation is no looser than 1e-12 * max(1, risk)
+    got = batteries.check_stability_chain(seed=seed)
+    ref = oracles.loop_stability_chain(seed=seed)
+    assert got["passed"] == ref["passed"]
+    for key in ("max_endpoint_gap", "max_path_gap", "max_effect_gap"):
+        assert got[key] == ref[key]
+    assert abs(got["max_risk_variation"] - ref["max_risk_variation"]) <= 1e-12
+
+
+def test_shift_orthogonal_to_every_anchor_direction_is_zero(monkeypatch):
+    # at b_zero of this stable model the residual weights are exactly
+    # orthogonal to M, so w'Qw = 0 and v* = 0; the other rows have w'Qw > 0
+    model = batteries.random_stable_scm(numkern.make_rng(2), d=2)
+    b_zero = scm.population_anchor(model, 0.0)
+    assert not (model.residual_weights(b_zero) @ model.M).any()
+    rng = numkern.make_rng(0)
+    coefs = np.vstack([b_zero, rng.uniform(-2.0, 2.0, size=(3, 2)), b_zero])
+    pset = scm.perturbation_set(model, 5.0)
+    shifts = []
+    monkeypatch.setattr(
+        batteries, "Shift", lambda vector: shifts.append(vector) or scm.Shift(vector=vector)
+    )
+    report = batteries._worst_case_report(model, pset, pset.boundary_grid(1000, rng), coefs)
+    assert report["passed"], report
+    (v_star,) = shifts
+    assert not v_star[[0, -1]].any()
+    assert (np.abs(v_star[1:-1]).max(axis=1) > 0).all()
 
 
 def test_stability_chain_splits_each_model_once(monkeypatch):

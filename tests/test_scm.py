@@ -203,6 +203,39 @@ class TestWorstCaseRisk:
                 assert grid_sup <= wc + 1e-8
                 assert grid_sup >= wc - 1e-4 * max(wc, 1.0)
 
+    def test_stacks_score_row_by_row(self):
+        model = random_scm(numkern.make_rng(11), d=2, r=1, q=2)
+        rng = numkern.make_rng(12)
+        coefs = rng.uniform(-2, 2, size=(6, 2))
+        shifts = rng.uniform(-1, 1, size=(6, model.p))
+        cov = Shift(covariance=np.diag(rng.uniform(0, 1, size=model.p)))
+        b = coefs[0]
+        cases = [
+            (shift_risk(model, coefs), [shift_risk(model, c) for c in coefs]),
+            (shift_risk(model, coefs, cov), [shift_risk(model, c, cov) for c in coefs]),
+            (
+                shift_risk(model, coefs, Shift(vector=shifts)),
+                [shift_risk(model, c, Shift(vector=v)) for c, v in zip(coefs, shifts)],
+            ),
+            (
+                shift_risk(model, b, Shift(vector=shifts)),
+                [shift_risk(model, b, Shift(vector=v)) for v in shifts],
+            ),
+            (worst_case_risk(model, coefs, 3.0), [worst_case_risk(model, c, 3.0) for c in coefs]),
+        ]
+        for stacked, rows in cases:
+            assert all(type(risk) is float for risk in rows)
+            np.testing.assert_allclose(stacked, rows, rtol=1e-13)
+        pset = perturbation_set(model, 3.0)
+        candidates = np.vstack([pset.boundary_grid(4, rng) * 0.99, shifts])
+        inside = [pset.contains(v) for v in candidates]
+        assert all(type(answer) is bool for answer in inside)
+        assert pset.contains(candidates).tolist() == inside == [True] * 4 + [False] * 6
+
+    def test_nan_gamma_is_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            worst_case_risk(example_iv_chain(), np.array([1.0]), math.nan)
+
 
 class TestPerturbationSet:
     def test_anchor_into_x_only(self):
@@ -232,6 +265,12 @@ class TestPerturbationSet:
         model = example_iv_chain()
         for gamma in (0.0, 1.0, 9.0):
             assert perturbation_set(model, gamma).contains(np.zeros(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma):
+        with pytest.raises(DomainError, match="nonnegative and finite"):
+            perturbation_set(example_iv_chain(), gamma)
 
     def test_boundary_points_members(self):
         model = example_confounder_shift()
