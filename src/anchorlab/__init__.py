@@ -11,13 +11,10 @@ quantile, invariance, and replicability guarantees.
 
 from .datamodel import AnchorDataset, center, from_levels, read_csv, write_csv
 from .estimators import (
-    GAMMA_INF,
     AnchorFit,
     AnchorRegression,
     anchor_objective,
     fit_anchor,
-    fit_iv,
-    gamma_transform,
     predict,
 )
 from .exceptions import AnchorlabError
@@ -25,7 +22,6 @@ from .modelsel import (
     anchor_stability_test,
     conditional_mse_quantiles,
     cv_gamma,
-    quantile_gamma,
     replicability_rank,
 )
 from .numkern import chi2_1_quantile, make_rng
@@ -41,7 +37,6 @@ from .scm import (
     load_scm,
     perturbation_set,
     population_anchor,
-    population_iv,
     projectability_check,
     replicability_experiment,
     sample,
@@ -51,12 +46,9 @@ from .scm import (
     worst_case_risk,
 )
 from .sparse import (
-    anchor_compatibility,
-    equal_weight_objective,
     fit_anchor_lasso,
     fit_equal_weight_lasso,
     lambda_max,
-    lambda_path,
 )
 
 __version__ = "0.1.0"
@@ -67,11 +59,9 @@ __all__ = [
     "AnchorFit",
     "AnchorRegression",
     "AnchorlabError",
-    "GAMMA_INF",
     "LinearScm",
     "ReplicabilityScenario",
     "Shift",
-    "anchor_compatibility",
     "anchor_objective",
     "anchor_stability_causal_check",
     "anchor_stability_test",
@@ -80,25 +70,19 @@ __all__ = [
     "conditional_mse_quantiles",
     "cv_gamma",
     "d_separated",
-    "equal_weight_objective",
     "example_confounder_shift",
     "example_iv_chain",
     "fit_anchor",
     "fit_anchor_lasso",
     "fit_equal_weight_lasso",
-    "fit_iv",
     "from_levels",
-    "gamma_transform",
     "lambda_max",
-    "lambda_path",
     "load_scm",
     "make_rng",
     "perturbation_set",
     "population_anchor",
-    "population_iv",
     "predict",
     "projectability_check",
-    "quantile_gamma",
     "read_csv",
     "replicability_experiment",
     "replicability_rank",

@@ -47,7 +47,8 @@ class AnchorDataset:
     """Observations (X, Y, A) sharing n rows.
 
     anchor_levels maps a level label to the row indices belonging to it; the
-    sets partition the rows when present (discrete anchors only).
+    integer index sets partition range(n) when present (discrete anchors
+    only).
 
     level_codes, when present, records that A is the 0/1 indicator matrix of
     these per-row column indices (before centering). Only constructors that
@@ -85,10 +86,14 @@ class AnchorDataset:
                 tuple(f"x{j + 1}" for j in range(X.shape[1])),
             )
         if self.anchor_levels is not None:
-            covered = np.concatenate(
-                [np.asarray(ix) for ix in self.anchor_levels.values()]
-            )
-            if len(covered) != n or len(np.unique(covered)) != n:
+            # n integer indices, each in range(n) and each row hit, are a permutation
+            parts = [np.asarray(ix) for ix in self.anchor_levels.values()]
+            rows = np.concatenate([ix for ix in parts if ix.size] or [np.zeros(0, int)])
+            hit = np.zeros(n, dtype=bool)
+            ok = rows.dtype.kind in "iu" and rows.size == n
+            if ok and n and 0 <= rows.min() and rows.max() < n:
+                hit[rows] = True
+            if not (ok and hit.all()):
                 raise ValueError("anchor level index sets must partition the rows")
         if self.level_codes is not None:
             codes = np.asarray(self.level_codes)

@@ -33,8 +33,6 @@ from .exceptions import (
     Underidentified,
 )
 
-GAMMA_INF = math.inf
-
 
 @dataclass(frozen=True)
 class AnchorFit:
@@ -49,16 +47,6 @@ class AnchorFit:
     x_means: np.ndarray | None = None
     y_mean: float = 0.0
     predictor_names: tuple = ()
-
-
-def gamma_transform(ds: AnchorDataset, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Id + (sqrt(gamma) - 1) P) applied columnwise to X and Y."""
-    if not gamma >= 0:
-        raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    ds = center(ds)
-    on = ds.projection.project(np.column_stack([ds.X, ds.Y]))
-    on *= np.sqrt(gamma) - 1.0
-    return ds.X + on[:, : ds.d], ds.Y + on[:, ds.d]
 
 
 def anchor_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> float:
@@ -77,7 +65,7 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
     if not gamma >= 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
     ds = center(ds)
-    if gamma == GAMMA_INF:
+    if gamma == math.inf:
         path = ds.moments.path
         if path.rank < ds.d:
             raise Underidentified(f"anchor-projected design has rank {path.rank} < d={ds.d}")
@@ -104,13 +92,6 @@ def fit_anchor(ds: AnchorDataset, gamma: float) -> AnchorFit:
         y_mean=ds.y_mean,
         predictor_names=ds.predictor_names,
     )
-
-
-def fit_iv(ds: AnchorDataset) -> AnchorFit:
-    """Two-stage least squares, `fit_anchor` at gamma = inf: minimize the
-    anchor-projected residual only, the limit the population IV solve takes
-    too."""
-    return fit_anchor(ds, GAMMA_INF)
 
 
 def predict(fit: AnchorFit, x_new: np.ndarray) -> np.ndarray:

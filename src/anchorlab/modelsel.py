@@ -14,15 +14,9 @@ import numpy as np
 
 from . import numkern, sparse
 from .datamodel import AnchorDataset, center, level_blocks
-from .estimators import AnchorFit, fit_anchor, fit_iv, predict
+from .estimators import AnchorFit, fit_anchor, predict
 from .exceptions import DomainError, InsufficientLevels, Underidentified
 from .scm import projectability_check
-
-
-def quantile_gamma(alpha: float) -> float:
-    """Penalty weight whose objective is the alpha-quantile of the
-    anchor-conditional MSE (Gaussian case): the chi-squared(1) quantile."""
-    return numkern.chi2_1_quantile(alpha)
 
 
 def nearest_rank_quantile(values: np.ndarray, alpha: float) -> float:
@@ -163,7 +157,7 @@ def anchor_stability_test(
     iv_fit = None
     if proj["holds"]:
         try:
-            iv_fit = fit_iv(ds)
+            iv_fit = fit_anchor(ds, math.inf)
             fits[math.inf] = iv_fit
         except Underidentified:
             proj = dict(proj, holds=False)

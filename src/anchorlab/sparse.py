@@ -6,8 +6,8 @@ G = G_off + gamma G_on and g = g_off + gamma g_on read from second moments
 of [X Y] off and on the anchor span, shared by every gamma. Every l1 fit
 runs the one solver, `feature_sign` on an `_AnchorGram`: exact solves on
 an active set with fixed signs, which a sign flip shrinks and the largest
-gradient above lambda grows, in finitely many steps, with warm starts along
-the lambda grid. The anchor lasso reads the dataset's moments
+gradient above lambda grows, in finitely many steps; a warm start (`start`)
+gives the cold fit's bits. The anchor lasso reads the dataset's moments
 (`AnchorDataset.gram_columns`). The equal-weight variant gives every
 discrete anchor level the same weight regardless of its size: it reads the
 moments of [X Y] with each row scaled by sqrt(n / (k n_l)) and the level
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkern
 from .datamodel import AnchorDataset, center, level_blocks
 from .estimators import AnchorFit, fit_anchor
-from .exceptions import DomainError, InvalidConfig, NotPositiveDefinite
+from .exceptions import DomainError, NotPositiveDefinite
 
 MAX_STEPS = 100_000
 
@@ -212,81 +211,6 @@ def fit_anchor_lasso(
     return _l1_fit(ds, _AnchorGram(ds.gram_columns, gamma), gamma, lam, start)
 
 
-@dataclass(frozen=True)
-class LambdaPath:
-    """Warm-started solutions along a decreasing lambda grid."""
-
-    lambdas: np.ndarray
-    fits: tuple
-    active_sizes: tuple
-
-
-def lambda_path(
-    ds: AnchorDataset,
-    gamma: float,
-    n_lambdas: int = 50,
-    ratio: float = 1e-3,
-) -> LambdaPath:
-    """Log-spaced grid from lambda_max down to ratio * lambda_max."""
-    if n_lambdas < 2:
-        raise InvalidConfig("n_lambdas must be at least 2")
-    if not 0.0 < ratio < 1.0:
-        raise InvalidConfig("ratio must lie in (0, 1)")
-    ds = center(ds)
-    top = lambda_max(ds, gamma)
-    grid = top * np.exp(np.linspace(0.0, np.log(ratio), n_lambdas))
-    gram = _AnchorGram(ds.gram_columns, gamma)
-    fits = []
-    for lam in grid:
-        warm = fits[-1].coef if fits else None
-        fits.append(_l1_fit(ds, gram, gamma, lam, warm))
-    return LambdaPath(
-        lambdas=grid,
-        fits=tuple(fits),
-        active_sizes=tuple(int(np.count_nonzero(f.coef)) for f in fits),
-    )
-
-
-@dataclass(frozen=True)
-class EqualWeightRisk:
-    """Per-level breakdown of the equal-weight objective."""
-
-    counts: tuple
-    within_moments: tuple  # mean squared within-level-centered residual
-    level_means: tuple  # mean residual per level
-    gamma: float
-
-    @property
-    def value(self) -> float:
-        k = len(self.counts)
-        within = sum(self.within_moments) / k
-        between = self.gamma * sum(m * m for m in self.level_means) / k
-        return within + between
-
-
-def equal_weight_breakdown(ds: AnchorDataset, b: np.ndarray, gamma: float) -> EqualWeightRisk:
-    blocks = level_blocks(ds)
-    resid = ds.Y - ds.X @ np.asarray(b, dtype=float)
-    counts, within, means = [], [], []
-    for _, idx in blocks:
-        r = resid[idx]
-        mean = float(r.mean())
-        counts.append(idx.size)
-        means.append(mean)
-        within.append(float(np.mean((r - mean) ** 2)))
-    return EqualWeightRisk(
-        counts=tuple(counts),
-        within_moments=tuple(within),
-        level_means=tuple(means),
-        gamma=float(gamma),
-    )
-
-
-def equal_weight_objective(ds: AnchorDataset, b: np.ndarray, gamma: float) -> float:
-    """Equal-weight empirical risk: every anchor level counts the same."""
-    return equal_weight_breakdown(ds, b, gamma).value
-
-
 def _equal_weight_data(ds: AnchorDataset):
     """The level-mean projection and [X Y] of the centred `ds`, row i scaled
     by sqrt(n / (k n_l)) for its level l of k with n_l rows. Off the anchor
@@ -304,78 +228,15 @@ def _equal_weight_data(ds: AnchorDataset):
 
 
 def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> AnchorFit:
-    """Minimize n * equal-weight risk + 2*lam*||b||_1 by feature-sign search
-    on the level-reweighted moments, held as `AnchorDataset.gram_columns`
-    holds them: whole when n > d, a column at a time otherwise."""
+    """Minimize n * equal-weight risk + 2*lam*||b||_1, where the equal-weight
+    risk averages over the k anchor levels each level's within-level mean
+    squared residual plus gamma times its squared mean residual, by
+    feature-sign search on the level-reweighted moments, held as
+    `AnchorDataset.gram_columns` holds them: whole when n > d, a column at a
+    time otherwise."""
     if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
     ds = center(ds)
     moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
     gram = _AnchorGram(moments(*_equal_weight_data(ds)), gamma)
     return _l1_fit(ds, gram, gamma, lam)
-
-
-def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    norm = np.abs(v).sum()
-    if norm <= radius:
-        return v
-    if radius <= 0.0:
-        return np.zeros_like(v)
-    # Duchi et al. simplex projection applied to |v|
-    u = np.sort(np.abs(v))[::-1]
-    cumsum = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (cumsum - radius))[0][-1]
-    theta = (cumsum[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
-
-
-def anchor_compatibility(
-    ds: AnchorDataset,
-    gamma: float,
-    active: np.ndarray,
-    stretch: float = 8.0,
-    restarts: int = 50,
-    iterations: int = 400,
-    seed: int = 0,
-) -> float:
-    """Heuristic lower bound on the restricted-eigenvalue-type constant.
-
-    Minimizes |S| b' G b over the cone {||b_S||_1 = 1, ||b_-S||_1 <= L} by
-    projected subgradient descent with random restarts, where G pools the
-    per-level second-moment matrices with equal level weights; the reported
-    value is min(gamma, 1) times the best cone value found. This is a
-    search-based bound, not a certificate, and is never used inside
-    estimation.
-    """
-    active = np.asarray(active, dtype=int)
-    if active.size == 0:
-        raise DomainError("active set must be nonempty")
-    ds = center(ds)
-    # the level-reweighted [X Y]'[X Y] is n times the pooled Gram
-    moments = numkern.anchor_moments(*_equal_weight_data(ds))
-    gram = (moments.gram_off + moments.gram_on)[: ds.d, : ds.d] / ds.n
-    rest = np.setdiff1d(np.arange(ds.d), active)
-    lip = max(float(np.linalg.eigvalsh(gram).max()), 1e-12)
-    rng = numkern.make_rng(seed)
-
-    def cone_project(b):
-        s_norm = np.abs(b[active]).sum()
-        if s_norm < 1e-12:
-            b[active] = 1.0 / active.size
-            s_norm = 1.0
-        b[active] /= s_norm
-        if rest.size:
-            b[rest] = _project_l1_ball(b[rest], stretch)
-        return b
-
-    best = np.inf
-    for _ in range(restarts):
-        b = rng.standard_normal(ds.d)
-        b = cone_project(b)
-        for it in range(iterations):
-            step = 1.0 / (lip * (1.0 + it / 50.0))
-            b = cone_project(b - step * 2.0 * (gram @ b))
-        value = active.size * float(b @ gram @ b)
-        best = min(best, value)
-    return min(gamma, 1.0) * best
-

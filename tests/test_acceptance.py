@@ -7,6 +7,7 @@ rates, model-selection behaviour, and CLI determinism.
 """
 
 import filecmp
+import math
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from anchorlab import batteries, cli, numkern, scm
 from anchorlab.datamodel import AnchorDataset, center
-from anchorlab.estimators import fit_anchor, fit_iv, gamma_transform
+from anchorlab.estimators import fit_anchor
 from anchorlab.modelsel import cv_gamma, replicability_rank
 from anchorlab.scm import (
     AnchorDistribution,
@@ -22,7 +23,6 @@ from anchorlab.scm import (
     Shift,
     example_iv_chain,
     population_anchor,
-    population_iv,
     save_scm,
     shift_risk,
 )
@@ -61,7 +61,7 @@ class TestEstimatorEndpoints:
         start = time.perf_counter()
         b_ols = fit_anchor(ds, 1.0).coef[0]
         b_pa = fit_anchor(ds, 0.0).coef[0]
-        b_iv = fit_iv(ds).coef[0]
+        b_iv = fit_anchor(ds, math.inf).coef[0]
         elapsed = time.perf_counter() - start
         assert b_ols == pytest.approx(5.0 / 3.0, abs=0.01)
         assert b_pa == pytest.approx(2.0, abs=0.01)
@@ -98,7 +98,7 @@ class TestPathOutperformsEndpoints:
         endpoint = min(
             risk(population_anchor(model, 0.0)),
             risk(population_anchor(model, 1.0)),
-            risk(population_iv(model)),
+            risk(population_anchor(model, math.inf)),
         )
         grid = np.concatenate([np.linspace(0.0, 1.0, 21), np.geomspace(1.0, 1e3, 40)])
         best = min(risk(population_anchor(model, g)) for g in grid)
@@ -145,7 +145,7 @@ class TestStabilityChain:
         assert result["max_endpoint_gap"] < 1e-8
         assert result["max_path_gap"] < 1e-7
         assert result["max_effect_gap"] < 1e-8
-        assert result["max_risk_variation"] < 1e-9
+        assert result["max_anchor_loading"] <= 1e-12
 
 
 class TestLassoCorrectness:
@@ -168,7 +168,7 @@ class TestLassoCorrectness:
         for seed in range(10):
             ds = self._instance(seed)
             for gamma in gammas:
-                xt, yt = gamma_transform(ds, gamma)
+                xt, yt = oracles.qr_gamma_transform(ds, gamma)
                 for frac in fracs:
                     lam = frac * lambda_max(ds, gamma)
                     fit = fit_anchor_lasso(ds, gamma, lam)
@@ -181,7 +181,7 @@ class TestLassoCorrectness:
             ds = self._instance(100 + seed)
             lam = 0.15 * lambda_max(ds, 1.0)
             fit = fit_anchor_lasso(ds, 1.0, lam)
-            xt, yt = gamma_transform(ds, 1.0)
+            xt, yt = oracles.qr_gamma_transform(ds, 1.0)
             b_ref = oracles.proximal_gradient_lasso(xt, yt, lam)
             ours = oracles.lasso_objective(xt, yt, fit.coef, lam)
             theirs = oracles.lasso_objective(xt, yt, b_ref, lam)

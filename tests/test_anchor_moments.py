@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
-from anchorlab.estimators import anchor_objective, fit_anchor, fit_iv, gamma_transform
+from anchorlab.estimators import anchor_objective, fit_anchor
 from anchorlab.exceptions import SingularDesign, Underidentified
 from anchorlab.modelsel import cv_gamma
 
@@ -111,11 +111,13 @@ def test_coefficients_match_qr_reference(design, d, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_gamma_transform_matches_qr_reference(design, d, seed):
-    # both projections round at the scale of the data they project, which
-    # the transform multiplies by sqrt(gamma) on the anchor span
+    # the dataset's cached projection against a fresh QR basis: both round at
+    # the scale of the data they project, which the transform multiplies by
+    # sqrt(gamma) on the anchor span
     ds = center(DESIGNS[design](numkern.make_rng(seed), d))
     for gamma in GAMMAS[:-1]:
-        pairs = zip(gamma_transform(ds, gamma), oracles.qr_gamma_transform(ds, gamma), (ds.X, ds.Y))
+        got = oracles.projection_gamma_transform(ds, gamma)
+        pairs = zip(got, oracles.qr_gamma_transform(ds, gamma), (ds.X, ds.Y))
         for got, ref, raw in pairs:
             scale = max(np.sqrt(gamma), 1.0) * float(np.max(np.abs(raw)))
             assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale, gamma
@@ -161,7 +163,7 @@ def test_objectives_make_no_projection_call(monkeypatch):
     for gamma in GAMMAS[:-1]:
         fit = fit_anchor(ds, gamma)
         assert fit.objective == anchor_objective(ds, fit.coef, gamma)
-    fit_iv(ds)
+    fit_anchor(ds, math.inf)
 
 
 def test_strong_anchors_partial_out_to_round_off():
@@ -247,11 +249,11 @@ DEGENERATE = {
 
 @pytest.mark.parametrize("name", [*sorted(DESIGNS), *DEGENERATE])
 def test_iv_fit_is_the_shared_split(name, monkeypatch):
-    # fit_iv solves no Gram matrix: it takes the gamma = inf value of the one
+    # the IV fit solves no Gram matrix: it takes the gamma = inf value of the one
     # factorisation of the moments, which the population IV limit reads too,
     # and raises where the QR reference raises
     def refuse(*args):
-        raise AssertionError("fit_iv solved a Gram matrix")
+        raise AssertionError("the IV fit solved a Gram matrix")
 
     for seed in range(5):
         rng = numkern.make_rng(seed)
@@ -264,7 +266,7 @@ def test_iv_fit_is_the_shared_split(name, monkeypatch):
             patched.setattr(numkern, "solve_spd", refuse)
             path = ds.moments.path
             try:
-                fit = fit_iv(ds)
+                fit = fit_anchor(ds, math.inf)
             except Underidentified as exc:
                 assert ref is None
                 assert f"rank {path.rank} < d={ds.d}" in str(exc)
@@ -302,7 +304,7 @@ def test_one_qr_per_centred_dataset(qr_calls):
         ds = center(build(numkern.make_rng(2), 2))
         for gamma in GAMMAS:
             fit_anchor(ds, gamma)
-        fit_iv(ds)
+        fit_anchor(ds, math.inf)
         sparse.fit_anchor_lasso(ds, 4.0, 1.0)
         sparse.lambda_max(ds, 0.5)
     assert len(qr_calls) == 2

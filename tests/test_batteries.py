@@ -104,7 +104,22 @@ def test_stacked_shifts_match_the_per_shift_loop(seed):
     assert got["passed"] == ref["passed"]
     for key in ("max_endpoint_gap", "max_path_gap", "max_effect_gap"):
         assert got[key] == ref[key]
-    assert abs(got["max_risk_variation"] - ref["max_risk_variation"]) <= 1e-12
+    assert abs(got["max_anchor_loading"] - ref["max_anchor_loading"]) <= 1e-12
+
+
+def test_stability_chain_catches_a_moved_b_zero(monkeypatch):
+    # b_zero 1e-6 off: its residual weights load on span(M) by ~1e-6, which
+    # the shift risk shows only squared, below any absolute bound near 1e-9
+    real = scm.anchor_stability_causal_check
+
+    def moved(model, gamma_grid):
+        report = real(model, gamma_grid)
+        return dict(report, b_zero=report["b_zero"] + 1e-6)
+
+    monkeypatch.setattr(batteries, "anchor_stability_causal_check", moved)
+    report = batteries.check_stability_chain(seed=0, n_models=5)
+    assert not report["passed"]
+    assert report["max_anchor_loading"] > 1e-8
 
 
 def test_shift_orthogonal_to_every_anchor_direction_is_zero(monkeypatch):

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import cli, datamodel, numkern, sparse
 from anchorlab.batteries import random_scm
-from anchorlab.estimators import gamma_transform
 from anchorlab.scm import (
     Shift,
     example_confounder_shift,
@@ -636,7 +635,7 @@ class TestErrorContract:
         ds = datamodel.center(datamodel.read_csv(data, datamodel.load_column_config(config)))
         fit = sparse.fit_anchor_lasso(ds, 0.0, 0.3)
         assert fit.converged and fit.coef[0] == 0.0
-        xt, yt = gamma_transform(ds, 0.0)
+        xt, yt = oracles.qr_gamma_transform(ds, 0.0)
         assert oracles.kkt_violation(xt, yt, fit.coef, 0.3) <= 1e-9 * 0.3
         with open(tmp_path / "o" / "ranking.csv", newline="") as fh:
             l_scores = [float(row["l_score"]) for row in csv.DictReader(fh)]

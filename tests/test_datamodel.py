@@ -256,13 +256,23 @@ def test_anchor_rows_must_match_x():
 
 
 def test_level_partition_enforced():
-    with pytest.raises(ValueError):
-        AnchorDataset(
-            X=np.zeros((3, 1)),
-            Y=np.zeros(3),
-            A=np.zeros((3, 1)),
-            anchor_levels={"a": np.array([0, 1])},
-        )
+    for levels in (
+        {"a": np.array([0, 1])},  # row 2 in no level
+        {"a": [0, 1], "b": [7]},  # a row outside range(n)
+        {"a": [0, 2], "b": [-1]},  # row 2 twice, row 1 never
+        {"a": [0.0, 1.0], "b": [2.0]},  # not integer indices
+    ):
+        with pytest.raises(ValueError, match="must partition the rows"):
+            AnchorDataset(
+                X=np.zeros((3, 1)),
+                Y=np.zeros(3),
+                A=np.zeros((3, 1)),
+                anchor_levels=levels,
+            )
+    # an empty level set holds no row
+    ds = AnchorDataset(X=np.zeros((3, 1)), Y=np.zeros(3), A=np.zeros((3, 1)),
+                       anchor_levels={"a": [2, 0], "b": [1], "c": []})
+    assert center(ds).anchor_levels is ds.anchor_levels
 
 
 # --- the numpy reader against the per-cell parser ----------------------------

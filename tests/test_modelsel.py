@@ -12,7 +12,6 @@ from anchorlab.modelsel import (
     conditional_mse_quantiles,
     cv_gamma,
     nearest_rank_quantile,
-    quantile_gamma,
     replicability_rank,
 )
 from anchorlab.scm import AnchorDistribution, LinearScm
@@ -49,19 +48,19 @@ def ranking_model():
 
 class TestQuantileGamma:
     def test_95_percent(self):
-        assert quantile_gamma(0.95) == pytest.approx(3.8415, abs=1e-4)
+        assert numkern.chi2_1_quantile(0.95) == pytest.approx(3.8415, abs=1e-4)
 
     def test_unit_gamma_alpha(self):
         # the alpha whose optimal penalty weight is exactly 1
         assert oracles.chi2_1_cdf(1.0) == pytest.approx(0.6827, abs=1e-4)
-        assert quantile_gamma(0.6827) == pytest.approx(1.0, abs=1e-3)
+        assert numkern.chi2_1_quantile(0.6827) == pytest.approx(1.0, abs=1e-3)
 
     def test_small_alpha_limit(self):
-        assert quantile_gamma(1e-10) < 1e-8
+        assert numkern.chi2_1_quantile(1e-10) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            quantile_gamma(1.0)
+            numkern.chi2_1_quantile(1.0)
 
 
 class TestNearestRank:
@@ -125,7 +124,7 @@ class TestConditionalMse:
         draws = rng.standard_normal(2000)
         cond = base + (draws * float((model.M.T @ w)[0])) ** 2
         for alpha in (0.5, 0.9):
-            gamma = quantile_gamma(alpha)
+            gamma = numkern.chi2_1_quantile(alpha)
             predicted = scm.worst_case_risk(model, b, gamma)
             empirical = float(np.quantile(cond, alpha))
             assert abs(empirical - predicted) / predicted < 0.03

@@ -100,7 +100,7 @@ def test_projectability_matches_whitened_reference(seed, d, r, q, discrete):
         assert abs(got["penalty_min"] - ref["penalty_min"]) <= 1e-9 * float(r_y @ r_y)
     if not got["holds"]:
         try:
-            scm.population_iv(model)
+            scm.population_anchor(model, math.inf)
         except ProjectabilityViolated:
             pass
         else:

@@ -1,11 +1,12 @@
 """Every top-level function and class of the package is reached: its name is
 used somewhere in src/anchorlab, or, for a public one, `anchorlab.__all__`
-exports it. Code that only tests call belongs in the tests, a private `_name`
-too. Every top-level import of a module is used in that module, and importing
-the CLI loads no scipy module."""
+exports it, and README.md names each export. Code that only tests call
+belongs in the tests, a private `_name` too. Every top-level import of a
+module is used in that module, and importing the CLI loads no scipy module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import anchorlab
 
 PACKAGE = Path(anchorlab.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unreached_names() -> dict:
@@ -46,6 +48,14 @@ def test_every_public_definition_is_reached():
 def test_every_private_definition_is_reached():
     unreached = unreached_names().items()
     assert {name: module for name, module in unreached if name.startswith("_")} == {}
+
+
+def test_readme_names_every_export():
+    # an export is public on purpose: README says which claim or use needs it
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    named = {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    assert sorted(set(anchorlab.__all__) - named) == []
 
 
 def unused_imports() -> list:

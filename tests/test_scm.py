@@ -25,7 +25,6 @@ from anchorlab.scm import (
     load_scm,
     perturbation_set,
     population_anchor,
-    population_iv,
     projectability_check,
     replicability_experiment,
     sample,
@@ -134,7 +133,6 @@ class TestPopulationAnchor:
         model = example_iv_chain()
         assert population_anchor(model, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
         assert population_anchor(model, 1.0)[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
-        assert population_iv(model)[0] == pytest.approx(1.0, abs=1e-12)
         assert population_anchor(model, math.inf)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_gamma_rejected(self):
@@ -324,7 +322,7 @@ class TestProjectability:
         assert not check["holds"]
         assert check["penalty_min"] == float(r_y @ r_y)
         with pytest.raises(ProjectabilityViolated):
-            population_iv(model)
+            population_anchor(model, math.inf)
 
     def test_large_y_scale_does_not_hide_a_weak_anchor(self):
         # Y = 1e6 X_1: against ||[X Y]|| the weak anchor on X_2 (1e-8) would
@@ -339,7 +337,7 @@ class TestProjectability:
         )
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(numkern, "solve_spd", None)
-            b = population_iv(model)
+            b = population_anchor(model, math.inf)
         path = model.moments.path
         assert path.rank == 2 and path.consistent
         assert projectability_check(model)["holds"]

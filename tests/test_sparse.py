@@ -10,17 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
 from anchorlab.datamodel import AnchorDataset, center, from_levels
-from anchorlab.estimators import fit_anchor, gamma_transform
+from anchorlab.estimators import fit_anchor
 from anchorlab.exceptions import DomainError, EmptyLevel, InvalidConfig
 from anchorlab.sparse import (
-    anchor_compatibility,
-    equal_weight_breakdown,
-    equal_weight_objective,
     feature_sign,
     fit_anchor_lasso,
     fit_equal_weight_lasso,
     lambda_max,
-    lambda_path,
 )
 
 import oracles
@@ -81,13 +77,13 @@ class TestFitAnchorLasso:
             for gamma in (0.0, 1.0, 4.0):
                 lam = 0.2 * lambda_max(ds, gamma)
                 fit = fit_anchor_lasso(ds, gamma, lam)
-                xt, yt = gamma_transform(ds, gamma)
+                xt, yt = oracles.qr_gamma_transform(ds, gamma)
                 assert oracles.kkt_violation(xt, yt, fit.coef, lam) <= 1e-6 * lam
 
     def test_objective_nonincreasing_per_step(self):
         # the iterate after each number of steps, up to the solution
         ds = _random_ds(20)
-        xt, yt = gamma_transform(ds, 1.0)
+        xt, yt = oracles.qr_gamma_transform(ds, 1.0)
         lam = 0.1 * lambda_max(ds, 1.0)
         gram = sparse._AnchorGram(ds.gram_columns, 1.0)
         prev = oracles.lasso_objective(xt, yt, np.zeros(ds.d), lam)
@@ -121,8 +117,6 @@ class TestFitAnchorLasso:
         with pytest.raises(DomainError):
             lambda_max(ds, math.inf)
         with pytest.raises(DomainError):
-            lambda_path(ds, math.inf)
-        with pytest.raises(DomainError):
             fit_equal_weight_lasso(_level_ds(6), math.inf, 0.1)
 
     def test_kkt_violation_matches_loop(self):
@@ -154,7 +148,7 @@ class TestCovarianceDescent:
     @example(seed=50, wide=True, gamma=0.0, fraction=0.01)
     def test_exact_and_path_independent(self, seed, wide, gamma, fraction):
         ds = _random_ds(seed, n=12, d=20) if wide else _random_ds(seed, n=40, d=10)
-        xt, yt = gamma_transform(ds, gamma)
+        xt, yt = oracles.qr_gamma_transform(ds, gamma)
         lam = fraction * lambda_max(ds, gamma)
         gram = sparse._AnchorGram(ds.gram_columns, gamma)
         b, _, converged = feature_sign(gram, lam)
@@ -207,36 +201,6 @@ class TestCovarianceDescent:
         assert peak < 0.05 * 8 * ds.d**2
 
 
-class TestLambdaPath:
-    def test_first_point_zero(self):
-        path = lambda_path(_random_ds(7), 1.0, n_lambdas=10, ratio=1e-2)
-        assert np.array_equal(path.fits[0].coef, np.zeros_like(path.fits[0].coef))
-        assert path.active_sizes[0] == 0
-
-    def test_grid_decreasing(self):
-        path = lambda_path(_random_ds(8), 2.0, n_lambdas=12, ratio=1e-3)
-        assert np.all(np.diff(path.lambdas) < 0)
-
-    def test_active_sets_mostly_grow(self):
-        path = lambda_path(_random_ds(9), 1.0, n_lambdas=30, ratio=1e-3)
-        steps = np.diff(path.active_sizes)
-        assert np.mean(steps >= 0) >= 0.8
-
-    def test_warm_matches_cold(self):
-        ds = _random_ds(10)
-        path = lambda_path(ds, 1.0, n_lambdas=15, ratio=1e-2)
-        for lam, fit in zip(path.lambdas, path.fits):
-            cold = fit_anchor_lasso(ds, 1.0, lam)
-            assert np.array_equal(cold.coef, fit.coef)
-
-    def test_config_validation(self):
-        ds = _random_ds(11)
-        with pytest.raises(InvalidConfig):
-            lambda_path(ds, 1.0, n_lambdas=1)
-        with pytest.raises(InvalidConfig):
-            lambda_path(ds, 1.0, ratio=2.0)
-
-
 def _level_ds(seed=0, n_per=(40, 40, 40), d=3, beta=None):
     rng = numkern.make_rng(seed)
     labels = np.concatenate(
@@ -257,7 +221,7 @@ class TestEqualWeight:
         rng = numkern.make_rng(120)
         b = rng.standard_normal(ds.d)
         for gamma in (0.0, 1.0, 3.0):
-            ew = equal_weight_objective(ds, b, gamma)
+            ew = oracles.equal_weight_objective(ds, b, gamma)
             from anchorlab.estimators import anchor_objective
 
             assert ew == pytest.approx(anchor_objective(ds, b, gamma) / ds.n, abs=1e-10)
@@ -268,7 +232,7 @@ class TestEqualWeight:
         noiseless = AnchorDataset(
             X=ds.X, Y=ds.X @ beta, A=ds.A, anchor_levels=ds.anchor_levels
         )
-        assert equal_weight_objective(noiseless, beta, 5.0) == pytest.approx(0.0, abs=1e-20)
+        assert oracles.equal_weight_objective(noiseless, beta, 5.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_duplicating_a_level_changes_nothing(self):
         ds = _level_ds(14, n_per=(30, 30))
@@ -279,8 +243,8 @@ class TestEqualWeight:
         labels = np.array(["a"] * 30 + ["b"] * 30)
         big = from_levels(ds.X[reps], ds.Y[reps], labels[reps])
         for gamma in (0.5, 2.0):
-            assert equal_weight_objective(big, b, gamma) == pytest.approx(
-                equal_weight_objective(ds, b, gamma), abs=1e-10
+            assert oracles.equal_weight_objective(big, b, gamma) == pytest.approx(
+                oracles.equal_weight_objective(ds, b, gamma), abs=1e-10
             )
 
     def test_unbalanced_mean_contributions_equal(self):
@@ -291,9 +255,9 @@ class TestEqualWeight:
         labels = np.array(["s"] * 10 + ["l"] * 1000)
         y = x * 0.0 + 1.0  # residual at b=0 is exactly 1 everywhere
         ds = from_levels(x[:, None], y, labels)
-        breakdown = equal_weight_breakdown(ds, np.zeros(1), gamma=3.0)
-        assert breakdown.level_means[0] == pytest.approx(breakdown.level_means[1])
-        contrib = [m * m for m in breakdown.level_means]
+        _, level_means = oracles.equal_weight_breakdown(ds, np.zeros(1))
+        assert level_means[0] == pytest.approx(level_means[1])
+        contrib = [m * m for m in level_means]
         assert contrib[0] == pytest.approx(contrib[1])
 
     def test_balanced_fit_agrees_with_transformed_lasso(self):
@@ -311,7 +275,7 @@ class TestEqualWeight:
     def test_missing_levels_rejected(self):
         ds = _random_ds(18)
         with pytest.raises(EmptyLevel):
-            equal_weight_objective(ds, np.zeros(ds.d), 1.0)
+            fit_equal_weight_lasso(ds, 1.0, 0.1)
 
     def test_population_equal_weight_is_uniform_worst_case(self):
         # nonuniform level probabilities: the equal-weight risk equals the
@@ -416,7 +380,7 @@ class TestEqualWeightDescent:
         gram = sparse._AnchorGram(moments(projection, data), gamma)
         rng = numkern.make_rng(330)
         for b in (np.zeros(ds.d), rng.standard_normal(ds.d)):
-            risk = ds.n * equal_weight_objective(ds, b, gamma)
+            risk = ds.n * oracles.equal_weight_objective(ds, b, gamma)
             assert gram.energy(b) == pytest.approx(risk, rel=1e-12, abs=0.0)
 
     def test_wide_data_forms_no_square_gram(self):
@@ -436,75 +400,6 @@ class TestEqualWeightDescent:
         assert peak < 0.05 * 8 * ds.d**2
 
 
-class TestAnchorCompatibility:
-    def _orthonormal_ds(self, seed=19, n=64, d=6):
-        rng = numkern.make_rng(seed)
-        x = rng.standard_normal((n, d))
-        x -= x.mean(axis=0)
-        q, _ = np.linalg.qr(x)
-        x = q * np.sqrt(n)  # X'X / n = Id
-        labels = np.array(["a"] * n)
-        return from_levels(x, rng.standard_normal(n), labels)
-
-    def test_orthonormal_design_near_one(self):
-        ds = self._orthonormal_ds()
-        for s in ([0], [1, 4], [0, 2, 5]):
-            value = anchor_compatibility(ds, 1.0, np.array(s), stretch=0.2)
-            assert value == pytest.approx(1.0, abs=0.05)
-
-    def test_duplicated_column_collapses(self):
-        ds = self._orthonormal_ds()
-        x = ds.X.copy()
-        x[:, 1] = x[:, 0]
-        dup = from_levels(x, ds.Y, np.array(["a"] * ds.n))
-        value = anchor_compatibility(dup, 1.0, np.array([0, 1]), stretch=0.2)
-        assert value < 1e-6
-
-    def test_grid_oracle_d6(self):
-        rng = numkern.make_rng(21)
-        base = rng.standard_normal((80, 6))
-        x = base @ (np.eye(6) + 0.25 * rng.standard_normal((6, 6)))
-        x -= x.mean(axis=0)
-        ds = from_levels(x, rng.standard_normal(80), np.array(["a"] * 80))
-        active = np.array([0, 1])
-        stretch = 0.2
-        gram = x.T @ x / 80.0
-
-        # exhaustive grid over the cone at resolution 0.02
-        ts = np.arange(-1.0, 1.0 + 1e-12, 0.02)
-        s_pts = np.concatenate(
-            [
-                np.column_stack([ts, 1.0 - np.abs(ts)]),
-                np.column_stack([ts, -(1.0 - np.abs(ts))]),
-            ]
-        )
-        step = 0.02
-        radius_steps = int(round(stretch / step))
-        rest_pts = []
-        rng_axes = range(-radius_steps, radius_steps + 1)
-        for c in itertools.product(rng_axes, repeat=4):
-            if sum(abs(v) for v in c) <= radius_steps:
-                rest_pts.append([v * step for v in c])
-        rest_pts = np.array(rest_pts)
-        g_ss = gram[np.ix_(active, active)]
-        rest = np.array([2, 3, 4, 5])
-        g_rr = gram[np.ix_(rest, rest)]
-        g_sr = gram[np.ix_(active, rest)]
-        e_s = np.einsum("ij,jk,ik->i", s_pts, g_ss, s_pts)
-        e_r = np.einsum("ij,jk,ik->i", rest_pts, g_rr, rest_pts)
-        cross = s_pts @ g_sr @ rest_pts.T
-        grid_min = float((e_s[:, None] + e_r[None, :] + 2.0 * cross).min())
-        grid_value = min(1.0, 1.0) * active.size * grid_min
-
-        heuristic = anchor_compatibility(ds, 1.0, active, stretch=stretch)
-        assert abs(heuristic - grid_value) <= 0.05 * max(grid_value, 1e-12)
-
-    def test_empty_active_set_rejected(self):
-        ds = self._orthonormal_ds()
-        with pytest.raises(DomainError):
-            anchor_compatibility(ds, 1.0, np.array([], dtype=int))
-
-
 class TestExcessRiskScaling:
     def test_replicates_validation(self):
         model = scm.example_iv_chain()
@@ -515,6 +410,7 @@ class TestExcessRiskScaling:
 
 
 GRAM_GAMMAS = (0.0, 1e-8, 1.0, 1e8)
+GRAM_FRACTIONS = (0.01, 0.2, 0.9)
 
 
 def _gram_case(seed, wide, categorical, ill_conditioned):
@@ -544,7 +440,7 @@ class TestGramDescent:
         categorical=st.booleans(),
         ill_conditioned=st.booleans(),
         gamma=st.sampled_from(GRAM_GAMMAS),
-        fraction=st.sampled_from((0.01, 0.2, 0.9)),
+        fraction=st.sampled_from(GRAM_FRACTIONS),
     )
     # columns of norm ~1e7: a move tolerance in coefficient units stopped the
     # warm fit at KKT 0.12 * lam
@@ -557,14 +453,21 @@ class TestGramDescent:
         ds = _gram_case(seed, wide, categorical, ill_conditioned)
         lam = fraction * lambda_max(ds, gamma)
         fit = fit_anchor_lasso(ds, gamma, lam)
-        ref, _, _, converged = oracles.row_lasso_descent(*gamma_transform(ds, gamma), lam)
+        xt, yt = oracles.qr_gamma_transform(ds, gamma)
+        ref, _, _, converged = oracles.row_lasso_descent(xt, yt, lam)
         assert fit.converged and converged
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         assert np.max(np.abs(fit.coef - ref)) <= 1e-10 * scale
-        # warm start from the neighbouring gamma's solution
+        # warm starts from the neighbouring gamma's solution, and from the
+        # neighbouring lambda's, as a fit along either grid starts
         other = GRAM_GAMMAS[(GRAM_GAMMAS.index(gamma) + 1) % len(GRAM_GAMMAS)]
-        start = fit_anchor_lasso(ds, other, fraction * lambda_max(ds, other)).coef
-        assert np.array_equal(fit_anchor_lasso(ds, gamma, lam, start).coef, fit.coef)
+        larger = GRAM_FRACTIONS[(GRAM_FRACTIONS.index(fraction) + 1) % len(GRAM_FRACTIONS)]
+        starts = (
+            fit_anchor_lasso(ds, other, fraction * lambda_max(ds, other)).coef,
+            fit_anchor_lasso(ds, gamma, larger * lambda_max(ds, gamma)).coef,
+        )
+        for start in starts:
+            assert np.array_equal(fit_anchor_lasso(ds, gamma, lam, start).coef, fit.coef)
 
     @pytest.mark.parametrize("gamma", GRAM_GAMMAS)
     @pytest.mark.parametrize("wide", [False, True])
@@ -572,9 +475,6 @@ class TestGramDescent:
         ds = _gram_case(31, wide, categorical=True, ill_conditioned=False)
         top = oracles.row_lambda_max(ds, gamma)
         assert lambda_max(ds, gamma) == pytest.approx(top, rel=1e-12, abs=0.0)
-        grid = top * np.exp(np.linspace(0.0, np.log(1e-2), 8))
-        path = lambda_path(ds, gamma, n_lambdas=8, ratio=1e-2)
-        np.testing.assert_allclose(path.lambdas, grid, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n, d", [(40, 10), (12, 20)])
     def test_tiny_response_converges(self, n, d):
