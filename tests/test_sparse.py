@@ -201,6 +201,21 @@ class TestCovarianceDescent:
         assert peak < 0.05 * 8 * ds.d**2
 
 
+class TestLambdaPath:
+    def test_warm_matches_cold(self):
+        # a walk down a log-spaced lambda grid, each fit started from the last
+        ds = _random_ds(10)
+        lambdas = lambda_max(ds, 1.0) * np.logspace(0.0, -2.0, 15)
+        start = None
+        for lam in lambdas:
+            warm = fit_anchor_lasso(ds, 1.0, lam, start)
+            cold = fit_anchor_lasso(ds, 1.0, lam)
+            assert warm.converged
+            assert np.array_equal(cold.coef, warm.coef)
+            start = warm.coef
+        assert np.count_nonzero(start) > 0
+
+
 def _level_ds(seed=0, n_per=(40, 40, 40), d=3, beta=None):
     rng = numkern.make_rng(seed)
     labels = np.concatenate(
