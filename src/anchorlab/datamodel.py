@@ -8,18 +8,22 @@ Anchors are not required at prediction time.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import numkern
 from .exceptions import (
+    AnchorlabError,
     DimensionMismatch,
     DomainError,
     EmptyInput,
     EmptyLevel,
+    InvalidConfig,
     MissingColumn,
     NonNumericPredictor,
     ParseError,
@@ -29,13 +33,16 @@ FLOAT_FORMAT = "%.12g"
 
 
 def _level_codes(labels) -> tuple[np.ndarray, tuple]:
-    """Per-row index into the sorted tuple of distinct labels (as strings)."""
-    labels = [str(lab) for lab in labels]
-    if not labels:
+    """Per-row index into the sorted tuple of distinct labels: one dict pass
+    finds each label's first row, and the sorted labels rank those rows."""
+    first = {}  # label -> the row where it first appears
+    rows = np.fromiter(map(first.setdefault, labels, itertools.count()), dtype=np.intp)
+    if not first:
         raise EmptyInput("no rows to encode")
-    levels = tuple(sorted(set(labels)))
-    index = {lab: j for j, lab in enumerate(levels)}
-    return np.array([index[lab] for lab in labels]), levels
+    levels = sorted(first)
+    rank = np.empty(rows.size, dtype=np.intp)
+    rank[[first[lab] for lab in levels]] = np.arange(len(levels))
+    return rank[rows], tuple(levels)
 
 
 def _level_rows(codes: np.ndarray, levels: tuple) -> dict:
@@ -185,8 +192,37 @@ def _parse_cell(text: str, row: int, col: str, kind: str) -> float:
 
 
 def load_column_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"column config {path} is not UTF-8: {exc.reason}") from None
+
+
+def _check_config(config) -> None:
+    """InvalidConfig unless `config` is an object with a string `response`,
+    `anchors` a list of objects each with a string `name` and a `kind` of
+    "categorical" or "continuous" (continuous when absent), and
+    `drop_columns` a list of strings; both lists may be absent."""
+    if not isinstance(config, dict):
+        raise InvalidConfig("the column config must be a JSON object")
+    if not isinstance(config.get("response"), str):
+        raise InvalidConfig("the column config needs a column name as its 'response'")
+    anchors = config.get("anchors", [])
+    if not (
+        isinstance(anchors, list)
+        and all(isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in anchors)
+    ):
+        raise InvalidConfig("'anchors' must be a list of objects, each with a string 'name'")
+    for spec in anchors:
+        kind = spec.get("kind", "continuous")
+        if kind not in ("categorical", "continuous"):
+            raise InvalidConfig(
+                f"anchor {spec['name']!r} has kind {kind!r}; use 'categorical' or 'continuous'"
+            )
+    drop = config.get("drop_columns", [])
+    if not (isinstance(drop, list) and all(isinstance(name, str) for name in drop)):
+        raise InvalidConfig("'drop_columns' must be a list of column names")
 
 
 @dataclass(frozen=True)
@@ -268,73 +304,96 @@ def _dataset(cols: _Columns, numeric: dict, labels: dict) -> AnchorDataset:
 
 
 def read_csv(path, config: dict) -> AnchorDataset:
-    """Strictly parse a CSV file into an AnchorDataset.
+    """Strictly parse a UTF-8 CSV file into an AnchorDataset.
 
     `config` names the `response` column and the `anchors` (list of
-    {"name", "kind"}); all remaining numeric columns except `drop_columns`
-    become predictors. Row order is preserved; duplicate header names, rows
-    whose cell count differs from the header's, missing or non-finite values
-    and fewer than two data rows are an error.
+    {"name", "kind"}); all remaining columns except `drop_columns` become
+    numeric predictors. A malformed config is an InvalidConfig, raised
+    before the file is read. Row order is preserved; bytes that are not
+    UTF-8, duplicate header names, rows whose cell count differs from the
+    header's, missing or non-finite values and fewer than two data rows are
+    a ParseError.
 
-    Numeric cells are read as Python's float() reads them. Most files go
-    through numpy's C parser (`_parse_plain`); any file it cannot vouch for,
-    and every file with an error in it, goes through the per-cell parser
-    (`_parse_strict`), which names the row and column of the first bad cell.
+    Numeric cells are read as Python's float() reads them. Most files take
+    one pass of numpy's C parser (`_parse_plain`); any file it cannot vouch
+    for, and every file with an error in it, goes through the per-cell
+    parser (`_parse_strict`), which names the row and column of the first
+    bad cell.
     """
+    _check_config(config)
     parsed = _parse_plain(path, config) or _parse_strict(path, config)
     return _dataset(*parsed)
 
 
 def _parse_plain(path, config: dict) -> tuple | None:
-    """(columns, numeric, labels) of a CSV file from numpy's C parser, or
+    """(columns, numeric, labels) of a CSV file from one np.loadtxt pass, or
     None where they could differ from the per-cell parser's.
 
-    Used only for a file with no quote (csv strips quotes, loadtxt keeps
-    them), no NUL (numpy strings drop trailing NULs), distinct header names
-    and the header's cell count on every line (so no blank line, which
-    loadtxt would skip), and then only when loadtxt reads every numeric cell
-    as a finite number.
+    loadtxt reads every header column, as a float for the response, the
+    predictors and the continuous anchors and as a string for the others,
+    and rejects a row whose cell count differs from the header's. The file
+    is left to the per-cell parser when it is not UTF-8, when its header
+    names repeat or `_columns` rejects it, when no data line is non-blank,
+    when loadtxt rejects it or skips a blank line, when a number is not
+    finite, and when the header or a string cell holds a quote: csv strips
+    quotes, loadtxt keeps them, and a quoted field that spans a line break
+    leaves one in some string cell. A number holding a quote already fails
+    to parse.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()  # split where csv.reader splits rows
-    header = lines[0].rstrip("\r\n").split(",") if lines else []
-    width = len(header)
-    # A blank line is one cell to split(",") but none to csv, so the cell
-    # count tells it apart only from a header of two or more cells.
-    if (
-        width < 2
-        or len(set(header)) < width
-        or any('"' in line or "\x00" in line for line in lines)
-        or {line.count(",") for line in lines} != {width - 1}
-    ):
-        return None
-    cols = _columns(header, len(lines) - 1, config)
-    read = partial(np.loadtxt, lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
     try:
-        values = read(usecols=[cols.index[name] for name, _ in cols.numeric])
-        strings = [read(dtype=str, usecols=[cols.index[name]])[:, 0] for name in cols.labelled]
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()  # split where csv.reader splits rows
+    except UnicodeDecodeError:
+        return None
+    header = lines[0].rstrip("\r\n").split(",") if lines else []
+    if len(set(header)) < len(header):
+        return None
+    try:
+        cols = _columns(header, len(lines) - 1, config)
+    except AnchorlabError:
+        return None
+    # loadtxt warns on a file of blank lines and reads nothing
+    if not any(line.strip("\r\n") for line in itertools.islice(lines, 1, None)):
+        return None
+    floats = {cols.index[name] for name, _ in cols.numeric}
+    if floats.intersection(cols.index[name] for name in cols.labelled):
+        return None
+    dtype = np.dtype([("", "f8" if j in floats else object) for j in range(len(header))])
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    strings = "".join({lines[0]}.union(*(table[f] for f in dtype.names if dtype[f] == object)))
+    if len(table) < len(lines) - 1 or '"' in strings:
         return None
-    labels = {}
-    for name, column in zip(cols.labelled, strings):
-        levels, codes = np.unique(column, return_inverse=True)
-        labels[name] = codes, tuple(levels.tolist())
-    numeric = {name: column for (name, _), column in zip(cols.numeric, values.T)}
+    numeric = {name: table[dtype.names[cols.index[name]]] for name, _ in cols.numeric}
+    if not all(np.isfinite(column).all() for column in numeric.values()):
+        return None
+    labels = {name: _level_codes(table[dtype.names[cols.index[name]]]) for name in cols.labelled}
     return cols, numeric, labels
 
 
 def _parse_strict(path, config: dict) -> tuple:
     """(columns, numeric, labels) of a CSV file, cell by cell through
-    csv.reader and float(): the error path."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", row=0) from None
-        rows = list(reader)
+    csv.reader and float(): the error path. Rows count from 0 at the header;
+    a byte that is not UTF-8 is reported at the line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len(data[: exc.start + 1].splitlines()) - 1
+        raise ParseError(
+            f"byte {data[exc.start]:#04x} at offset {exc.start} (row {row}) is not valid UTF-8",
+            row=row,
+        ) from None
+    # read as open(newline="") reads: a StringIO would hold four bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", row=0) from None
+    rows = list(reader)
     seen = set()
     for name in header:
         if name in seen:
@@ -413,7 +472,7 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
 
 def from_levels(X, Y, labels) -> AnchorDataset:
     """Build a discrete-anchor dataset from per-row level labels."""
-    codes, levels = _level_codes(labels)
+    codes, levels = _level_codes(map(str, labels))
     A = np.zeros((codes.size, len(levels)))
     A[np.arange(codes.size), codes] = 1.0
     return AnchorDataset(

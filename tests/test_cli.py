@@ -437,6 +437,37 @@ class TestErrorContract:
         assert code == 2
         assert where in capsys.readouterr().err
 
+    def test_non_utf8_csv_is_config_error(self, tmp_path):
+        data, config = _tiny_files(tmp_path, "")
+        data.write_bytes(b"y,x1,a1\n1,2,3\n2,\xff3,4\n3,4,5\n")
+        code, err, files = _run_in(tmp_path, ["fit", "--data", str(data),
+                                              "--config", str(config)], "o")
+        assert (code, files) == (2, {})
+        assert err == "config error: byte 0xff at offset 16 (row 2) is not valid UTF-8\n"
+        # a column config that is not UTF-8 is a config error too
+        config.write_bytes(b'{"response": "\xff"}')
+        code, err, files = _run_in(tmp_path, ["fit", "--data", str(data),
+                                              "--config", str(config)], "o")
+        assert (code, files) == (2, {})
+        assert err.startswith(f"config error: column config {config} is not UTF-8")
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "the column config must be a JSON object"),
+        ({"response": ["y"], "anchors": [{"name": "a1"}]}, "'response'"),
+        ({"response": "y", "anchors": ["a1"]}, "'anchors' must be a list of objects"),
+        ({"response": "y", "anchors": {"name": "a1"}}, "'anchors' must be a list of objects"),
+        ({"response": "y", "anchors": [{"name": "a1"}], "drop_columns": 5}, "'drop_columns'"),
+        ({"response": "y", "anchors": [{"name": "a1", "kind": "categorial"}]},
+         "anchor 'a1' has kind 'categorial'"),
+    ])
+    def test_malformed_column_config_is_config_error(self, config, message, tmp_path):
+        data, path = _tiny_files(tmp_path, "y,x1,a1\n1,2,0.5\n2,3,1\n3,1,2\n4,2,1\n")
+        path.write_text(json.dumps(config))
+        code, err, files = _run_in(tmp_path, ["fit", "--data", str(data),
+                                              "--config", str(path)], "o")
+        assert (code, files) == (2, {})
+        assert err.startswith("config error: ") and message in err
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--gamma", "inf", "--lambda", "1"],
         ["path", "--grid", "1,inf", "--lambda", "1"],

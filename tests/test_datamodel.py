@@ -18,11 +18,15 @@ from anchorlab.exceptions import (
     AnchorlabError,
     DimensionMismatch,
     EmptyInput,
+    InvalidConfig,
     MissingColumn,
     ParseError,
 )
 
 import oracles
+
+# a numpy warning from the reader fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def _encode(labels):
@@ -295,32 +299,50 @@ ODD_CELLS = st.sampled_from(
 LABELS = st.sampled_from(["u", "v", " w", "w ", "", "1.5", "١", "a\tb"])
 ODD_LABELS = st.sampled_from(['"a,b"', '"say ""x"""', 'a"b', "u\x00"])
 HAZARDS = (
-    "odd cell", "odd label", "ragged row", "blank line", "lone CR", "one column", "few rows"
+    "odd cell", "odd label", "ragged row", "blank line", "lone CR", "one column", "few rows",
+    "dropped text", "spanning quote", "two categorical",
 )
+
+
+def _config(categorical=False, second=False, drop=False):
+    """Response y, anchor a (and a categorical anchor b), text column t dropped."""
+    anchors = [{"name": "a", "kind": "categorical" if categorical else "continuous"}]
+    anchors += [{"name": "b", "kind": "categorical"}] if second else []
+    return {"response": "y", "anchors": anchors, "drop_columns": ["t"] if drop else []}
 
 
 @st.composite
 def csv_files(draw):
-    """(text, categorical?) of a small CSV of numbers with surrounding
+    """(text, column config) of a small CSV of numbers with surrounding
     whitespace, LF or CRLF line ends and up to two hazards: an odd cell or
     label, a short or long row, a blank line (possibly last), CR line ends,
-    a header of one column or fewer than two rows."""
+    a header of one column, fewer than two rows, a dropped text column, a
+    quoted field that spans a line break while every physical line keeps
+    the header's cell count, or a second categorical anchor."""
     hazards = draw(st.sets(st.sampled_from(HAZARDS), max_size=2))
-    header = ["y"] if "one column" in hazards else ["y", "x1", "x2", "a"]
-    categorical = "odd label" in hazards or draw(st.booleans())
+    second, drop = "two categorical" in hazards, "dropped text" in hazards
+    header = ["y"] if "one column" in hazards else (
+        ["y", "x1", "x2", "a"] + ["b"] * second + ["t"] * drop
+    )
+    # an odd label or a spanning quote goes into the last column, which holds text
+    text_last = bool(hazards & {"odd label", "spanning quote"})
+    categorical = (text_last and header[-1] == "a") or draw(st.booleans())
     number = st.builds("{}{}{}".format, WHITESPACE, FINITE_TEXT, WHITESPACE)
-    labelled = [column == "a" and categorical for column in header]
+    labelled = [column in "bt" or (column == "a" and categorical) for column in header]
     rows = [
         [draw(LABELS if label else number) for label in labelled]
         for _ in range(draw(st.integers(0, 1) if "few rows" in hazards else st.integers(2, 6)))
     ]
     if rows:
-        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
         if "odd cell" in hazards:
             numeric = [j for j, label in enumerate(labelled) if not label]
             row[draw(st.sampled_from(numeric))] = draw(ODD_CELLS)
         if "odd label" in hazards:
             row[-1] = draw(ODD_LABELS)
+        if "spanning quote" in hazards and i + 1 < len(rows):
+            row[-1], rows[i + 1][-1] = f'"{row[-1]}', f'{rows[i + 1][-1]}"'
         if "ragged row" in hazards:
             row[:] = row[:-1] if draw(st.booleans()) else row + [draw(number)]
     lines = [",".join(row) for row in rows]
@@ -328,7 +350,7 @@ def csv_files(draw):
         lines.insert(draw(st.integers(1, len(lines))), "")
     end = "\r" if "lone CR" in hazards else draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join([",".join(header), *lines]) + (end if draw(st.booleans()) else "")
-    return text, categorical
+    return text, _config(categorical, second, drop)
 
 
 def _read_strict(path, config):
@@ -349,35 +371,112 @@ def _read_outcome(read, path, config):
 
 
 @given(csv_files())
-# a file for each guard of the numpy reader, and a CR-only file, which it reads
-@example(('y,x1,x2,a\n1,2,3,"say ""x"""\n2,3,4,u\n', True))
-@example(("y,x1,x2,a\n1,2,3,u\x00\n2,3,4,u\n", True))
-@example(("y,x1,x2,a\r1,2,3,4\r5,6,7,8\r", False))
-@example(("y,x1,x2,a\n1,2,3,4,5\n2,3,4,5\n", False))
-@example(("y\n1\n\n2\n", False))
-@example(("y,x1,x2,a\n1,nan,3,4\n2,3,4,5\n", False))
+# a file for each guard of the numpy reader, and a CR-only file and a NUL
+# label, which it reads
+@example(('y,x1,x2,a\n1,2,3,"say ""x"""\n2,3,4,u\n', _config(True)))
+@example(('y,"x1",x2,a\n1,2,3,4\n2,3,4,5\n', _config()))
+@example(("y,x1,x2,a\n1,2,3,u\x00\n2,3,4,u\n", _config(True)))
+@example(("y,x1,x2,a\r1,2,3,4\r5,6,7,8\r", _config()))
+@example(("y,x1,x2,a\n1,2,3,4,5\n2,3,4,5\n", _config()))
+@example(("y\n1\n\n2\n", _config()))
+@example(("y,x1,x2,a\n1,nan,3,4\n2,3,4,5\n", _config()))
+@example(('y,x1,x2,a\n1,2,3,"u\n4,5,6,v"\n7,8,9,w\n', _config(True)))
+@example(('y,x1,x2,a,t\n1,2,3,4,"u\n5,6,7,8,v"\n9,8,7,6,w\n', _config(drop=True)))
+# one ragged row: reported as ragged, not as too few rows
+@example(("y,x1,x2,a\n0.0,0.0,0.0,0.0,0.0", _config()))
+# a header over blank lines only, on which loadtxt warns
+@example(("y,x1,x2,a\n\n\n", _config()))
+# one column read both as numbers and as labels
+@example(("y,x1,x2,a\n1,2,3,10\n2,3,4,9\n3,4,5,9.0\n", {
+    "response": "y", "anchors": [{"name": "a"}, {"name": "a", "kind": "categorical"}],
+}))
 @settings(max_examples=300, deadline=None)
 def test_numpy_reader_matches_per_cell_parser(tmp_path_factory, drawn):
-    text, categorical = drawn
+    text, config = drawn
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    kind = "categorical" if categorical else "continuous"
-    config = {"response": "y", "anchors": [{"name": "a", "kind": kind}]}
+    assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
+
+
+PLAIN_CONFIGS = [_config(), _config(True), _config(True, second=True, drop=True)]
+
+
+def _plain_file(path, end, config):
+    """Three rows of plain cells under the columns `config` names."""
+    columns = {
+        "y": [" 1.5", "2", "-1"],
+        "x1": ["-0 ", "+5e-324", "7"],
+        "x2": ["\t3e2", "1e300", "0"],
+        "a": ["0.5", "1e-3", "-2"],
+        "b": ["p", "q", "q"],
+        "t": ["id 1", "", "id\t3"],
+    }
+    if config["anchors"][0]["kind"] == "categorical":
+        columns["a"] = ["u", " v", "u"]
+    header = ["y", "x1", "x2", *(spec["name"] for spec in config["anchors"])]
+    header += config["drop_columns"]
+    rows = [",".join(columns[name][i] for name in header) for i in range(3)]
+    path.write_bytes(end.join([",".join(header), *rows, ""]).encode("utf-8"))
+
+
+def _assert_plain(path, config):
+    # plain files never reach the per-cell parser, and give what it gives
+    assert datamodel._parse_plain(path, config) is not None
     assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("categorical", [False, True])
 def test_numpy_reader_takes_plain_files(tmp_path, end, categorical):
-    # plain files never reach the per-cell parser, and give what it gives
-    anchor = ["u", " v", "u"] if categorical else ["0.5", "1e-3", "-2"]
-    rows = [f" 1.5,-0 ,\t3e2,{anchor[0]}", f"2,+5e-324,1e300,{anchor[1]}", f"-1,7,0,{anchor[2]}"]
     path = tmp_path / "plain.csv"
-    path.write_bytes(end.join(["y,x1,x2,a", *rows, ""]).encode("utf-8"))
-    kind = "categorical" if categorical else "continuous"
-    config = {"response": "y", "anchors": [{"name": "a", "kind": kind}]}
-    assert datamodel._parse_plain(path, config) is not None
-    assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
+    _plain_file(path, end, _config(categorical))
+    _assert_plain(path, _config(categorical))
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_numpy_reader_takes_text_columns(tmp_path, end):
+    # two categorical anchors and a dropped text column
+    config = _config(True, second=True, drop=True)
+    path = tmp_path / "plain.csv"
+    _plain_file(path, end, config)
+    _assert_plain(path, config)
+
+
+@pytest.mark.parametrize("config", PLAIN_CONFIGS)
+def test_plain_file_takes_one_loadtxt_pass(tmp_path, monkeypatch, config):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    path = tmp_path / "plain.csv"
+    _plain_file(path, "\n", config)
+    ds = read_csv(path, config)
+    assert len(calls) == 1
+    assert ds.predictor_names == ("x1", "x2")
+
+
+def test_non_utf8_byte_located(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,x1,a\n1,2,3\n2,\xff3,4\n3,4,5\n")
+    with pytest.raises(ParseError, match=r"^byte 0xff at offset 15 \(row 2\) is not valid UTF-8$") as err:
+        read_csv(path, _config())
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "must be a JSON object"),
+    ({"anchors": [{"name": "a"}]}, "'response'"),
+    ({"response": ["y"], "anchors": [{"name": "a"}]}, "'response'"),
+    ({"response": "y", "anchors": ["a"]}, "'anchors' must be a list of objects"),
+    ({"response": "y", "anchors": {"name": "a"}}, "'anchors' must be a list of objects"),
+    ({"response": "y", "anchors": [{"kind": "continuous"}]}, "'anchors' must be a list"),
+    ({"response": "y", "anchors": [{"name": "a"}], "drop_columns": 5}, "'drop_columns'"),
+    ({"response": "y", "anchors": [{"name": "a"}], "drop_columns": [5]}, "'drop_columns'"),
+    ({"response": "y", "anchors": [{"name": "a", "kind": "categorial"}]}, "kind 'categorial'"),
+])
+def test_malformed_config_rejected_before_reading(tmp_path, config, message):
+    # the file does not exist: the config is checked first
+    with pytest.raises(InvalidConfig, match=message):
+        read_csv(tmp_path / "absent.csv", config)
 
 
 def _csv_writer_reference(ds, anchor_labels=None) -> bytes:
