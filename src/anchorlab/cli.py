@@ -131,6 +131,8 @@ def _load_model(path) -> scm_mod.LinearScm:
         return scm_mod.load_scm(path)
     except DomainError as exc:
         raise InvalidConfig(f"model file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"model file {path} is not UTF-8: {exc.reason}") from None
 
 
 def _outdir(args) -> str:

@@ -1,4 +1,4 @@
-"""Dataset container, anchor dummy-encoding, centering, CSV round-trip.
+"""Dataset container, anchor dummy-encoding, centering, the level split, CSV round-trip.
 
 Datasets are immutable after construction: `center` returns a new object and
 records the subtracted means so that prediction on new data can reuse them.
@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -133,25 +134,32 @@ class AnchorDataset:
         return numkern.AnchorProjection(self.A, self.level_codes)
 
     @cached_property
-    def moments(self) -> numkern.AnchorMoments:
-        """[X Y] on and off the anchor span, for the dense solves."""
-        return numkern.anchor_moments(self.projection, np.column_stack([self.X, self.Y]))
+    def gram_columns(self):
+        """[X Y] on and off the anchor span, split once per dataset and held
+        as `numkern.moment_source` holds them for the l1 solver, which reads
+        them a column at a time: no (d+1) x (d+1) matrix is formed for a
+        dataset wider than long."""
+        data = np.column_stack([self.X, self.Y])
+        return numkern.moment_source(self.n, *numkern.anchor_split(self.projection, data))
 
     @cached_property
-    def gram_columns(self):
-        """The same blocks for the l1 solver, which reads them a column at a
-        time: `moments` when n > d, else `numkern.ColumnMoments`, so that no
-        (d+1) x (d+1) matrix is formed for a dataset wider than long."""
-        if self.n > self.d:
-            return self.moments
-        return numkern.ColumnMoments(self.projection, np.column_stack([self.X, self.Y]))
+    def moments(self) -> numkern.AnchorMoments:
+        """The whole blocks, for the dense solves."""
+        columns = self.gram_columns
+        if isinstance(columns, numkern.AnchorMoments):
+            return columns
+        return numkern.anchor_moments(columns.on, columns.off)
+
+
+def _require_rows(n: int) -> None:
+    if n < 2:
+        raise EmptyInput(f"centering needs at least two rows, got {n}")
 
 
 def center(ds: AnchorDataset) -> AnchorDataset:
     """Subtract column means from X, Y and A; store those of X and Y for
     prediction."""
-    if ds.n < 2:
-        raise EmptyInput(f"centering needs at least two rows, got {ds.n}")
+    _require_rows(ds.n)
     if ds.centered:
         # idempotent: previously stored means are kept
         return ds
@@ -166,6 +174,64 @@ def center(ds: AnchorDataset) -> AnchorDataset:
         x_means=x_means,
         y_mean=y_mean,
     )
+
+
+@dataclass(frozen=True)
+class CentredLevels:
+    """Whole anchor levels of a dataset as the fits read a centred dataset,
+    without its rows: their count n, the predictors' number d and names,
+    the means and `split`, the (on, off) split of the centred [X Y]."""
+
+    n: int
+    d: int
+    predictor_names: tuple
+    x_means: np.ndarray
+    y_mean: float
+    split: tuple
+    centered: ClassVar[bool] = True
+
+    @cached_property
+    def moments(self) -> numkern.AnchorMoments:
+        return numkern.anchor_moments(*self.split)
+
+    @cached_property
+    def gram_columns(self):
+        return numkern.moment_source(self.n, *self.split)
+
+
+class LevelSplit:
+    """[X Y] of a dataset by its anchor levels that hold rows, through the
+    level-code `numkern.AnchorProjection`: `on` holds sqrt(n_l) m_l, with m_l
+    the mean over the n_l rows of level l, and `off` each row less its
+    level's mean. Row i is in level `labels[codes[i]]`; `counts` holds n_l."""
+
+    def __init__(self, ds: AnchorDataset):
+        self.labels = [label for label, rows in ds.anchor_levels.items() if len(rows)]
+        self.codes = np.empty(ds.n, dtype=np.intp)
+        for code, label in enumerate(self.labels):
+            self.codes[ds.anchor_levels[label]] = code
+        self.counts = np.bincount(self.codes, minlength=len(self.labels))
+        self.predictor_names = ds.predictor_names
+        data = np.column_stack([ds.X, ds.Y])
+        self.on, self.off = numkern.anchor_split(numkern.AnchorProjection(None, self.codes), data)
+
+    def centred(self, keep: np.ndarray, anchors: np.ndarray | None = None) -> CentredLevels:
+        """The levels flagged in `keep`, centred at their mean m: on the span
+        of their level means sqrt(n_l)(m_l - m), and off it their rows. With
+        `anchors`, one row per kept level, the span is theirs instead: one thin
+        SVD of the table centred and weighted as the coordinates are,
+        sqrt(n_l)(a_l - a), and the level-mean directions outside it join
+        the rows off it. EmptyInput, as from `center`, under two rows."""
+        n = int(self.counts[keep].sum())
+        _require_rows(n)
+        root = np.sqrt(self.counts[keep])[:, None]
+        mean = (root.T @ self.on[keep] / n)[0]
+        on, off = self.on[keep] - root * mean, self.off[keep[self.codes]]
+        if anchors is not None:
+            basis = numkern.orthonormal_range(root * (anchors - root.T @ (root * anchors) / n))
+            coords = basis.T @ on
+            on, off = coords, np.vstack([off, on - basis @ coords])
+        return CentredLevels(n, mean.size - 1, self.predictor_names, mean[:-1], mean[-1], (on, off))
 
 
 def level_blocks(ds: AnchorDataset) -> list:
@@ -201,9 +267,10 @@ def load_column_config(path) -> dict:
 
 def _check_config(config) -> None:
     """InvalidConfig unless `config` is an object with a string `response`,
-    `anchors` a list of objects each with a string `name` and a `kind` of
-    "categorical" or "continuous" (continuous when absent), and
-    `drop_columns` a list of strings; both lists may be absent."""
+    `anchors` a list of objects each with a string `name`, no two alike nor
+    the response, and a `kind` of "categorical" or "continuous" (continuous
+    when absent), and `drop_columns` a list of strings; both lists may be
+    absent."""
     if not isinstance(config, dict):
         raise InvalidConfig("the column config must be a JSON object")
     if not isinstance(config.get("response"), str):
@@ -214,6 +281,10 @@ def _check_config(config) -> None:
         and all(isinstance(spec, dict) and isinstance(spec.get("name"), str) for spec in anchors)
     ):
         raise InvalidConfig("'anchors' must be a list of objects, each with a string 'name'")
+    names = [config["response"], *(spec["name"] for spec in anchors)]
+    twice = [name for name in names if names.count(name) > 1]
+    if twice:
+        raise InvalidConfig(f"column {twice[0]!r} is named twice as the response or an anchor")
     for spec in anchors:
         kind = spec.get("kind", "continuous")
         if kind not in ("categorical", "continuous"):
@@ -356,8 +427,6 @@ def _parse_plain(path, config: dict) -> tuple | None:
     if not any(line.strip("\r\n") for line in itertools.islice(lines, 1, None)):
         return None
     floats = {cols.index[name] for name, _ in cols.numeric}
-    if floats.intersection(cols.index[name] for name in cols.labelled):
-        return None
     dtype = np.dtype([("", "f8" if j in floats else object) for j in range(len(header))])
     try:
         table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)

@@ -10,7 +10,7 @@ anchors out, gamma = 1 is OLS, gamma -> infinity is two-stage least squares.
 Every fit projects through `AnchorDataset.projection`, built once per
 centred dataset. The dense solves, the IV solve and the objectives read the
 data only through `AnchorDataset.moments` and its one factorisation, shared
-by all gamma values.
+by all gamma values; a cv fold's `CentredLevels` holds the same moments.
 
 A scikit-learn style wrapper (`AnchorRegression`) is provided at the bottom
 so the estimator composes with pipelines and grid search.

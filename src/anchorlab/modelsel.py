@@ -1,8 +1,10 @@
 """Quantile-based gamma selection, stability diagnostics and rankings.
 
 Cross-validation here is grouped at anchor-level granularity: a level never
-appears in both the training and the held-out part of a fold. Empirical
-quantiles use the nearest-rank (type-1) rule throughout.
+appears in both the training and the held-out part of a fold. Every fold
+reads its training moments from one `LevelSplit` of the data, summed over
+its training levels, with no row copied into a dataset of its own.
+Empirical quantiles use the nearest-rank (type-1) rule throughout.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern, sparse
-from .datamodel import AnchorDataset, center, level_blocks
+from .datamodel import AnchorDataset, LevelSplit, center, level_blocks
 from .estimators import AnchorFit, fit_anchor, predict
 from .exceptions import DomainError, InsufficientLevels, Underidentified
 from .scm import projectability_check
@@ -77,9 +79,19 @@ class GammaCvResult:
     fold_of_level: dict
 
 
-def _level_rows(ds: AnchorDataset, labels) -> np.ndarray:
-    """The rows of the given anchor levels, in ascending order."""
-    return np.sort(np.concatenate([np.asarray(ds.anchor_levels[lab], dtype=int) for lab in labels]))
+def _level_anchors(ds: AnchorDataset, split: LevelSplit):
+    """The anchor row of each level of `split`, or None when distinct level
+    codes make the level means the anchor span. DomainError when a level's
+    anchor rows differ."""
+    anchors = ds.A if ds.level_codes is None else ds.level_codes[:, None]
+    first = [ds.anchor_levels[label][0] for label in split.labels]
+    differ = np.flatnonzero((anchors != anchors[first][split.codes]).any(axis=1))
+    if differ.size:
+        label = split.labels[split.codes[differ[0]]]
+        raise DomainError(f"anchor level {label!r} holds rows with different anchor values")
+    if ds.level_codes is not None and np.unique(anchors[first]).size == len(first):
+        return None
+    return ds.A[first]
 
 
 def cv_gamma(
@@ -94,7 +106,9 @@ def cv_gamma(
 
     Folds are assigned at anchor-level granularity, so no level is ever in
     both the training and the evaluation split of a fold. A held-out level
-    with no rows is left out.
+    with no rows is left out. Every fold's training moments come from one
+    `LevelSplit` of the data, so each level must hold one anchor value
+    (DomainError otherwise); all gamma of a fold are scored in one product.
     """
     if ds.anchor_levels is None or len(ds.anchor_levels) < 2:
         raise InsufficientLevels("need at least two anchor levels")
@@ -103,26 +117,20 @@ def cv_gamma(
     alphas = tuple(float(a) for a in np.atleast_1d(alphas))
     gamma_grid = tuple(float(g) for g in np.atleast_1d(gamma_grid))
     fold_of_level = assign_level_folds(ds.anchor_levels, folds, seed)
+    split = LevelSplit(ds)
+    table = _level_anchors(ds, split)
+    level_fold = np.array([fold_of_level[label] for label in split.labels])
     sums = np.zeros((len(alphas), len(gamma_grid)))
     for fold in range(folds):
-        test_levels = [lab for lab, f in fold_of_level.items() if f == fold]
-        train_rows = _level_rows(ds, [lab for lab, f in fold_of_level.items() if f != fold])
-        test_rows = _level_rows(ds, test_levels)
-        # level codes keep the fold's projection free of an SVD; it needs no level sets
-        codes = None if ds.level_codes is None else ds.level_codes[train_rows]
-        train = center(AnchorDataset(ds.X[train_rows], ds.Y[train_rows], ds.A[train_rows],
-                                     predictor_names=ds.predictor_names, level_codes=codes))
-        # the held-out rows form one block, as BLAS may round a row's x'b
-        # differently at another position; each level is a set of positions
-        x_test, y_test = ds.X[test_rows], ds.Y[test_rows]
-        positions = [np.searchsorted(test_rows, np.sort(ds.anchor_levels[lab]))
-                     for lab in test_levels if len(ds.anchor_levels[lab])]
-        for j, gamma in enumerate(gamma_grid):
-            resid = y_test - predict(sparse.fit_anchor_lasso(train, gamma, lam), x_test)
-            level_mse = [float(np.mean(resid[pos] ** 2)) for pos in positions]
-            sums[:, j] += [nearest_rank_quantile(level_mse, a) for a in alphas]
-        # free this fold's row copies before the next fold makes its own
-        del train, x_test, y_test
+        held = level_fold == fold
+        train = split.centred(~held, None if table is None else table[~held])
+        coefs = np.stack([sparse.fit_anchor_lasso(train, g, lam).coef for g in gamma_grid])
+        rows = held[split.codes]
+        resid = ds.Y[rows, None] - ((ds.X[rows] - train.x_means) @ coefs.T + train.y_mean)
+        level_sums = numkern.AnchorProjection(None, split.codes[rows]).coordinates(resid**2)
+        level_mse = level_sums / np.sqrt(split.counts[held])[:, None]
+        for j in range(len(gamma_grid)):
+            sums[:, j] += [nearest_rank_quantile(level_mse[:, j], a) for a in alphas]
     curves = sums / folds
     selected = {
         alpha: gamma_grid[int(np.argmin(curves[i]))] for i, alpha in enumerate(alphas)

@@ -165,15 +165,15 @@ class AnchorMoments:
 class ColumnMoments:
     """The Gram blocks of `AnchorMoments`, read one column at a time.
 
-    Keeps the off-anchor columns Z_off = Z - Pi_A Z, written over `data`, and
-    the anchor coordinates R of Z. Column k of gram_off is Z_off' z_off,k and
-    of gram_on R' r_k; each is formed the first time it is read and kept, so
+    Keeps the anchor coordinates R of Z and the off-anchor columns Z_off of
+    an (on, off) split. Column k of gram_off is Z_off' z_off,k and of
+    gram_on R' r_k; each is formed the first time it is read and kept, so
     memory grows with the columns read and no square matrix of Z's width is
     formed.
     """
 
-    def __init__(self, projection: AnchorProjection, data: np.ndarray):
-        self.on, self.off = _anchor_split(projection, data)
+    def __init__(self, on: np.ndarray, off: np.ndarray):
+        self.on, self.off = on, off
         self.diagonals = (
             np.einsum("ij,ij->j", self.off, self.off),
             np.einsum("ij,ij->j", self.on, self.on),
@@ -192,19 +192,26 @@ class ColumnMoments:
         return float(resid @ resid)
 
 
-def _anchor_split(projection: AnchorProjection, data: np.ndarray):
-    """The anchor coordinates of `data` and its columns off the anchor span,
-    the latter in place of `data`, so that no second n-row copy is held."""
+def anchor_split(projection: AnchorProjection, data: np.ndarray):
+    """(on, off): the anchor coordinates of `data` and its columns off the
+    anchor span, the latter in place of `data`, so that no second n-row copy
+    is held."""
     on = projection.coordinates(data)
     data -= projection.expand(on)
     return on, data
 
 
-def anchor_moments(projection: AnchorProjection, data: np.ndarray) -> AnchorMoments:
-    """Split the columns of `data` on and off the anchor span; `data` is
-    overwritten with its off-anchor columns."""
-    on, off = _anchor_split(projection, data)
+def anchor_moments(on: np.ndarray, off: np.ndarray) -> AnchorMoments:
+    """The whole Gram blocks of an (on, off) split."""
     return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
+
+
+def moment_source(n: int, on: np.ndarray, off: np.ndarray):
+    """The blocks of an (on, off) split of n rows of [X Y] as the l1 solver
+    reads them: whole (`anchor_moments`) when n exceeds the d columns of X,
+    else a column at a time (`ColumnMoments`), so that no (d+1) x (d+1)
+    matrix is formed for data wider than long."""
+    return anchor_moments(on, off) if n > off.shape[1] - 1 else ColumnMoments(on, off)
 
 
 def unstack(values):

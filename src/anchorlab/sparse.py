@@ -10,8 +10,9 @@ gradient above lambda grows, in finitely many steps; a warm start (`start`)
 gives the cold fit's bits. The anchor lasso reads the dataset's moments
 (`AnchorDataset.gram_columns`). The equal-weight variant gives every
 discrete anchor level the same weight regardless of its size: it reads the
-moments of [X Y] with each row scaled by sqrt(n / (k n_l)) and the level
-means as the anchor span, whose energy is n times the equal-weight risk.
+moments of the dataset's `LevelSplit`, the level means as the anchor span,
+with each level's rows scaled by sqrt(n / (k n_l)), whose energy is n times
+the equal-weight risk.
 
 Note the penalty convention: the objective carries 2*lam*||b||_1, so lambda
 values from halved conventions must be doubled before comparison.
@@ -25,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import numkern
-from .datamodel import AnchorDataset, center, level_blocks
+from .datamodel import AnchorDataset, LevelSplit, center, level_blocks
 from .estimators import AnchorFit, fit_anchor
 from .exceptions import DomainError, NotPositiveDefinite
 
@@ -211,32 +212,26 @@ def fit_anchor_lasso(
     return _l1_fit(ds, _AnchorGram(ds.gram_columns, gamma), gamma, lam, start)
 
 
-def _equal_weight_data(ds: AnchorDataset):
-    """The level-mean projection and [X Y] of the centred `ds`, row i scaled
-    by sqrt(n / (k n_l)) for its level l of k with n_l rows. Off the anchor
-    span plus gamma times on it, a residual's energy is then n times its
-    equal-weight risk."""
-    blocks = level_blocks(ds)
-    codes = np.empty(ds.n, dtype=np.intp)
-    scale = np.empty(ds.n)
-    for level, (_, idx) in enumerate(blocks):
-        codes[idx] = level
-        scale[idx] = math.sqrt(ds.n / (len(blocks) * idx.size))
-    data = np.column_stack([ds.X, ds.Y])
-    data *= scale[:, None]
-    return numkern.AnchorProjection(None, codes), data
+def _equal_weight_columns(ds: AnchorDataset):
+    """The moments of the centred `ds` with the level means as the anchor
+    span and each row of [X Y] scaled by sqrt(n / (k n_l)) for its level l
+    of k with n_l rows: the rows of its `LevelSplit`, so scaled. Off the
+    anchor span plus gamma times on it, a residual's energy is then n times
+    its equal-weight risk."""
+    level_blocks(ds)  # EmptyLevel unless every level holds rows
+    split = LevelSplit(ds)
+    weight = np.sqrt(ds.n / (split.counts.size * split.counts))
+    split.off *= weight[split.codes, None]
+    return numkern.moment_source(ds.n, split.on * weight[:, None], split.off)
 
 
 def fit_equal_weight_lasso(ds: AnchorDataset, gamma: float, lam: float) -> AnchorFit:
     """Minimize n * equal-weight risk + 2*lam*||b||_1, where the equal-weight
     risk averages over the k anchor levels each level's within-level mean
     squared residual plus gamma times its squared mean residual, by
-    feature-sign search on the level-reweighted moments, held as
-    `AnchorDataset.gram_columns` holds them: whole when n > d, a column at a
-    time otherwise."""
+    feature-sign search on the level-reweighted moments
+    (`_equal_weight_columns`)."""
     if not (gamma >= 0 and lam >= 0):
         raise DomainError("gamma and lambda must be nonnegative")
     ds = center(ds)
-    moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
-    gram = _AnchorGram(moments(*_equal_weight_data(ds)), gamma)
-    return _l1_fit(ds, gram, gamma, lam)
+    return _l1_fit(ds, _AnchorGram(_equal_weight_columns(ds), gamma), gamma, lam)

@@ -702,24 +702,60 @@ ALPHA = st.sampled_from(["0.5,0.9", "0", "1", "1.5", "nan", "0.5,-0.5"])
 SEED = st.sampled_from(["0", "3", "-1"])
 
 
+def _column_config(kind):
+    return json.dumps({"response": "y", "anchors": [{"name": "a", "kind": kind}]}).encode()
+
+
+CATEGORICAL = _column_config("categorical")
+# column configs that read_csv rejects before it opens the data: the
+# response as an anchor, an anchor named twice, wrong types, JSON that does
+# not parse and bytes that are not UTF-8
+RESPONSE_AS_ANCHOR = b'{"response": "y", "anchors": [{"name": "y"}]}'
+BAD_CONFIGS = [
+    RESPONSE_AS_ANCHOR,
+    b'{"response": "y", "anchors": [{"name": "a"}, {"name": "a", "kind": "categorical"}]}',
+    b'{"response": 1, "anchors": [{"name": "a"}]}',
+    b'{"response": "y", "anchors": "a"}',
+    b'{"response": "y", "anchors": [{"name": "a", "kind": 3}]}',
+    b'{"response": "y", "anchors": [{"name": "a"}], "drop_columns": "x1"}',
+    b'["y", "a"]',
+    b'{"response": "y", ',
+    b'{"response": "y", "anchors": [{"name": "\xff"}]}',
+]
+MODEL_NOT_UTF8 = b'{"d": 1, "x": "\xff"}'
+
+
+def _model_file(spec) -> bytes:
+    """The bytes of a model file: a JSON tree as JSON, bytes as they are."""
+    return spec if isinstance(spec, bytes) else json.dumps(spec).encode()
+
+
 @st.composite
 def cli_inputs(draw):
-    """(CSV text, categorical anchor?, argv without paths) for fit, path, cv
-    or rank on 0-6 rows and 0-3 predictors."""
+    """(CSV text, column config, argv without paths, model file or None)
+    for fit, path, cv or rank on 0-6 rows and 0-3 predictors; a quarter of
+    the configs are malformed, and path may read a model file too."""
     command = draw(st.sampled_from(["fit", "path", "cv", "rank"]))
     n, d = draw(st.integers(0, 6)), draw(st.integers(0, 3))
     # cv needs anchor levels; with a continuous anchor it exits 3 at once
     categorical = command == "cv" or draw(st.booleans())
+    config = _column_config("categorical" if categorical else "continuous")
+    if draw(st.integers(0, 3)) == 0:
+        config = draw(st.sampled_from(BAD_CONFIGS))
     cells = draw(st.sampled_from([NUMBERS, CELLS]))  # half the tables are all numeric
     labels = st.sampled_from(["u", "v", "w", ""]) if categorical else cells
     header = ["y", *(f"x{j + 1}" for j in range(d)), "a"]
     rows = [[*(draw(cells) for _ in range(d + 1)), draw(labels)] for _ in range(n)]
     text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    model = None
     if command == "fit":
         flags = ["--gamma", draw(GAMMA), "--lambda", draw(LAMBDA)]
         flags += ["--standardize"] if draw(st.booleans()) else []
     elif command == "path":
         flags = ["--grid", draw(GRID), "--lambda", draw(LAMBDA)]
+        # no model, the model of one predictor, or a malformed model file
+        spec = draw(st.one_of(st.none(), st.just(IV_SPEC), model_specs()))
+        model = None if spec is None else _model_file(spec)
     elif command == "cv":
         # an infinite cv grid exits 2 before the data are read
         flags = ["--grid", draw(FINITE_GRID), "--alpha", draw(ALPHA), "--seed", draw(SEED),
@@ -729,7 +765,7 @@ def cli_inputs(draw):
         flags += ["--grid", draw(GRID)] if draw(st.booleans()) else []
     if command != "fit":  # fit writes one CSV and one JSON file and has no --format
         flags += ["--format", draw(st.sampled_from(["csv", "json"]))]
-    return text, categorical, [command, *flags]
+    return text, config, [command, *flags], model
 
 
 def _run_in(root, argv, name):
@@ -752,29 +788,39 @@ THREE_LEVELS = "y,x1,a\n1,2,u\n2,3,u\n3,1,v\n4,2,v\n5,0,w\n6,1,w\n"
 
 
 @given(inputs=cli_inputs())
-@example(inputs=("y,a\n1,u\n2,v\n3,u\n", True, ["fit", "--gamma", "inf"]))
-@example(inputs=("y,x1,a\n1,2,u\n2,3,v\n3,1,v\n4,2,v\n", True,
-                 ["cv", "--grid", "1", "--folds", "2", "--seed", "0"]))
+@example(inputs=("y,a\n1,u\n2,v\n3,u\n", CATEGORICAL, ["fit", "--gamma", "inf"], None))
+@example(inputs=("y,x1,a\n1,2,u\n2,3,v\n3,1,v\n4,2,v\n", CATEGORICAL,
+                 ["cv", "--grid", "1", "--folds", "2", "--seed", "0"], None))
 # three two-row levels that cv fits: an alpha above 1 or a negative seed
 # reached the quantile rank or the generator
-@example(inputs=(THREE_LEVELS, True,
-                 ["cv", "--grid", "1", "--folds", "3", "--seed", "0", "--alpha", "1.5"]))
-@example(inputs=(THREE_LEVELS, True, ["cv", "--grid", "1", "--folds", "3", "--seed", "-1"]))
+@example(inputs=(THREE_LEVELS, CATEGORICAL,
+                 ["cv", "--grid", "1", "--folds", "3", "--seed", "0", "--alpha", "1.5"], None))
+@example(inputs=(THREE_LEVELS, CATEGORICAL, ["cv", "--grid", "1", "--folds", "3", "--seed", "-1"],
+                 None))
+# the response named as the anchor: a1 was fitted as a predictor, exit 0
+@example(inputs=("y,x1,a1\n1,2,3\n2,1,5\n3,4,1\n4,3,2\n5,5,4\n", RESPONSE_AS_ANCHOR,
+                 ["fit", "--gamma", "2"], None))
+# a model file that is not UTF-8: an uncaught UnicodeDecodeError
+@example(inputs=(THREE_LEVELS, CATEGORICAL, ["path", "--grid", "1"], MODEL_NOT_UTF8))
 @settings(max_examples=80, deadline=None)
 def test_exit_code_contract(inputs):
-    text, categorical, argv = inputs
-    kind = "categorical" if categorical else "continuous"
+    text, config, argv, model = inputs
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "data.csv").write_text(text)
-        (root / "config.json").write_text(
-            json.dumps({"response": "y", "anchors": [{"name": "a", "kind": kind}]})
-        )
+        (root / "config.json").write_bytes(config)
         argv = argv + ["--data", str(root / "data.csv"), "--config", str(root / "config.json")]
+        if model is not None:
+            (root / "model.json").write_bytes(model)
+            argv += ["--scm", str(root / "model.json")]
         first = _run_in(root, argv, "first")
         code, err, _ = first
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+        # a malformed config, or a model file that is not UTF-8, is an input
+        # error whatever else was drawn
+        if config in BAD_CONFIGS or (model is not None and b"\xff" in model):
+            assert code == 2, err
         assert _run_in(root, argv, "second") == first
 
 
@@ -856,7 +902,8 @@ def _sites(node):
 def model_specs(draw):
     """A random_scm model as save_scm writes it, with one mutation: a key
     dropped, a list one entry longer or shorter, a string or a NaN for a
-    number, or the whole spec wrapped in a list."""
+    number, the whole spec wrapped in a list, or a field that is not UTF-8
+    (then the file's bytes)."""
     rng = numkern.make_rng(draw(st.integers(0, 2**16)))
     model = random_scm(
         rng,
@@ -869,9 +916,11 @@ def model_specs(draw):
         path = Path(tmp) / "model.json"
         save_scm(path, model)
         spec = json.loads(path.read_text())
-    mutation = draw(st.sampled_from(["drop", "length", "string", "nan", "wrap"]))
+    mutation = draw(st.sampled_from(["drop", "length", "string", "nan", "wrap", "bytes"]))
     if mutation == "wrap":
         return [spec]
+    if mutation == "bytes":
+        return b'{"note": "\xff", ' + json.dumps(spec).encode()[1:]
     sites = list(_sites(spec))
     if mutation == "drop":
         node, key, _ = draw(st.sampled_from([s for s in sites if isinstance(s[0], dict)]))
@@ -919,14 +968,17 @@ def test_malformed_model_file_is_config_error(command, model, tmp_path):
 @example(spec={**IV_SPEC, "d": "one"})
 @example(spec={**IV_SPEC, "d": 0, "r": 2})
 @example(spec={**IV_SPEC, "M": [[math.nan], [0.0], [0.0]]})
+@example(spec=MODEL_NOT_UTF8)
 @settings(max_examples=30, deadline=None)
 def test_model_file_contract(command, spec):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "model.json").write_text(json.dumps(spec))
+        (root / "model.json").write_bytes(_model_file(spec))
         argv = [*MODEL_COMMANDS[command], "--scm", str(root / "model.json")]
         first = _run_in(root, argv, "first")
         code, err, _ = first
         assert code in (0, 2, 3, 4), err
         assert "Traceback" not in err
+        if isinstance(spec, bytes):  # not UTF-8
+            assert code == 2, err
         assert _run_in(root, argv, "second") == first

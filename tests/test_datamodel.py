@@ -354,6 +354,8 @@ def csv_files(draw):
 
 
 def _read_strict(path, config):
+    """read_csv with the per-cell parser alone: the config is checked first."""
+    datamodel._check_config(config)
     return datamodel._dataset(*datamodel._parse_strict(path, config))
 
 
@@ -386,7 +388,8 @@ def _read_outcome(read, path, config):
 @example(("y,x1,x2,a\n0.0,0.0,0.0,0.0,0.0", _config()))
 # a header over blank lines only, on which loadtxt warns
 @example(("y,x1,x2,a\n\n\n", _config()))
-# one column read both as numbers and as labels
+# one column named as two anchors, read both as numbers and as labels: the
+# config is rejected before either parser reads the file
 @example(("y,x1,x2,a\n1,2,3,10\n2,3,4,9\n3,4,5,9.0\n", {
     "response": "y", "anchors": [{"name": "a"}, {"name": "a", "kind": "categorical"}],
 }))

@@ -390,9 +390,7 @@ class TestEqualWeightDescent:
     @pytest.mark.parametrize("sampled", [False, True])
     def test_energy_is_n_times_equal_weight_risk(self, gamma, wide, sampled):
         ds = _equal_weight_case(33, wide, sampled)
-        projection, data = sparse._equal_weight_data(ds)
-        moments = numkern.anchor_moments if ds.n > ds.d else numkern.ColumnMoments
-        gram = sparse._AnchorGram(moments(projection, data), gamma)
+        gram = sparse._AnchorGram(sparse._equal_weight_columns(ds), gamma)
         rng = numkern.make_rng(330)
         for b in (np.zeros(ds.d), rng.standard_normal(ds.d)):
             risk = ds.n * oracles.equal_weight_objective(ds, b, gamma)
