@@ -267,9 +267,9 @@ class GammaPath:
         coords = anchored @ whiten
         coords -= q @ (q.T @ coords)
         p, sv, qt = np.linalg.svd(coords, full_matrices=coords.shape[0] < coords.shape[1])
-        pad = (0, whiten.shape[1] - sv.size)
-        self._sv = np.pad(sv, pad)
-        self._on = np.pad(p[:, : sv.size].T @ (r_y - q @ (q.T @ r_y)), pad)
+        self._sv, self._on = np.zeros((2, whiten.shape[1]))
+        self._sv[: sv.size] = sv
+        self._on[: sv.size] = p[:, : sv.size].T @ (r_y - q @ (q.T @ r_y))
         self._off = qt @ (whiten.T @ (vt @ g_xy))
         basis = whiten @ qt.T
         self._basis = vt.T @ (basis - lift @ (anchored @ basis))

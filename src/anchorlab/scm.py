@@ -128,6 +128,28 @@ class Shift:
             object.__setattr__(self, "covariance", np.atleast_2d(np.asarray(self.covariance, float)))
 
 
+def _require_nonsingular(system: np.ndarray) -> None:
+    """DomainError unless the smallest singular value of Id - B exceeds 1e-10."""
+    if np.linalg.svd(system, compute_uv=False).min() <= 1e-10:
+        raise DomainError("Id - B is numerically singular")
+
+
+def _certified_nonsingular(system: np.ndarray, inverse: np.ndarray) -> bool:
+    """Whether the computed inverse Z of S = Id - B shows, with no SVD,
+    that S passes `_require_nonsingular` with a 100x margin. Since
+    ||Z||_2 <= sqrt(||Z||_1 ||Z||_inf) (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 6), sigma_min(S) >= 1e-8 once that root is at
+    most 1e8, provided Z is accurate, which the condition bound
+    sqrt(||S||_1 ||S||_inf) sqrt(||Z||_1 ||Z||_inf) <= 1e8 ensures. A
+    non-finite norm certifies nothing."""
+    norms = []
+    with np.errstate(over="ignore"):
+        for mat in (system, inverse):
+            size = np.abs(mat)
+            norms.append(math.sqrt(size.sum(axis=0).max() * size.sum(axis=1).max()))
+    return norms[1] <= 1e8 and norms[0] * norms[1] <= 1e8
+
+
 @dataclass(frozen=True)
 class LinearScm:
     """Structural system over (X_1..X_d, Y, H_1..H_r) driven by anchors A."""
@@ -153,11 +175,16 @@ class LinearScm:
                     f"{name} must have shape {shape} for d={self.d}, r={self.r}, "
                     f"q={self.q}, got {arr.shape}"
                 )
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        sv_min = np.linalg.svd(np.eye(p) - self.B, compute_uv=False).min()
-        if sv_min <= 1e-10:
-            raise DomainError("Id - B is numerically singular")
-        inverse = np.linalg.inv(np.eye(p) - self.B)
+        system = np.eye(p) - self.B
+        try:
+            inverse = np.linalg.inv(system)
+        except np.linalg.LinAlgError:
+            _require_nonsingular(system)
+            raise
+        if not _certified_nonsingular(system, inverse):
+            _require_nonsingular(system)
         inverse.flags.writeable = False
         object.__setattr__(self, "_inverse", inverse)
         if not self.is_acyclic:
@@ -181,20 +208,22 @@ class LinearScm:
     def y_index(self) -> int:
         return self.d
 
-    @property
+    @cached_property
     def is_acyclic(self) -> bool:
-        # self-cycles (diagonal entries) are allowed and ignored here
-        off = np.asarray(self.B) != 0
-        np.fill_diagonal(off, False)
-        remaining = list(range(self.p))
-        adj = off.copy()
-        while remaining:
-            sinks = [k for k in remaining if not adj[:, k][remaining].any()]
-            if not sinks:
-                return False
-            for k in sinks:
-                remaining.remove(k)
-        return True
+        """Whether the graph of B has no directed cycle; self-cycles
+        (diagonal entries) are allowed and ignored. Sinks are peeled off a
+        round at a time (Kahn's sort), each row of B read once."""
+        edges = self.B != 0
+        edges.flat[:: self.p + 1] = False
+        children = edges.sum(axis=0)
+        sinks = (children == 0).nonzero()[0]
+        peeled = 0
+        while sinks.size:
+            peeled += sinks.size
+            children -= edges[sinks].sum(axis=0)
+            children[sinks] = -1  # peeled: a sink loses no more children
+            sinks = (children == 0).nonzero()[0]
+        return peeled == self.p
 
     def unmixing(self) -> np.ndarray:
         """(Id - B)^{-1}, inverted once per model and read-only; maps
@@ -641,7 +670,8 @@ def scm_to_dict(scm: LinearScm) -> dict:
 def scm_from_dict(spec: dict) -> LinearScm:
     """The model a parsed JSON spec describes. A missing top-level field or
     anchor kind raises KeyError; any other malformed field raises
-    DomainError naming it."""
+    DomainError naming it. `q` may be left out; if present it must be the
+    anchor's width."""
     if not isinstance(spec, dict):
         raise DomainError("a model spec must be a JSON object")
     anchor_spec = spec["anchor"]
@@ -657,6 +687,9 @@ def scm_from_dict(spec: dict) -> LinearScm:
             levels=anchor_spec.get("levels"),
             probs=anchor_spec.get("probs"),
         )
+    q = spec.get("q", anchor.q)
+    if isinstance(q, bool) or not isinstance(q, int) or q != anchor.q:
+        raise DomainError(f"q must be the anchor's width {anchor.q}, got {q!r}")
     return LinearScm(
         d=spec["d"],
         r=spec["r"],

@@ -15,9 +15,11 @@ l1 descent on the n-row gamma-transformed data instead of Gram columns read
 from the moments, the equal-weight l1 descent on a stacked n-row copy
 (`equal_weight_design`) instead of the level-reweighted moments, and the
 certification battery's quantities scored one vector and one shift at a time
-instead of as one stack per model, and the equal-weight risk summed level
+instead of as one stack per model, the equal-weight risk summed level
 by level (`equal_weight_objective`) instead of read from the
-level-reweighted moments.
+level-reweighted moments, and a model's validation by an SVD of Id - B and a
+list-based sink peel (`svd_rule_inverse`, `sink_peel_acyclic`) instead of a
+norm certificate read from the inverse and an array peel.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -377,6 +379,31 @@ def qr_fit_iv(ds):
 # Singular values of a covariance block below this fraction of its own
 # largest one are dropped by the reference rank test.
 COVARIANCE_RANK_RTOL = 1e-9
+
+
+def svd_rule_inverse(B):
+    """(Id - B)^{-1} as a model was validated by the full SVD: DomainError
+    when the smallest singular value of Id - B is at most 1e-10, else
+    np.linalg.inv, which may still raise LinAlgError."""
+    system = np.eye(len(B)) - B
+    if np.linalg.svd(system, compute_uv=False).min() <= 1e-10:
+        raise DomainError("Id - B is numerically singular")
+    return np.linalg.inv(system)
+
+
+def sink_peel_acyclic(B):
+    """Acyclicity of B's graph by peeling sinks from a list of nodes, with
+    self-cycles (diagonal entries) ignored."""
+    adj = np.asarray(B) != 0
+    np.fill_diagonal(adj, False)
+    remaining = list(range(len(adj)))
+    while remaining:
+        sinks = [k for k in remaining if not adj[:, k][remaining].any()]
+        if not sinks:
+            return False
+        for k in sinks:
+            remaining.remove(k)
+    return True
 
 
 def population_covariance(model):

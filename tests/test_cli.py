@@ -946,6 +946,7 @@ MALFORMED_MODELS = {
     "anchor-kind": {**IV_SPEC, "anchor": {"kind": "cauchy"}},
     # X <- H and H <- X with unit weights: Id - B is singular
     "singular": {**IV_SPEC, "B": [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0]]},
+    "q-mismatch": {**IV_SPEC, "q": 7},
 }
 
 

@@ -1,8 +1,11 @@
 import math
 import re
+import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import numkern
 from anchorlab.batteries import random_acyclic_matrix, random_scm, random_stable_scm
@@ -37,6 +40,10 @@ from anchorlab.scm import (
 )
 
 import oracles
+
+# An overflow anywhere in model validation or the oracle is a failure here,
+# not a line printed by the CLI.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSampling:
@@ -596,11 +603,19 @@ class TestSerialization:
         ({"anchor": {"kind": "discrete", "levels": [[1.0], [2.0]], "probs": [0.5, math.nan]}},
          "anchor probs has a non-finite entry"),
         ({"anchor": [{"kind": "rademacher"}]}, "anchor must be a JSON object"),
+        ({"q": 7}, "q must be the anchor's width 1, got 7"),
+        ({"q": 1.0}, "q must be the anchor's width 1, got 1.0"),
+        ({"q": True}, "q must be the anchor's width 1, got True"),
     ])
     def test_malformed_spec_names_its_field(self, change, message):
         spec = {**scm_to_dict(example_iv_chain()), **change}
         with pytest.raises(DomainError, match=re.escape(message)):
             scm_from_dict(spec)
+
+    def test_q_may_be_left_out(self):
+        spec = scm_to_dict(example_iv_chain())
+        del spec["q"]
+        assert scm_from_dict(spec).q == 1
 
     def test_spec_must_be_an_object(self):
         with pytest.raises(DomainError, match="a model spec must be a JSON object"):
@@ -633,6 +648,101 @@ class TestModelValidation:
                 noise_scales=np.ones(6), anchor=AnchorDistribution.rademacher(),
             )
             assert model.is_acyclic
+
+
+@st.composite
+def structural_matrices(draw):
+    """B of one of four kinds: dense with entries of any size; Id - B with
+    its smallest singular value swept across the 1e-10 cut, rescaled; a DAG
+    in a random node order with entries up to 1e5 and maybe self-cycles;
+    sparse with cycles."""
+    p = draw(st.integers(2, 9))
+    rng = numkern.make_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "near-singular", "triangular", "cyclic"]))
+    if kind == "dense":
+        return rng.standard_normal((p, p)) * 10.0 ** draw(st.integers(-3, 5))
+    if kind == "near-singular":
+        u, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+        s = rng.uniform(0.5, 2.0, p)
+        s[-1] = 10.0 ** draw(st.floats(-14.0, -6.0)) / scale
+        return np.eye(p) - scale * (u * s) @ v.T
+    if kind == "triangular":
+        B = np.tril(rng.uniform(-1.0, 1.0, (p, p)), -1) * 10.0 ** draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            B += np.diag(rng.uniform(-2.0, 2.0, p))
+        order = rng.permutation(p)
+        return B[np.ix_(order, order)]
+    return np.where(rng.random((p, p)) < 0.4, rng.uniform(-2.0, 2.0, (p, p)), 0.0)
+
+
+def _chain_model(B):
+    p = len(B)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "cyclic system", RuntimeWarning)
+        return LinearScm(
+            d=p - 1, r=0, B=B, M=np.zeros((p, 1)),
+            noise_scales=np.ones(p), anchor=AnchorDistribution.rademacher(),
+        )
+
+
+# the exactly singular B of the CLI's malformed "singular" model file:
+# np.linalg.inv raises LinAlgError on it
+SINGULAR_B = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+
+
+class TestValidationDecisions:
+    @given(B=structural_matrices())
+    @example(B=SINGULAR_B)
+    # Id - B = [[1e308, 1e308], [-1e308, 1e308]]: the norm sums overflow
+    @example(B=np.array([[1.0 - 1e308, -1e308], [1e308, 1.0 - 1e308]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_svd_rule_and_sink_peel(self, B):
+        try:
+            expected = oracles.svd_rule_inverse(B)
+        except (DomainError, np.linalg.LinAlgError) as err:
+            with pytest.raises(type(err)) as ours:
+                _chain_model(B)
+            assert str(ours.value) == str(err)
+            return
+        model = _chain_model(B)
+        assert model.unmixing().tobytes() == expected.tobytes()
+        assert model.is_acyclic == oracles.sink_peel_acyclic(B)
+
+    def test_wide_acyclic_model_runs_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = numkern.make_rng(23)
+        d = 600
+        B = np.zeros((d + 2, d + 2))
+        B[:d, d + 1] = rng.uniform(-1.5, 1.5, d)  # X <- H
+        B[d, rng.choice(d, 5, replace=False)] = rng.uniform(1.0, 2.0, 5)  # Y <- X
+        B[d, d + 1] = 1.0  # Y <- H
+        model = LinearScm(
+            d=d, r=1, B=B, M=np.zeros((d + 2, 1)),
+            noise_scales=np.ones(d + 2), anchor=AnchorDistribution.rademacher(),
+        )
+        assert model.is_acyclic
+        assert calls == []
+
+    def test_acyclicity_peeled_once(self, monkeypatch):
+        calls = []
+        peel = LinearScm.is_acyclic.func
+        counted = cached_property(lambda model: calls.append(1) or peel(model))
+        counted.__set_name__(LinearScm, "is_acyclic")
+        monkeypatch.setattr(LinearScm, "is_acyclic", counted)
+        model = random_stable_scm(numkern.make_rng(15), d=3)
+        assert anchor_stability_causal_check(model)["matches_total_effect"]
+        total_causal_effect(model)
+        assert calls == [1]
+
+    def test_model_arrays_are_read_only(self):
+        model = example_iv_chain()
+        for arr in (model.B, model.M, model.noise_scales, model.unmixing()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestStableMinimizerCertificates:
