@@ -338,7 +338,7 @@ def cmd_rank(args) -> int:
         gamma_range = (min(endpoints), max(endpoints))
     else:
         gamma_range = (0.0, 1.0)
-    ds = _load_dataset(args)
+    ds = datamodel.center(_load_dataset(args))
     table = modelsel.replicability_rank(ds, lam=args.lam, gamma_range=gamma_range)
     out = _outdir(args)
     rows = [

@@ -1,8 +1,9 @@
-"""Dataset container, anchor dummy-encoding, centering, the level split, CSV round-trip.
+"""Dataset container, anchor level codes, centering, the level split, CSV round-trip.
 
 Datasets are immutable after construction: `center` returns a new object and
 records the subtracted means so that prediction on new data can reuse them.
-Anchors are not required at prediction time.
+Anchors are not required at prediction time. A lone categorical anchor is
+held as per-row level codes, never as its n x L indicator block.
 """
 
 from __future__ import annotations
@@ -58,14 +59,15 @@ class AnchorDataset:
     integer index sets partition range(n) when present (discrete anchors
     only).
 
-    level_codes, when present, records that A is the 0/1 indicator matrix of
-    these per-row column indices (before centering). Only constructors that
-    build A that way set it; the anchor projection then uses level sums.
+    level_codes, when present, records that the anchor block is the 0/1
+    indicator matrix of these per-row column indices (before centering): the
+    anchor projection uses level sums, and A, None unless given, is built on
+    request by `anchor_matrix`, one column per anchor level.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | None = None
     anchor_levels: dict | None = None
     centered: bool = False
     x_means: np.ndarray | None = None
@@ -76,16 +78,20 @@ class AnchorDataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         Y = np.asarray(self.Y, dtype=float).ravel()
-        A = np.asarray(self.A, dtype=float)
+        A = None if self.A is None else np.asarray(self.A, dtype=float)
         # a 1-d X or A is one column
-        X, A = (mat.reshape(-1, 1) if mat.ndim < 2 else mat for mat in (X, A))
+        X, A = (mat.reshape(-1, 1) if mat is not None and mat.ndim < 2 else mat for mat in (X, A))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "A", A)
         n = X.shape[0]
-        if Y.shape[0] != n or A.shape[0] != n:
+        if A is None and (self.level_codes is None or self.anchor_levels is None):
+            raise ValueError("a dataset without A needs level codes and anchor levels")
+        # without A, the level-code check below covers the rows
+        a_rows = n if A is None else A.shape[0]
+        if Y.shape[0] != n or a_rows != n:
             raise DimensionMismatch(
-                f"row mismatch: X has {n}, Y has {Y.shape[0]}, A has {A.shape[0]}"
+                f"row mismatch: X has {n}, Y has {Y.shape[0]}, A has {a_rows}"
             )
         if not self.predictor_names:
             object.__setattr__(
@@ -108,7 +114,7 @@ class AnchorDataset:
             if (
                 codes.shape != (n,)
                 or not np.issubdtype(codes.dtype, np.integer)
-                or (n and (codes.min() < 0 or codes.max() >= A.shape[1]))
+                or (n and (codes.min() < 0 or codes.max() >= self.q))
             ):
                 raise ValueError("level codes must be one column index of A per row")
 
@@ -122,7 +128,16 @@ class AnchorDataset:
 
     @property
     def q(self) -> int:
-        return self.A.shape[1]
+        return len(self.anchor_levels) if self.A is None else self.A.shape[1]
+
+    def anchor_matrix(self) -> np.ndarray:
+        """The n x q anchor block: A, or the 0/1 block of the level codes,
+        built on each call and centred when the dataset is. No fit reads it."""
+        if self.A is not None:
+            return self.A
+        block = np.zeros((self.n, self.q))
+        block[np.arange(self.n), self.level_codes] = 1.0
+        return block - block.mean(axis=0) if self.centered else block
 
     @cached_property
     def projection(self) -> numkern.AnchorProjection:
@@ -157,8 +172,8 @@ def _require_rows(n: int) -> None:
 
 
 def center(ds: AnchorDataset) -> AnchorDataset:
-    """Subtract column means from X, Y and A; store those of X and Y for
-    prediction."""
+    """Subtract column means from X, Y and A, when held; store those of X and
+    Y for prediction."""
     _require_rows(ds.n)
     if ds.centered:
         # idempotent: previously stored means are kept
@@ -169,7 +184,7 @@ def center(ds: AnchorDataset) -> AnchorDataset:
         ds,
         X=ds.X - x_means,
         Y=ds.Y - y_mean,
-        A=ds.A - ds.A.mean(axis=0),
+        A=None if ds.A is None else ds.A - ds.A.mean(axis=0),
         centered=True,
         x_means=x_means,
         y_mean=y_mean,
@@ -345,7 +360,7 @@ def _columns(header: list, n: int, config: dict) -> _Columns:
 
 def _dataset(cols: _Columns, numeric: dict, labels: dict) -> AnchorDataset:
     """Assemble (X, Y, A) from parsed numeric columns and (codes, levels) per
-    categorical anchor; a lone categorical anchor also sets the level codes."""
+    categorical anchor; a lone categorical anchor keeps its codes, not A."""
     n = len(numeric[cols.response])
     widths = [
         len(labels[name][1]) if cat else 1 for name, cat in zip(cols.anchors, cols.categorical)
@@ -353,17 +368,17 @@ def _dataset(cols: _Columns, numeric: dict, labels: dict) -> AnchorDataset:
     X = np.empty((n, len(cols.predictors)))
     for j, name in enumerate(cols.predictors):
         X[:, j] = numeric[name]
-    A = np.zeros((n, sum(widths)))
+    A = None if cols.categorical == [True] else np.zeros((n, sum(widths)))
     anchor_levels = level_codes = None
     for name, cat, start in zip(cols.anchors, cols.categorical, np.cumsum([0, *widths[:-1]])):
         if not cat:
             A[:, start] = numeric[name]
             continue
         codes, levels = labels[name]
-        A[np.arange(n), start + codes] = 1.0
-        if len(cols.anchors) == 1:
-            level_codes = codes
-            anchor_levels = _level_rows(codes, levels)
+        if A is None:
+            level_codes, anchor_levels = codes, _level_rows(codes, levels)
+        else:
+            A[np.arange(n), start + codes] = 1.0
     return AnchorDataset(
         X=X,
         Y=np.array(numeric[cols.response]),
@@ -517,7 +532,7 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
         labels = [str(label) for label in anchor_labels]
     else:
         header.extend(f"a{j + 1}" for j in range(ds.q))
-        blocks.append(ds.A)
+        blocks.append(ds.anchor_matrix())
     values = np.column_stack(blocks)
     row_format = ",".join([FLOAT_FORMAT] * values.shape[1])
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -542,12 +557,4 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
 def from_levels(X, Y, labels) -> AnchorDataset:
     """Build a discrete-anchor dataset from per-row level labels."""
     codes, levels = _level_codes(map(str, labels))
-    A = np.zeros((codes.size, len(levels)))
-    A[np.arange(codes.size), codes] = 1.0
-    return AnchorDataset(
-        X=X,
-        Y=Y,
-        A=A,
-        anchor_levels=_level_rows(codes, levels),
-        level_codes=codes,
-    )
+    return AnchorDataset(X=X, Y=Y, anchor_levels=_level_rows(codes, levels), level_codes=codes)

@@ -91,7 +91,7 @@ def _level_anchors(ds: AnchorDataset, split: LevelSplit):
         raise DomainError(f"anchor level {label!r} holds rows with different anchor values")
     if ds.level_codes is not None and np.unique(anchors[first]).size == len(first):
         return None
-    return ds.A[first]
+    return ds.anchor_matrix()[first]
 
 
 def cv_gamma(

@@ -308,7 +308,7 @@ def sample(
     anchor_levels = None
     if labels is not None:
         anchor_levels = {
-            int(lev): np.flatnonzero(labels == lev) for lev in np.unique(labels)
+            int(lev): np.flatnonzero(labels == lev) for lev in np.flatnonzero(np.bincount(labels))
         }
     return AnchorDataset(
         X=values[:, : scm.d],

@@ -298,7 +298,7 @@ def equal_weight_design(ds, gamma):
 
 
 def _qr_project(ds, values):
-    basis = numkern.orthonormal_range(ds.A)
+    basis = numkern.orthonormal_range(ds.anchor_matrix())
     return basis @ (basis.T @ values)
 
 
@@ -566,7 +566,8 @@ def whitened_projectability(model_or_ds):
         ds = model_or_ds
         x = ds.X - ds.X.mean(axis=0)
         y = ds.Y - ds.Y.mean()
-        a = ds.A - ds.A.mean(axis=0)
+        A = ds.anchor_matrix()
+        a = A - A.mean(axis=0)
         sax, say, gram = a.T @ x / ds.n, a.T @ y / ds.n, a.T @ a / ds.n
     holds = covariance_rank(sax) == covariance_rank(np.column_stack([sax, say]))
     vals, vecs = np.linalg.eigh(gram)
@@ -595,7 +596,7 @@ def subset_rows(ds, rows):
     return AnchorDataset(
         X=ds.X[rows],
         Y=ds.Y[rows],
-        A=ds.A[rows],
+        A=ds.anchor_matrix()[rows],
         anchor_levels=levels,
         predictor_names=ds.predictor_names,
         level_codes=None if ds.level_codes is None else ds.level_codes[rows],

@@ -983,3 +983,40 @@ def test_model_file_contract(command, spec):
         if isinstance(spec, bytes):  # not UTF-8
             assert code == 2, err
         assert _run_in(root, argv, "second") == first
+
+
+def test_no_subcommand_builds_the_level_block(tmp_path, monkeypatch):
+    # a lone categorical anchor is read as level codes: no fit, path, cv or
+    # rank, unpenalised or penalised, nor the equal-weight lasso, asks for
+    # its n x L indicator block
+    built = []
+
+    def refuse(ds):
+        built.append(ds.n)
+        raise AssertionError("the anchor block was built")
+
+    monkeypatch.setattr(datamodel.AnchorDataset, "anchor_matrix", refuse)
+    rng = numkern.make_rng(21)
+    n, d = 240, 3
+    codes = rng.integers(0, 8, n)
+    x = rng.standard_normal((8, d))[codes] + rng.standard_normal((n, d))
+    labels = codes.astype(str)
+    data, config = tmp_path / "levels.csv", _categorical_config(tmp_path)
+    ds = datamodel.from_levels(x, x @ [1.0, -0.5, 0.0] + rng.standard_normal(n), labels)
+    datamodel.write_csv(data, ds, anchor_labels=labels)
+    read = datamodel.read_csv(data, datamodel.load_column_config(config))
+    lam = 0.1 * sparse.lambda_max(read, 1.0)
+    files = ["--data", str(data), "--config", str(config)]
+    commands = [
+        ["fit", "--gamma", "2"],
+        ["fit", "--gamma", "2", "--standardize"],
+        ["path", "--grid", "0,1,4"],
+        ["cv", "--grid", "0.5,2", "--folds", "3", "--seed", "0"],
+        ["rank", "--grid", "0,4"],
+    ]
+    for penalty in (0.0, lam):
+        for j, argv in enumerate(commands):
+            run = [*argv, "--lambda", repr(penalty), *files]
+            assert _run_in(tmp_path, run, f"{penalty}-{j}")[:2] == (0, "")
+        assert sparse.fit_equal_weight_lasso(read, 2.0, penalty).coef.shape == (d,)
+    assert built == []

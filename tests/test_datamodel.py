@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ pytestmark = pytest.mark.filterwarnings("error")
 def _encode(labels):
     """The dummy block and the sorted levels that `from_levels` builds."""
     ds = from_levels(np.zeros((len(labels), 1)), np.zeros(len(labels)), labels)
-    return ds.A, tuple(ds.anchor_levels)
+    return ds.anchor_matrix(), tuple(ds.anchor_levels)
 
 
 class TestEncodeAnchors:
@@ -151,8 +152,9 @@ class TestCsv:
     def test_level_codes_index_the_indicator_columns(self, tmp_path):
         p = tmp_path / "toy.csv"
         ds = read_csv(p, self._write_fixture(p))
-        assert np.array_equal(ds.A[np.arange(ds.n), ds.level_codes], np.ones(ds.n))
-        assert np.array_equal(ds.A.sum(axis=1), np.ones(ds.n))
+        block = ds.anchor_matrix()
+        assert np.array_equal(block[np.arange(ds.n), ds.level_codes], np.ones(ds.n))
+        assert np.array_equal(block.sum(axis=1), np.ones(ds.n))
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "missing.csv"
@@ -209,7 +211,7 @@ class TestCsv:
             p, {"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]}
         )
         assert set(back.anchor_levels) == {"a", "b", "c"}
-        assert np.array_equal(back.A, ds.A)
+        assert np.array_equal(back.anchor_matrix(), ds.anchor_matrix())
 
 
 class TestPipelineIdentity:
@@ -220,7 +222,7 @@ class TestPipelineIdentity:
         labels = rng.choice(["p", "q", "r"], size=120)
         y = rng.standard_normal(120)
         ds = center(from_levels(rng.standard_normal((120, 1)), y, labels))
-        proj = numkern.AnchorProjection(ds.A).project(ds.Y)
+        proj = numkern.AnchorProjection(ds.anchor_matrix()).project(ds.Y)
         expected = oracles.groupwise_means(y, labels) - y.mean()
         assert np.max(np.abs(proj - expected)) < 1e-9
 
@@ -365,7 +367,7 @@ def _read_outcome(read, path, config):
         ds = read(path, config)
     except AnchorlabError as exc:
         return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
-    arrays = [ds.X, ds.Y, ds.A] + ([] if ds.level_codes is None else [ds.level_codes])
+    arrays = [ds.X, ds.Y, ds.anchor_matrix()] + ([] if ds.level_codes is None else [ds.level_codes])
     levels = None if ds.anchor_levels is None else [
         (label, rows.tolist()) for label, rows in ds.anchor_levels.items()
     ]
@@ -514,3 +516,68 @@ def test_write_csv_matches_csv_writer(tmp_path, labelled):
     path = tmp_path / "w.csv"
     write_csv(path, ds, anchor_labels=labels)
     assert path.read_bytes() == _csv_writer_reference(ds, labels)
+
+
+def _indicator(labels) -> np.ndarray:
+    """The n x L 0/1 block of per-row labels, a column per sorted label: the
+    anchor block a lone categorical anchor was once held as."""
+    labels = np.asarray(labels, dtype=str)
+    return (labels[:, None] == np.array(sorted(set(labels)))[None, :]).astype(float)
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLevelCodedAnchors:
+    """A lone categorical anchor is held as level codes, with no A; the block
+    is built on request, bitwise the block once held."""
+
+    CONFIG = {"response": "y", "anchors": [{"name": "env", "kind": "categorical"}]}
+
+    def _datasets(self, tmp_path, n=101):
+        rng = numkern.make_rng(11)
+        labels = rng.choice(["u", "v", "w", "x,y"], size=n)
+        x, y = rng.standard_normal((n, 2)), rng.standard_normal(n)
+        path = tmp_path / "levels.csv"
+        write_csv(path, from_levels(x, y, labels), anchor_labels=labels)
+        return labels, [from_levels(x, y, labels), read_csv(path, self.CONFIG)]
+
+    def test_anchor_matrix_is_the_indicator_block(self, tmp_path):
+        labels, datasets = self._datasets(tmp_path)
+        block = _indicator(labels)
+        for ds in datasets:
+            assert ds.A is None and ds.q == block.shape[1]
+            assert _same_bits(ds.anchor_matrix(), block)
+            centred = center(ds)
+            assert centred.A is None
+            assert _same_bits(centred.anchor_matrix(), block - block.mean(axis=0))
+
+    def test_write_csv_without_labels_writes_the_block(self, tmp_path):
+        labels, datasets = self._datasets(tmp_path)
+        block = _indicator(labels)
+        path = tmp_path / "out.csv"
+        for ds in datasets:
+            for shown, held in ((ds, block), (center(ds), block - block.mean(axis=0))):
+                write_csv(path, shown)
+                reference = AnchorDataset(X=shown.X, Y=shown.Y, A=held)
+                assert path.read_bytes() == _csv_writer_reference(reference)
+
+    def test_centred_read_allocates_no_block(self, tmp_path):
+        # 20 000 rows in 400 levels: the block alone would be n * L * 8 = 64 MB
+        n, levels = 20_000, 400
+        rng = numkern.make_rng(12)
+        labels = rng.integers(0, levels, n).astype(str)
+        path = tmp_path / "wide-levels.csv"
+        write_csv(path, from_levels(rng.standard_normal((n, 3)), rng.standard_normal(n), labels),
+                  anchor_labels=labels)
+        tracemalloc.start()
+        try:
+            ds = center(read_csv(path, self.CONFIG))
+            ds.moments
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = n * levels * 8
+        assert ds.q == levels
+        assert peak < block_bytes / 8

@@ -239,7 +239,7 @@ def _cv_empty_level(rng, d):
     levels = dict(ds.anchor_levels)
     levels["empty"] = np.array([], dtype=int)
     return AnchorDataset(
-        X=ds.X, Y=ds.Y, A=np.column_stack([ds.A, np.zeros(ds.n)]),
+        X=ds.X, Y=ds.Y, A=np.column_stack([ds.anchor_matrix(), np.zeros(ds.n)]),
         anchor_levels=levels, level_codes=ds.level_codes,
     )
 
@@ -329,7 +329,7 @@ def test_cv_needs_one_anchor_value_per_level(build):
     ds = build(numkern.make_rng(3), 2)
     label = sorted(ds.anchor_levels)[1]
     row = ds.anchor_levels[label][-1]
-    A, codes = ds.A.copy(), ds.level_codes
+    A, codes = ds.anchor_matrix().copy(), ds.level_codes
     if codes is None:
         A[row] += 1.0
     else:

@@ -245,7 +245,7 @@ class TestEqualWeight:
         ds = _level_ds(13)
         beta = np.arange(1.0, ds.d + 1.0)
         noiseless = AnchorDataset(
-            X=ds.X, Y=ds.X @ beta, A=ds.A, anchor_levels=ds.anchor_levels
+            X=ds.X, Y=ds.X @ beta, A=ds.anchor_matrix(), anchor_levels=ds.anchor_levels
         )
         assert oracles.equal_weight_objective(noiseless, beta, 5.0) == pytest.approx(0.0, abs=1e-20)
 
