@@ -296,10 +296,8 @@ def cmd_simulate(args) -> int:
     ds = scm_mod.sample(model, args.n, rng, shift=shift)
     out = _outdir(args)
     labels = None
-    if ds.anchor_levels is not None:
-        labels = np.empty(ds.n, dtype=object)
-        for label, idx in ds.anchor_levels.items():
-            labels[np.asarray(idx)] = str(label)
+    if ds.level_codes is not None:
+        labels = np.array([str(label) for label in ds.level_labels], dtype=object)[ds.level_codes]
     datamodel.write_csv(os.path.join(out, "data.csv"), ds, anchor_labels=labels)
     anchors = (
         [{"name": "env", "kind": "categorical"}]

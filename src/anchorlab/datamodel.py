@@ -47,33 +47,29 @@ def _level_codes(labels) -> tuple[np.ndarray, tuple]:
     return rank[rows], tuple(levels)
 
 
-def _level_rows(codes: np.ndarray, levels: tuple) -> dict:
-    return {lev: np.flatnonzero(codes == j) for j, lev in enumerate(levels)}
-
-
 @dataclass(frozen=True)
 class AnchorDataset:
     """Observations (X, Y, A) sharing n rows.
 
-    anchor_levels maps a level label to the row indices belonging to it; the
-    integer index sets partition range(n) when present (discrete anchors
-    only).
+    A discrete anchor is held once: row i is in the level labelled
+    `level_labels[level_codes[i]]`, and a label may hold no rows.
 
-    level_codes, when present, records that the anchor block is the 0/1
-    indicator matrix of these per-row column indices (before centering): the
-    anchor projection uses level sums, and A, None unless given, is built on
-    request by `anchor_matrix`, one column per anchor level.
+    Without A, the anchor block is the 0/1 indicator matrix of the level
+    codes (before centering): the anchor projection uses level sums, and the
+    block is built on request by `anchor_matrix`, one column per label. With
+    A, the codes only group the rows, as `scm.sample` groups the rows it
+    draws by their level.
     """
 
     X: np.ndarray
     Y: np.ndarray
     A: np.ndarray | None = None
-    anchor_levels: dict | None = None
     centered: bool = False
     x_means: np.ndarray | None = None
     y_mean: float = 0.0
     predictor_names: tuple = field(default=())
     level_codes: np.ndarray | None = None
+    level_labels: tuple | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -85,8 +81,8 @@ class AnchorDataset:
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "A", A)
         n = X.shape[0]
-        if A is None and (self.level_codes is None or self.anchor_levels is None):
-            raise ValueError("a dataset without A needs level codes and anchor levels")
+        if self.level_codes is None and (A is None or self.level_labels is not None):
+            raise ValueError("a dataset without A, or with level labels, needs level codes")
         # without A, the level-code check below covers the rows
         a_rows = n if A is None else A.shape[0]
         if Y.shape[0] != n or a_rows != n:
@@ -99,24 +95,17 @@ class AnchorDataset:
                 "predictor_names",
                 tuple(f"x{j + 1}" for j in range(X.shape[1])),
             )
-        if self.anchor_levels is not None:
-            # n integer indices, each in range(n) and each row hit, are a permutation
-            parts = [np.asarray(ix) for ix in self.anchor_levels.values()]
-            rows = np.concatenate([ix for ix in parts if ix.size] or [np.zeros(0, int)])
-            hit = np.zeros(n, dtype=bool)
-            ok = rows.dtype.kind in "iu" and rows.size == n
-            if ok and n and 0 <= rows.min() and rows.max() < n:
-                hit[rows] = True
-            if not (ok and hit.all()):
-                raise ValueError("anchor level index sets must partition the rows")
         if self.level_codes is not None:
             codes = np.asarray(self.level_codes)
             if (
-                codes.shape != (n,)
+                self.level_labels is None
+                or codes.shape != (n,)
                 or not np.issubdtype(codes.dtype, np.integer)
-                or (n and (codes.min() < 0 or codes.max() >= self.q))
+                or (n and (codes.min() < 0 or codes.max() >= len(self.level_labels)))
             ):
-                raise ValueError("level codes must be one column index of A per row")
+                raise ValueError("level codes must be one index into level_labels per row")
+            if len(set(self.level_labels)) < len(self.level_labels):
+                raise ValueError("level labels must be distinct")
 
     @property
     def n(self) -> int:
@@ -128,7 +117,18 @@ class AnchorDataset:
 
     @property
     def q(self) -> int:
-        return len(self.anchor_levels) if self.A is None else self.A.shape[1]
+        return len(self.level_labels) if self.A is None else self.A.shape[1]
+
+    @cached_property
+    def anchor_levels(self) -> dict | None:
+        """Each level label's row indices, ascending, derived from the codes:
+        a label with no rows maps to an empty array. None without codes."""
+        if self.level_codes is None:
+            return None
+        codes = np.asarray(self.level_codes, dtype=np.intp)
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(self.level_labels)))
+        return dict(zip(self.level_labels, np.split(order, ends[:-1])))
 
     def anchor_matrix(self) -> np.ndarray:
         """The n x q anchor block: A, or the 0/1 block of the level codes,
@@ -142,8 +142,8 @@ class AnchorDataset:
     @cached_property
     def projection(self) -> numkern.AnchorProjection:
         """Pi_A for this centred dataset, built on first use and shared by
-        every fit on it: level sums when the anchors carry level codes, else
-        one thin SVD of A."""
+        every fit on it: one thin SVD of A, or level sums when the level
+        codes stand for A."""
         if not self.centered:
             raise DomainError("the anchor projection needs a centred dataset")
         return numkern.AnchorProjection(self.A, self.level_codes)
@@ -215,17 +215,14 @@ class CentredLevels:
 
 
 class LevelSplit:
-    """[X Y] of a dataset by its anchor levels that hold rows, through the
-    level-code `numkern.AnchorProjection`: `on` holds sqrt(n_l) m_l, with m_l
-    the mean over the n_l rows of level l, and `off` each row less its
-    level's mean. Row i is in level `labels[codes[i]]`; `counts` holds n_l."""
+    """[X Y] of a dataset by its levels that hold rows, through the level-code
+    `numkern.AnchorProjection`: `on` holds sqrt(n_l) m_l, with m_l the mean
+    over the n_l rows of level l, and `off` each row less its level's mean.
+    Row i is in level `labels[codes[i]]`; `counts` holds n_l."""
 
     def __init__(self, ds: AnchorDataset):
-        self.labels = [label for label, rows in ds.anchor_levels.items() if len(rows)]
-        self.codes = np.empty(ds.n, dtype=np.intp)
-        for code, label in enumerate(self.labels):
-            self.codes[ds.anchor_levels[label]] = code
-        self.counts = np.bincount(self.codes, minlength=len(self.labels))
+        self.codes, present, self.counts = numkern.present_levels(ds.level_codes)
+        self.labels = [ds.level_labels[j] for j in present]
         self.predictor_names = ds.predictor_names
         data = np.column_stack([ds.X, ds.Y])
         self.on, self.off = numkern.anchor_split(numkern.AnchorProjection(None, self.codes), data)
@@ -253,11 +250,10 @@ def level_blocks(ds: AnchorDataset) -> list:
     """(label, rows) of each anchor level; EmptyLevel if there are none or one is empty."""
     if ds.anchor_levels is None:
         raise EmptyLevel("dataset carries no discrete anchor levels")
-    blocks = [(label, np.asarray(idx)) for label, idx in ds.anchor_levels.items()]
-    for label, idx in blocks:
+    for label, idx in ds.anchor_levels.items():
         if idx.size == 0:
             raise EmptyLevel(f"anchor level {label!r} has no rows")
-    return blocks
+    return list(ds.anchor_levels.items())
 
 
 def _parse_cell(text: str, row: int, col: str, kind: str) -> float:
@@ -369,23 +365,22 @@ def _dataset(cols: _Columns, numeric: dict, labels: dict) -> AnchorDataset:
     for j, name in enumerate(cols.predictors):
         X[:, j] = numeric[name]
     A = None if cols.categorical == [True] else np.zeros((n, sum(widths)))
-    anchor_levels = level_codes = None
+    level_codes = level_labels = None
     for name, cat, start in zip(cols.anchors, cols.categorical, np.cumsum([0, *widths[:-1]])):
         if not cat:
             A[:, start] = numeric[name]
             continue
-        codes, levels = labels[name]
         if A is None:
-            level_codes, anchor_levels = codes, _level_rows(codes, levels)
+            level_codes, level_labels = labels[name]
         else:
-            A[np.arange(n), start + codes] = 1.0
+            A[np.arange(n), start + labels[name][0]] = 1.0
     return AnchorDataset(
         X=X,
         Y=np.array(numeric[cols.response]),
         A=A,
-        anchor_levels=anchor_levels,
         predictor_names=tuple(cols.predictors),
         level_codes=level_codes,
+        level_labels=level_labels,
     )
 
 
@@ -557,4 +552,4 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
 def from_levels(X, Y, labels) -> AnchorDataset:
     """Build a discrete-anchor dataset from per-row level labels."""
     codes, levels = _level_codes(map(str, labels))
-    return AnchorDataset(X=X, Y=Y, anchor_levels=_level_rows(codes, levels), level_codes=codes)
+    return AnchorDataset(X=X, Y=Y, level_codes=codes, level_labels=levels)

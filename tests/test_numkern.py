@@ -7,8 +7,6 @@ from anchorlab.exceptions import DomainError, NotPositiveDefinite
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSolveSpd:
     def test_identity(self):

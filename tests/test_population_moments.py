@@ -20,8 +20,6 @@ from anchorlab.exceptions import ProjectabilityViolated
 
 import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GAMMAS = (0.0, 0.5, 1.0, 7.0, 1e3, math.inf)
 COEF_RTOL = 1e-9
 

