@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar
@@ -154,8 +155,9 @@ class AnchorDataset:
         as `numkern.moment_source` holds them for the l1 solver, which reads
         them a column at a time: no (d+1) x (d+1) matrix is formed for a
         dataset wider than long."""
+        projection = self.projection  # its SVD runs before [X Y] is copied
         data = np.column_stack([self.X, self.Y])
-        return numkern.moment_source(self.n, *numkern.anchor_split(self.projection, data))
+        return numkern.moment_source(self.n, *numkern.anchor_split(projection, data))
 
     @cached_property
     def moments(self) -> numkern.AnchorMoments:
@@ -246,13 +248,21 @@ class LevelSplit:
         return CentredLevels(n, mean.size - 1, self.predictor_names, mean[:-1], mean[-1], (on, off))
 
 
-def level_blocks(ds: AnchorDataset) -> list:
-    """(label, rows) of each anchor level; EmptyLevel if there are none or one is empty."""
-    if ds.anchor_levels is None:
+def level_counts(ds: AnchorDataset) -> np.ndarray:
+    """Each anchor level's row count, read from the codes; EmptyLevel if
+    there are no levels or one is empty, naming the first empty label."""
+    if ds.level_codes is None:
         raise EmptyLevel("dataset carries no discrete anchor levels")
-    for label, idx in ds.anchor_levels.items():
-        if idx.size == 0:
-            raise EmptyLevel(f"anchor level {label!r} has no rows")
+    counts = np.bincount(np.asarray(ds.level_codes, dtype=np.intp), minlength=len(ds.level_labels))
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise EmptyLevel(f"anchor level {ds.level_labels[empty[0]]!r} has no rows")
+    return counts
+
+
+def level_blocks(ds: AnchorDataset) -> list:
+    """(label, rows) of each anchor level; EmptyLevel as from `level_counts`."""
+    level_counts(ds)
     return list(ds.anchor_levels.items())
 
 
@@ -331,8 +341,9 @@ class _Columns:
         return [name for name, cat in zip(self.anchors, self.categorical) if cat]
 
 
-def _columns(header: list, n: int, config: dict) -> _Columns:
-    """Resolve `config` against a header of distinct names over n data rows."""
+def _columns(header: list, n: int | None, config: dict) -> _Columns:
+    """Resolve `config` against a header of distinct names over n data rows,
+    or over rows not yet counted when n is None."""
     response = config["response"]
     anchor_specs = config.get("anchors", [])
     drop = set(config.get("drop_columns", []))
@@ -343,7 +354,7 @@ def _columns(header: list, n: int, config: dict) -> _Columns:
             raise MissingColumn(name)
     if not anchor_specs:
         raise MissingColumn("at least one anchor column is required")
-    if n < 2:
+    if n is not None and n < 2:
         raise ParseError(f"need at least two data rows, found {n}", row=n + 1)
     predictors = [
         name for name in header if name != response and name not in anchors and name not in drop
@@ -400,6 +411,11 @@ def read_csv(path, config: dict) -> AnchorDataset:
     for, and every file with an error in it, goes through the per-cell
     parser (`_parse_strict`), which names the row and column of the first
     bad cell.
+
+    The numpy pass streams the file's lines into loadtxt, so at its peak it
+    holds loadtxt's table of every column and the X, Y and A copied from it:
+    about twice the bytes of X, Y and A for a numeric file. The per-cell
+    parser holds the file and its rows of cells.
     """
     _check_config(config)
     parsed = _parse_plain(path, config) or _parse_strict(path, config)
@@ -410,40 +426,45 @@ def _parse_plain(path, config: dict) -> tuple | None:
     """(columns, numeric, labels) of a CSV file from one np.loadtxt pass, or
     None where they could differ from the per-cell parser's.
 
-    loadtxt reads every header column, as a float for the response, the
-    predictors and the continuous anchors and as a string for the others,
-    and rejects a row whose cell count differs from the header's. The file
-    is left to the per-cell parser when it is not UTF-8, when its header
-    names repeat or `_columns` rejects it, when no data line is non-blank,
-    when loadtxt rejects it or skips a blank line, when a number is not
-    finite, and when the header or a string cell holds a quote: csv strips
-    quotes, loadtxt keeps them, and a quoted field that spans a line break
-    leaves one in some string cell. A number holding a quote already fails
-    to parse.
+    loadtxt takes the lines after the header straight from the open file,
+    counted as they pass, and no list of the lines is built. It reads every
+    header column, as a float for the response, the predictors and the
+    continuous anchors and as a string for the others, and rejects a row
+    whose cell count differs from the header's. The file is left to the
+    per-cell parser when it is not UTF-8, when its header names repeat or
+    `_columns` rejects it, when its first data line is blank or missing,
+    when loadtxt rejects it or skips a blank line, when it has fewer than
+    two data rows, when a number is not finite, and when the header or a
+    string cell holds a quote: csv strips quotes, loadtxt keeps them, and a
+    quoted field that spans a line break leaves one in some string cell. A
+    number holding a quote already fails to parse.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()  # split where csv.reader splits rows
-    except UnicodeDecodeError:
+    # a file that is not UTF-8 fails to decode, here or inside loadtxt, with
+    # a UnicodeDecodeError, which is a ValueError
+    with open(path, newline="", encoding="utf-8") as fh:  # split where csv.reader splits rows
+        try:
+            head = fh.readline()
+            header = head.rstrip("\r\n").split(",") if head else []
+            if len(set(header)) < len(header):
+                return None
+            cols = _columns(header, None, config)
+            # loadtxt warns on a body of blank lines, and skips a blank line
+            # anywhere else: a blank or missing first line is left here
+            first = fh.readline()
+            if not first.strip("\r\n"):
+                return None
+            floats = {cols.index[name] for name, _ in cols.numeric}
+            dtype = np.dtype([("", "f8" if j in floats else object) for j in range(len(header))])
+            counted = itertools.count()  # zip draws one number per line
+            lines = map(operator.itemgetter(0), zip(itertools.chain([first], fh), counted))
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (AnchorlabError, ValueError):
+            return None
+    # the body had next(counted) lines; a row short means a skipped blank line
+    if not 2 <= len(table) == next(counted):
         return None
-    header = lines[0].rstrip("\r\n").split(",") if lines else []
-    if len(set(header)) < len(header):
-        return None
-    try:
-        cols = _columns(header, len(lines) - 1, config)
-    except AnchorlabError:
-        return None
-    # loadtxt warns on a file of blank lines and reads nothing
-    if not any(line.strip("\r\n") for line in itertools.islice(lines, 1, None)):
-        return None
-    floats = {cols.index[name] for name, _ in cols.numeric}
-    dtype = np.dtype([("", "f8" if j in floats else object) for j in range(len(header))])
-    try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
-    except ValueError:
-        return None
-    strings = "".join({lines[0]}.union(*(table[f] for f in dtype.names if dtype[f] == object)))
-    if len(table) < len(lines) - 1 or '"' in strings:
+    strings = "".join({head}.union(*(table[f] for f in dtype.names if dtype[f] == object)))
+    if '"' in strings:
         return None
     numeric = {name: table[dtype.names[cols.index[name]]] for name, _ in cols.numeric}
     if not all(np.isfinite(column).all() for column in numeric.values()):
@@ -505,8 +526,11 @@ def _parse_strict(path, config: dict) -> tuple:
     return cols, numeric, labels
 
 
-# rows formatted per write call: one block is a few MB of text
-WRITE_BLOCK_ROWS = 8192
+# rows formatted per write call. A block's Python floats and row strings
+# fit in the interpreter's free pools; 8192 rows took about ten fresh 1 MiB
+# arenas, and a float that outlived the call kept one of them mapped, so a
+# process that wrote file after file grew by about 1 MB per file
+WRITE_BLOCK_ROWS = 1024
 # a label holding one of these is written by csv.writer, which quotes it
 _QUOTED = frozenset(',"\r\n')
 
@@ -519,22 +543,24 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
     column `env` of the labels as str(); a label holding a comma, a quote
     or a line break is quoted by csv.writer, and the header too goes
     through csv.writer.
+
+    Y, X and A are stacked one block of `WRITE_BLOCK_ROWS` rows at a time,
+    so beyond the dataset and the labels the writer holds one block, as
+    floats, as Python lists and as text.
     """
-    header = ["y", *ds.predictor_names]
+    names = ["y", *ds.predictor_names]  # the columns written as numbers
     blocks = [ds.Y, ds.X]
     if anchor_labels is not None:
-        header.append("env")
         labels = [str(label) for label in anchor_labels]
     else:
-        header.extend(f"a{j + 1}" for j in range(ds.q))
+        names.extend(f"a{j + 1}" for j in range(ds.q))
         blocks.append(ds.anchor_matrix())
-    values = np.column_stack(blocks)
-    row_format = ",".join([FLOAT_FORMAT] * values.shape[1])
+    row_format = ",".join([FLOAT_FORMAT] * len(names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(names if anchor_labels is None else [*names, "env"])
         for start in range(0, ds.n, WRITE_BLOCK_ROWS):
-            rows = values[start : start + WRITE_BLOCK_ROWS].tolist()
+            rows = np.column_stack([b[start : start + WRITE_BLOCK_ROWS] for b in blocks]).tolist()
             if anchor_labels is None:
                 fh.write("".join([row_format % tuple(row) + "\r\n" for row in rows]))
                 continue

@@ -94,7 +94,8 @@ class AnchorProjection:
 
     `coordinates` maps columns V to R with R'R = V' Pi_A V: the coefficients
     in an orthonormal basis of the span, or sqrt(n_l) times the level means
-    of the levels that occur. `expand` maps R back to Pi_A V.
+    of the levels that occur. `expand` maps R back to Pi_A V, or to the
+    slice `rows` of its rows.
     """
 
     def __init__(self, anchors: np.ndarray | None, codes: np.ndarray | None = None):
@@ -121,12 +122,12 @@ class AnchorProjection:
             out = sums / self._root_counts[:, None]
         return out if values.ndim > 1 else out[:, 0]
 
-    def expand(self, coords: np.ndarray) -> np.ndarray:
+    def expand(self, coords: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         if self._basis is not None:
-            return self._basis @ coords
+            return self._basis[rows] @ coords
         scale = self._root_counts if coords.ndim == 1 else self._root_counts[:, None]
-        return (coords / scale)[self._local]
+        return (coords / scale)[self._local[rows]]
 
     def project(self, values: np.ndarray) -> np.ndarray:
         return self.expand(self.coordinates(values))
@@ -197,12 +198,20 @@ class ColumnMoments:
         return float(resid @ resid)
 
 
+# rows of `anchor_split`'s expansion held at once
+SPLIT_BLOCK_ROWS = 8192
+
+
 def anchor_split(projection: AnchorProjection, data: np.ndarray):
     """(on, off): the anchor coordinates of `data` and its columns off the
-    anchor span, the latter in place of `data`, so that no second n-row copy
-    is held."""
+    anchor span, the latter in place of `data` and expanded a block of rows
+    at a time, so that no second n-row array is held. A last block of one
+    row joins the block before it: numpy multiplies a single row by another
+    BLAS routine, whose rounding can differ from the whole product's."""
     on = projection.coordinates(data)
-    data -= projection.expand(on)
+    starts = list(range(0, max(len(data) - 1, 1), SPLIT_BLOCK_ROWS))
+    for start, stop in zip(starts, starts[1:] + [len(data)]):
+        data[start:stop] -= projection.expand(on, slice(start, stop))
     return on, data
 
 

@@ -288,24 +288,31 @@ def sample(
     The anchor column is filled either way; under a shift it does not enter
     the system. A discrete anchor's rows also carry level codes over the
     levels drawn, labelled by their row in the model's level table.
+
+    The noise array becomes the inputs in place, so at its peak `sample`
+    holds the n x p inputs, the n x p mixed values and the n x q anchors
+    (or, while one is added, a draw's n x p term); the inputs are dropped
+    before the dataset is built.
     """
     if n < 1:
         raise DomainError("n must be positive")
     inv = scm.unmixing()
-    noise = rng.standard_normal((n, scm.p)) * scm.noise_scales
+    inputs = rng.standard_normal((n, scm.p))
+    inputs *= scm.noise_scales
     a_vals, labels = scm.anchor.draw(rng, n)
     if shift is None:
-        inputs = noise + a_vals @ scm.M.T
+        inputs += a_vals @ scm.M.T
     elif shift.vector is not None:
         if shift.vector.ndim != 1:
             raise DomainError("sample takes one shift vector, not a stack")
-        inputs = noise + shift.vector
+        inputs += shift.vector
     else:
         chol = np.linalg.cholesky(
             shift.covariance + 1e-15 * np.eye(scm.p) * max(np.trace(shift.covariance), 1.0)
         )
-        inputs = noise + rng.standard_normal((n, scm.p)) @ chol.T
+        inputs += rng.standard_normal((n, scm.p)) @ chol.T
     values = inputs @ inv.T
+    del inputs
     codes = drawn = None
     if labels is not None:
         codes, drawn, _ = numkern.present_levels(labels)

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import numkern
-from .datamodel import AnchorDataset, LevelSplit, center, level_blocks
+from .datamodel import AnchorDataset, LevelSplit, center, level_counts
 from .estimators import AnchorFit, fit_anchor
 from .exceptions import DomainError, NotPositiveDefinite
 
@@ -218,9 +218,9 @@ def _equal_weight_columns(ds: AnchorDataset):
     of k with n_l rows: the rows of its `LevelSplit`, so scaled. Off the
     anchor span plus gamma times on it, a residual's energy is then n times
     its equal-weight risk."""
-    level_blocks(ds)  # EmptyLevel unless every level holds rows
+    counts = level_counts(ds)  # EmptyLevel unless every level holds rows
     split = LevelSplit(ds)
-    weight = np.sqrt(ds.n / (split.counts.size * split.counts))
+    weight = np.sqrt(ds.n / (counts.size * counts))
     split.off *= weight[split.codes, None]
     return numkern.moment_source(ds.n, split.on * weight[:, None], split.off)
 

@@ -19,7 +19,9 @@ instead of as one stack per model, the equal-weight risk summed level
 by level (`equal_weight_objective`) instead of read from the
 level-reweighted moments, and a model's validation by an SVD of Id - B and a
 list-based sink peel (`svd_rule_inverse`, `sink_peel_acyclic`) instead of a
-norm certificate read from the inverse and an array peel.
+norm certificate read from the inverse and an array peel, and a sample
+mixed through a fresh array per step (`fresh_array_sample`) instead of in
+place on the noise.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
@@ -584,6 +586,27 @@ def level_rows(codes, labels):
     level-set dict that datasets stored before `anchor_levels` was derived
     from the codes."""
     return {label: np.flatnonzero(codes == j) for j, label in enumerate(labels)}
+
+
+def fresh_array_sample(model, n, rng, shift=None):
+    """(X, Y, A, level codes) of `scm.sample`'s draw, each step into an array
+    of its own: the scaled noise, the noise plus the anchor input, the shift
+    vector or the drawn covariance shift, and the mix of those inputs. Codes
+    number the drawn levels in ascending order."""
+    inv = model.unmixing()
+    noise = rng.standard_normal((n, model.p)) * model.noise_scales
+    a_vals, labels = model.anchor.draw(rng, n)
+    if shift is None:
+        inputs = noise + a_vals @ model.M.T
+    elif shift.vector is not None:
+        inputs = noise + shift.vector
+    else:
+        cov = shift.covariance
+        chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.p) * max(np.trace(cov), 1.0))
+        inputs = noise + rng.standard_normal((n, model.p)) @ chol.T
+    values = inputs @ inv.T
+    codes = None if labels is None else np.unique(labels, return_inverse=True)[1]
+    return values[:, : model.d], values[:, model.y_index], a_vals, codes
 
 
 def subset_rows(ds, rows):

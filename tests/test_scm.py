@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from functools import cached_property
 
@@ -95,6 +96,47 @@ class TestSampling:
     def test_n_validation(self):
         with pytest.raises(DomainError):
             sample(example_iv_chain(), 0, numkern.make_rng(0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shift", ["none", "vector", "covariance"])
+    @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+    def test_in_place_draw_matches_fresh_arrays(self, kind, shift, seed):
+        # mixing in place keeps the RNG order and every bit of the draw
+        model = random_scm(numkern.make_rng(100 + seed), d=3, r=1, q=2)
+        if kind == "discrete":
+            table = numkern.make_rng(seed).standard_normal((5, 2))
+            model = LinearScm(
+                d=model.d, r=model.r, B=model.B, M=model.M, noise_scales=model.noise_scales,
+                anchor=AnchorDistribution.discrete(table),
+            )
+        root = numkern.make_rng(200 + seed).standard_normal((model.p, model.p))
+        shift = {
+            "none": None,
+            "vector": Shift(vector=root[0]),
+            "covariance": Shift(covariance=root @ root.T),
+        }[shift]
+        ds = sample(model, 257, numkern.make_rng(seed), shift=shift)
+        want = oracles.fresh_array_sample(model, 257, numkern.make_rng(seed), shift=shift)
+        assert (ds.level_codes is None) == (want[-1] is None) == (kind == "gaussian")
+        for got, expected in zip((ds.X, ds.Y, ds.A, ds.level_codes), want):
+            if expected is not None:
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_sample_peak_memory(self):
+        # the inputs, the mixed values and the anchors, with room for a
+        # draw's term: the fresh-array formula held about 8 n (3p + q + 1)
+        n, p, q = 20_000, 12, 10
+        rng = numkern.make_rng(9)
+        model = random_scm(rng, d=9, r=2, q=q)
+        assert model.p == p
+        tracemalloc.start()
+        try:
+            sample(model, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (2 * p + q + 4)
 
 
 class TestPopulationCovariance:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from anchorlab import numkern, scm, sparse
-from anchorlab.datamodel import AnchorDataset, center, from_levels
+from anchorlab.datamodel import AnchorDataset, center, from_levels, level_blocks
 from anchorlab.estimators import fit_anchor
 from anchorlab.exceptions import DomainError, EmptyLevel, InvalidConfig
 from anchorlab.sparse import (
@@ -287,8 +287,24 @@ class TestEqualWeight:
 
     def test_missing_levels_rejected(self):
         ds = _random_ds(18)
-        with pytest.raises(EmptyLevel):
+        with pytest.raises(EmptyLevel, match="^dataset carries no discrete anchor levels$"):
             fit_equal_weight_lasso(ds, 1.0, 0.1)
+
+    def test_empty_level_rejected_by_its_first_label(self):
+        # labels "b" and "d" hold no rows: the error names "b", as
+        # `level_blocks` does
+        ds = _level_ds(19)
+        codes = np.asarray(ds.level_codes) * 2
+        ds = AnchorDataset(X=ds.X, Y=ds.Y, level_codes=codes, level_labels=tuple("abcde"))
+        with pytest.raises(EmptyLevel, match="^anchor level 'b' has no rows$"):
+            level_blocks(ds)
+        with pytest.raises(EmptyLevel, match="^anchor level 'b' has no rows$"):
+            fit_equal_weight_lasso(ds, 1.0, 0.1)
+
+    def test_fit_leaves_the_level_dict_unbuilt(self):
+        ds = center(_level_ds(20))
+        fit_equal_weight_lasso(ds, 2.0, 0.1)
+        assert "anchor_levels" not in ds.__dict__
 
     def test_population_equal_weight_is_uniform_worst_case(self):
         # nonuniform level probabilities: the equal-weight risk equals the
