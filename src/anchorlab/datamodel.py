@@ -131,14 +131,18 @@ class AnchorDataset:
         ends = np.cumsum(np.bincount(codes, minlength=len(self.level_labels)))
         return dict(zip(self.level_labels, np.split(order, ends[:-1])))
 
-    def anchor_matrix(self) -> np.ndarray:
-        """The n x q anchor block: A, or the 0/1 block of the level codes,
-        built on each call and centred when the dataset is. No fit reads it."""
+    def anchor_matrix(self, rows: slice = slice(None)) -> np.ndarray:
+        """The anchor block's `rows`: A, or the 0/1 block of the level codes,
+        built on each call and centred when the dataset is, by each level's
+        share of all n rows. No fit reads it."""
         if self.A is not None:
-            return self.A
-        block = np.zeros((self.n, self.q))
-        block[np.arange(self.n), self.level_codes] = 1.0
-        return block - block.mean(axis=0) if self.centered else block
+            return self.A[rows]
+        codes = self.level_codes[rows]
+        block = np.zeros((codes.size, self.q))
+        block[np.arange(codes.size), codes] = 1.0
+        if self.centered:
+            block -= np.bincount(self.level_codes, minlength=self.q) / self.n
+        return block
 
     @cached_property
     def projection(self) -> numkern.AnchorProjection:
@@ -545,27 +549,30 @@ def write_csv(path, ds: AnchorDataset, anchor_labels=None) -> None:
     through csv.writer.
 
     Y, X and A are stacked one block of `WRITE_BLOCK_ROWS` rows at a time,
-    so beyond the dataset and the labels the writer holds one block, as
-    floats, as Python lists and as text.
+    and a level-coded anchor's indicator rows are built for that block
+    alone, so beyond the dataset and the labels the writer holds one block,
+    as floats, as Python lists and as text.
     """
     names = ["y", *ds.predictor_names]  # the columns written as numbers
-    blocks = [ds.Y, ds.X]
     if anchor_labels is not None:
         labels = [str(label) for label in anchor_labels]
     else:
         names.extend(f"a{j + 1}" for j in range(ds.q))
-        blocks.append(ds.anchor_matrix())
     row_format = ",".join([FLOAT_FORMAT] * len(names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names if anchor_labels is None else [*names, "env"])
         for start in range(0, ds.n, WRITE_BLOCK_ROWS):
-            rows = np.column_stack([b[start : start + WRITE_BLOCK_ROWS] for b in blocks]).tolist()
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            parts = [ds.Y[block], ds.X[block]]
+            if anchor_labels is None:
+                parts.append(ds.anchor_matrix(block))
+            rows = np.column_stack(parts).tolist()
             if anchor_labels is None:
                 fh.write("".join([row_format % tuple(row) + "\r\n" for row in rows]))
                 continue
             lines = []
-            for row, label in zip(rows, labels[start : start + WRITE_BLOCK_ROWS]):
+            for row, label in zip(rows, labels[block]):
                 if _QUOTED.isdisjoint(label):
                     lines.append(f"{row_format % tuple(row)},{label}\r\n")
                 else:

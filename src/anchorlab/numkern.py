@@ -140,15 +140,18 @@ class AnchorMoments:
     A dataset and a LinearScm (its population moments) both carry them.
 
     on:       R = coordinates of Z, so that R'R = Z' Pi_A Z;
-    gram_on:  R'R;
+    gram_on:  R'R, formed from `on` when first read, never passed;
     gram_off: Z'(Id - Pi_A)Z, formed from the residual columns. Forming it as
               Z'Z - gram_on instead loses the digits that anchors explaining
               most of Z leave in the residual.
     """
 
     on: np.ndarray
-    gram_on: np.ndarray
     gram_off: np.ndarray
+
+    @cached_property
+    def gram_on(self) -> np.ndarray:
+        return self.on.T @ self.on
 
     def column(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column k of gram_off and of gram_on (their row k: both are symmetric)."""
@@ -217,7 +220,7 @@ def anchor_split(projection: AnchorProjection, data: np.ndarray):
 
 def anchor_moments(on: np.ndarray, off: np.ndarray) -> AnchorMoments:
     """The whole Gram blocks of an (on, off) split."""
-    return AnchorMoments(on=on, gram_on=on.T @ on, gram_off=off.T @ off)
+    return AnchorMoments(on=on, gram_off=off.T @ off)
 
 
 def moment_source(n: int, on: np.ndarray, off: np.ndarray):

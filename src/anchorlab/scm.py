@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -209,12 +209,25 @@ class LinearScm:
         return self.d
 
     @cached_property
+    def parents(self) -> np.ndarray:
+        """The model's graph over its p + q nodes, (X, Y, H) then the
+        anchors, read-only: entry [k, l] is true when node l is a parent of
+        node k, from B off its diagonal (self-cycles are dropped) and from M.
+        Anchors have no parents."""
+        p = self.p
+        graph = np.zeros((p + self.q, p + self.q), dtype=bool)
+        graph[:p, :p] = self.B != 0
+        graph[:p, p:] = self.M != 0
+        np.fill_diagonal(graph, False)
+        graph.flags.writeable = False
+        return graph
+
+    @cached_property
     def is_acyclic(self) -> bool:
-        """Whether the graph of B has no directed cycle; self-cycles
-        (diagonal entries) are allowed and ignored. Sinks are peeled off a
-        round at a time (Kahn's sort), each row of B read once."""
-        edges = self.B != 0
-        edges.flat[:: self.p + 1] = False
+        """Whether the graph of B has no directed cycle; self-cycles are
+        ignored. Sinks are peeled off a round at a time (Kahn's sort), each
+        row of the (X, Y, H) block of `parents` read once."""
+        edges = self.parents[: self.p, : self.p]
         children = edges.sum(axis=0)
         sinks = (children == 0).nonzero()[0]
         peeled = 0
@@ -347,7 +360,7 @@ def _population_moments(scm, anchor, kappa, xi_cov, noise_cov) -> numkern.Anchor
     if xi_cov is not None:
         q = root.shape[0]
         shocks = shocks + scm.M @ np.asarray(xi_cov, float).reshape(q, q) @ scm.M.T
-    return numkern.AnchorMoments(on=on, gram_on=on.T @ on, gram_off=inv @ shocks @ inv.T)
+    return numkern.AnchorMoments(on=on, gram_off=inv @ shocks @ inv.T)
 
 
 def population_anchor(scm: LinearScm, gamma: float) -> np.ndarray:
@@ -390,27 +403,27 @@ class PerturbationSet:
 
     gamma: float
     bound: np.ndarray
-    _eigvals: np.ndarray = field(repr=False, default=None)
-    _eigvecs: np.ndarray = field(repr=False, default=None)
-    _keep: np.ndarray = field(repr=False, default=None)
 
-    def __post_init__(self):
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors, kept) of `bound`: `kept` masks the
+        eigenvalues above RANK_TOL times the largest, which span range(Q)."""
         vals, vecs = np.linalg.eigh(self.bound)
-        object.__setattr__(self, "_eigvals", vals)
-        object.__setattr__(self, "_eigvecs", vecs)
-        object.__setattr__(self, "_keep", vals > RANK_TOL * max(float(vals.max()), 1e-300))
+        return vals, vecs, vals > RANK_TOL * max(float(vals.max()), 1e-300)
 
     @property
     def half(self) -> np.ndarray:
         """Q^{1/2} on range(Q), sqrt(lambda_k) v_k over the kept eigenpairs."""
-        return self._eigvecs[:, self._keep] * np.sqrt(self._eigvals[self._keep])
+        vals, vecs, keep = self._eigen
+        return vecs[:, keep] * np.sqrt(vals[keep])
 
     def contains(self, v, tol: float = 1e-9):
         """v is inside iff v lies in range(Q) and v' Q^+ v <= 1, per row of a stack."""
+        vals, vecs, keep = self._eigen
         v = np.asarray(v, dtype=float)
-        coords = v @ self._eigvecs
-        off_range = np.abs(coords[..., ~self._keep]).max(axis=-1, initial=0.0)
-        quad = np.sum(coords[..., self._keep] ** 2 / self._eigvals[self._keep], axis=-1)
+        coords = v @ vecs
+        off_range = np.abs(coords[..., ~keep]).max(axis=-1, initial=0.0)
+        quad = np.sum(coords[..., keep] ** 2 / vals[keep], axis=-1)
         in_range = off_range <= tol * np.maximum(1.0, np.sqrt(np.vecdot(v, v)))
         return numkern.unstack(in_range & (quad <= 1.0 + tol))
 
@@ -511,80 +524,65 @@ def total_causal_effect(scm: LinearScm) -> np.ndarray:
 
 # --- graph machinery -------------------------------------------------------
 
-def graph_parents(scm: LinearScm) -> list:
-    """Parent lists over nodes 0..p-1 = (X, Y, H) and p..p+q-1 = anchors.
-
-    Self-cycles are dropped; anchors never have parents.
-    """
-    p, q = scm.p, scm.q
-    parents = [set() for _ in range(p + q)]
-    for k in range(p):
-        for l in range(p):
-            if k != l and scm.B[k, l] != 0.0:
-                parents[k].add(l)
-        for j in range(q):
-            if scm.M[k, j] != 0.0:
-                parents[k].add(p + j)
-    return [sorted(s) for s in parents]
+def _reach(adj: np.ndarray, start: np.ndarray, blocked: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the nodes reached from the `start` mask by steps from node k
+    to each l with adj[k, l], never entering a `blocked` node; the start
+    nodes that are not blocked count as reached. On `LinearScm.parents` a
+    step goes to a parent, on its transpose to a child."""
+    open_ = np.ones(len(adj), dtype=bool) if blocked is None else ~blocked
+    seen = frontier = start & open_
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & open_ & ~seen
+        seen = seen | frontier
+    return seen
 
 
-def _children(parents: list) -> list:
-    """Child lists of the graph with these parent lists."""
-    children = [[] for _ in parents]
-    for node, pars in enumerate(parents):
-        for par in pars:
-            children[par].append(node)
-    return children
+def _node_mask(scm: LinearScm, nodes) -> np.ndarray:
+    """Mask over the p + q nodes of the ids in `nodes`, or DomainError unless
+    each is an integer in 0..p+q-1."""
+    size = scm.p + scm.q
+    try:
+        ids = np.asarray(nodes)
+    except ValueError:  # ragged nesting
+        ids = None
+    if ids is None or ids.size and (
+        ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= size
+    ):
+        raise DomainError(f"node ids must be integers in 0..{size - 1}, got {nodes!r}")
+    mask = np.zeros(size, dtype=bool)
+    mask[ids.astype(np.intp)] = True
+    return mask
 
 
 def d_separated(scm: LinearScm, first, second, given=()) -> bool:
-    """Bayes-ball reachability on the induced directed graph.
+    """Whether `given` d-separates the node sets `first` and `second`, read
+    on the moral ancestral graph (Lauritzen, Dawid, Larsen & Leimer 1990):
+    the ancestors of all three sets, with the parents of each common child
+    joined, must leave no node of `second` reachable from `first` once the
+    nodes of `given` are removed. A node in `given` is separated from all.
 
     Node ids: 0..d-1 the predictors, d the response, d+1..p-1 the hidden
     variables, p..p+q-1 the anchors.
     """
     if not scm.is_acyclic:
         raise CyclicGraph("d-separation is defined on acyclic graphs only")
-    parents = graph_parents(scm)
-    children = _children(parents)
-    first = {int(v) for v in np.atleast_1d(first)}
-    second = {int(v) for v in np.atleast_1d(second)}
-    conditioned = {int(v) for v in np.atleast_1d(given)} if len(np.atleast_1d(given)) else set()
+    first, second, given = (_node_mask(scm, nodes) for nodes in (first, second, given))
+    ancestral = scm.parents & _reach(scm.parents, first | second | given)[:, None]
+    moral = ancestral | ancestral.T | (ancestral.T @ ancestral)
+    return not (_reach(moral, first, given) & second).any()
 
-    # nodes with a conditioned descendant (colliders these open)
-    has_cond_desc = set(conditioned)
-    frontier = list(conditioned)
-    while frontier:
-        node = frontier.pop()
-        for par in parents[node]:
-            if par not in has_cond_desc:
-                has_cond_desc.add(par)
-                frontier.append(par)
 
-    # ball states: (node, direction); direction "up" = entered from a child
-    visited = set()
-    queue = [(s, "up") for s in first]
-    while queue:
-        node, direction = queue.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in conditioned and node in second:
-            return False
-        if direction == "up":
-            if node not in conditioned:
-                for par in parents[node]:
-                    queue.append((par, "up"))
-                for child in children[node]:
-                    queue.append((child, "down"))
-        else:  # entered from a parent
-            if node not in conditioned:
-                for child in children[node]:
-                    queue.append((child, "down"))
-            if node in has_cond_desc:
-                for par in parents[node]:
-                    queue.append((par, "up"))
-    return True
+def _hidden_confounder(scm: LinearScm) -> bool:
+    """Whether some hidden node is a common cause of X and Y: it has a
+    directed path into some X_k and one into Y that runs through no X."""
+    children = scm.parents.T
+    nodes = np.arange(len(children))
+    predictors = nodes < scm.d
+    return any(
+        _reach(children, nodes == h, predictors)[scm.y_index]
+        and _reach(children, nodes == h)[predictors].any()
+        for h in range(scm.d + 1, scm.p)
+    )
 
 
 def anchor_stability_causal_check(
@@ -603,8 +601,7 @@ def anchor_stability_causal_check(
         raise AssumptionViolated("graph must be acyclic", which="acyclic")
     if not scm.moments.path.consistent:
         raise AssumptionViolated("projectability fails", which="projectability")
-    shifted = {k for k in range(scm.d) if np.any(scm.M[k, :] != 0.0)}
-    if shifted != set(range(scm.d)):
+    if not scm.parents[: scm.d, scm.p :].any(axis=1).all():
         raise AssumptionViolated(
             "every predictor needs a direct anchor shift", which="anchor_coverage"
         )
@@ -630,29 +627,8 @@ def anchor_stability_causal_check(
         report["total_effect"] = effect
         report["effect_gap"] = float(np.max(np.abs(b_zero - effect)))
         report["matches_total_effect"] = report["effect_gap"] < tol * scale
-        # a hidden confounder is a common cause: a directed path into some
-        # X_k plus a directed path into Y that does not run through X
-        predictors = frozenset(range(scm.d))
-        children = _children(graph_parents(scm))
-        report["hidden_confounder"] = any(
-            _has_directed_path(children, h, scm.y_index, blocked=predictors)
-            and any(_has_directed_path(children, h, k) for k in range(scm.d))
-            for h in range(scm.d + 1, scm.p)
-        )
+        report["hidden_confounder"] = _hidden_confounder(scm)
     return report
-
-
-def _has_directed_path(children: list, source: int, target: int, blocked=frozenset()) -> bool:
-    seen, stack = set(), [source]
-    while stack:
-        node = stack.pop()
-        for child in children[node]:
-            if child == target:
-                return True
-            if child not in seen and child not in blocked:
-                seen.add(child)
-                stack.append(child)
-    return False
 
 
 # --- serialization ---------------------------------------------------------

@@ -4,8 +4,10 @@ These deliberately use different algorithms than the production code:
 accelerated proximal gradient and cyclic coordinate descent instead of
 feature-sign steps on Gram columns, active-set solves by QR of the n-row
 columns instead of Cholesky-tested solves of the Gram, explicit QR least
-squares instead of Cholesky, undirected-trail enumeration instead of
-Bayes-ball, a per-fit projection instead of cached anchor moments,
+squares instead of Cholesky, parent lists read entry by entry from B and M
+(`graph_parents`) with undirected-trail enumeration and directed-path
+enumeration (`hidden_confounder_by_paths`) instead of reaches over the
+model's parent matrix, a per-fit projection instead of cached anchor moments,
 population covariance blocks, lstsq particular solutions and a
 self-relative rank test instead of the population anchor moments, and the
 row-wise objective and structural worst-case risk instead of the residual
@@ -707,17 +709,72 @@ def chi2_1_quantile_bisection(alpha, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def graph_parents(model):
+    """Parent lists over nodes 0..p-1 = (X, Y, H) and p..p+q-1 = anchors,
+    read entry by entry from B and M. Self-cycles are dropped; anchors never
+    have parents."""
+    p, q = model.p, model.q
+    parents = [set() for _ in range(p + q)]
+    for k in range(p):
+        for l in range(p):
+            if k != l and model.B[k, l] != 0.0:
+                parents[k].add(l)
+        for j in range(q):
+            if model.M[k, j] != 0.0:
+                parents[k].add(p + j)
+    return [sorted(s) for s in parents]
+
+
+def child_lists(parents):
+    """Child lists of the graph with these parent lists."""
+    children = [[] for _ in parents]
+    for node, pars in enumerate(parents):
+        for par in pars:
+            children[par].append(node)
+    return children
+
+
+def directed_paths(parents, source):
+    """Every simple directed path that leaves `source`, as a node list."""
+    children = child_lists(parents)
+    paths, stack = [], [[source]]
+    while stack:
+        path = stack.pop()
+        for child in children[path[-1]]:
+            if child not in path:
+                paths.append(path + [child])
+                stack.append(path + [child])
+    return paths
+
+
+def descendants(parents, node):
+    """The nodes at the end of some directed path from `node`."""
+    return {path[-1] for path in directed_paths(parents, node)}
+
+
+def hidden_confounder_by_paths(model):
+    """Whether some hidden node has a directed path into some X_k and one
+    into Y through no X, each path enumerated."""
+    parents = graph_parents(model)
+    for h in range(model.d + 1, model.p):
+        paths = directed_paths(parents, h)
+        into_x = any(path[-1] < model.d for path in paths)
+        into_y = any(
+            path[-1] == model.y_index and all(node > model.d for node in path[1:-1])
+            for path in paths
+        )
+        if into_x and into_y:
+            return True
+    return False
+
+
 def d_separated_bruteforce(parents, first, second, given):
     """Trail enumeration over all simple undirected paths.
 
     `parents` is a list of parent lists over node ids. Two sets are
     d-separated given a conditioning set iff no connecting trail is active.
     """
-    n = len(parents)
-    children = [[] for _ in range(n)]
-    for node, pars in enumerate(parents):
-        for par in pars:
-            children[par].append(node)
+    children = child_lists(parents)
     given = set(given)
 
     ancestors_of_given = set(given)

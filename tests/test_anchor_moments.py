@@ -320,3 +320,12 @@ def test_one_qr_per_centred_dataset(qr_calls):
 def test_projection_needs_a_centred_dataset():
     with pytest.raises(ValueError):
         _continuous(numkern.make_rng(3), 2).projection
+
+
+def test_gram_on_is_derived_from_on():
+    # the on-anchor Gram is read from the coordinates, never passed beside them
+    on = numkern.make_rng(30).standard_normal((5, 3))
+    moments = numkern.AnchorMoments(on=on, gram_off=np.eye(3))
+    assert moments.gram_on.tobytes() == (on.T @ on).tobytes()
+    with pytest.raises(TypeError):
+        numkern.AnchorMoments(on=on, gram_on=np.eye(3), gram_off=np.eye(3))

@@ -653,6 +653,25 @@ class TestLevelCodedAnchors:
                 reference = AnchorDataset(X=shown.X, Y=shown.Y, A=held)
                 assert path.read_bytes() == _csv_writer_reference(reference)
 
+    def test_write_csv_without_labels_builds_no_whole_block(self, tmp_path, monkeypatch):
+        # blocks of 64 rows against 2 000 rows in 200 levels: the writer
+        # holds one block, as floats, lists and text, never the whole
+        # n * L indicator block
+        monkeypatch.setattr(datamodel, "WRITE_BLOCK_ROWS", 64)
+        n, levels = 2_000, 200
+        rng = numkern.make_rng(12)
+        labels = rng.integers(0, levels, n).astype(str)
+        ds = from_levels(rng.standard_normal((n, 3)), rng.standard_normal(n), labels)
+        block_bytes = n * levels * 8
+        for shown in (ds, center(ds)):
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "wide-levels.csv", shown)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < block_bytes / 2
+
     def test_centred_read_allocates_no_block(self, tmp_path):
         # 20 000 rows in 400 levels: the block alone would be n * L * 8 = 64 MB
         n, levels = 20_000, 400

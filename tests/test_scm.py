@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anchorlab import numkern
+from anchorlab import numkern, scm
 from anchorlab.batteries import random_acyclic_matrix, random_scm, random_stable_scm
 from anchorlab.exceptions import (
     AssumptionViolated,
@@ -19,13 +20,13 @@ from anchorlab.exceptions import (
 from anchorlab.scm import (
     AnchorDistribution,
     LinearScm,
+    PerturbationSet,
     ReplicabilityScenario,
     Shift,
     anchor_stability_causal_check,
     d_separated,
     example_confounder_shift,
     example_iv_chain,
-    graph_parents,
     load_scm,
     perturbation_set,
     population_anchor,
@@ -334,6 +335,11 @@ class TestPerturbationSet:
         with pytest.raises(DomainError, match="nonnegative and finite"):
             perturbation_set(example_iv_chain(), gamma)
 
+    def test_eigenpairs_are_not_fields(self):
+        # the eigenpairs come from the bound alone; no caller can pass them
+        with pytest.raises(TypeError):
+            PerturbationSet(1.0, np.eye(2), _eigvals=np.ones(2))
+
     def test_boundary_points_members(self):
         model = example_confounder_shift()
         pset = perturbation_set(model, 2.0)
@@ -563,7 +569,7 @@ class TestDSeparation:
         cases = 0
         while cases < 200:
             model = random_scm(rng, d=3, r=2, q=1, density=0.4)
-            parents = graph_parents(model)
+            parents = oracles.graph_parents(model)
             nodes = len(parents)
             first = int(rng.integers(nodes))
             second = int(rng.integers(nodes))
@@ -582,6 +588,54 @@ class TestDSeparation:
             ref = oracles.d_separated_bruteforce(parents, [first], [second], given)
             assert ours == ref, (model.B, model.M, first, second, given)
             cases += 1
+
+    def test_node_sets_against_bruteforce_oracle(self):
+        # sets of one or two nodes, anchors on either side, and conditioning
+        # sets that hold an ancestor or a descendant of a collider
+        rng = numkern.make_rng(27)
+        seen = collections.Counter()
+        for _ in range(500):
+            q = int(rng.integers(1, 3))
+            model = random_scm(rng, d=3, r=2, q=q, density=float(rng.uniform(0.1, 0.5)))
+            parents = oracles.graph_parents(model)
+            nodes = [int(v) for v in rng.permutation(len(parents))]
+            k1, k2, k3 = (int(k) for k in rng.integers([1, 1, 0], [3, 3, 4]))
+            first, second = nodes[:k1], nodes[k1 : k1 + k2]
+            given = nodes[k1 + k2 : k1 + k2 + k3]
+            ours = d_separated(model, first, second, given)
+            assert ours == oracles.d_separated_bruteforce(parents, first, second, given), (
+                model.B, model.M, first, second, given,
+            )
+            below = {node: oracles.descendants(parents, node) for node in range(len(parents))}
+            colliders = [node for node, pars in enumerate(parents) if len(pars) > 1]
+            seen["separated" if ours else "connected"] += 1
+            seen["two-node set"] += len(first) + len(second) > 2
+            seen["anchor first"] += max(first) >= model.p
+            seen["anchor second"] += max(second) >= model.p
+            seen["collider ancestor given"] += any(c in below[g] for g in given for c in colliders)
+            seen["collider descendant given"] += any(
+                g in below[c] for g in given for c in colliders
+            )
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
+
+    def test_parent_matrix_matches_parent_lists(self):
+        rng = numkern.make_rng(28)
+        for _ in range(50):
+            model = random_scm(rng, d=2, r=2, q=2, density=0.6)
+            graph = model.parents
+            assert not graph.flags.writeable
+            assert [graph[k].nonzero()[0].tolist() for k in range(len(graph))] == (
+                oracles.graph_parents(model)
+            )
+
+    @pytest.mark.parametrize("bad", [[-1], [0.5], [7]])
+    @pytest.mark.parametrize("side", range(3))
+    def test_node_ids_must_be_nodes(self, bad, side):
+        # example_iv_chain has the 4 nodes X, Y, H, A
+        sets = [[3], [1], [0]]
+        sets[side] = bad
+        with pytest.raises(DomainError, match="node ids"):
+            d_separated(example_iv_chain(), *sets)
 
 
 class TestStabilityCausalCheck:
@@ -619,6 +673,19 @@ class TestStabilityCausalCheck:
         report = anchor_stability_causal_check(model)
         assert report["stable"]
         assert not report["hidden_confounder"]
+
+
+class TestHiddenConfounder:
+    def test_against_path_enumeration(self):
+        rng = numkern.make_rng(29)
+        flags = collections.Counter()
+        for _ in range(300):
+            q = int(rng.integers(1, 3))
+            model = random_scm(rng, d=3, r=2, q=q, density=float(rng.uniform(0.2, 0.8)))
+            flag = scm._hidden_confounder(model)
+            assert flag == oracles.hidden_confounder_by_paths(model), (model.B, model.M)
+            flags[flag] += 1
+        assert min(flags[True], flags[False]) >= 30, flags
 
 
 class TestSerialization:
