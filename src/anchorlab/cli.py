@@ -113,6 +113,8 @@ def _parse_float_list(text: str, name: str) -> list:
                 out.append(float(piece))
             except ValueError:
                 raise InvalidConfig(f"cannot parse {name} value {piece!r}") from None
+            if name == "shift" and not math.isfinite(out[-1]):
+                raise InvalidConfig(f"shift components must be finite, got {piece!r}")
     return out
 
 

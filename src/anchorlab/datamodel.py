@@ -56,7 +56,7 @@ class AnchorDataset:
     `level_labels[level_codes[i]]`, and a label may hold no rows.
 
     Without A, the anchor block is the 0/1 indicator matrix of the level
-    codes (before centering): the anchor projection uses level sums, and the
+    codes (before centering): the anchor split uses level sums, and the
     block is built on request by `anchor_matrix`, one column per label. With
     A, the codes only group the rows, as `scm.sample` groups the rows it
     draws by their level.
@@ -145,23 +145,16 @@ class AnchorDataset:
         return block
 
     @cached_property
-    def projection(self) -> numkern.AnchorProjection:
-        """Pi_A for this centred dataset, built on first use and shared by
-        every fit on it: one thin SVD of A, or level sums when the level
-        codes stand for A."""
-        if not self.centered:
-            raise DomainError("the anchor projection needs a centred dataset")
-        return numkern.AnchorProjection(self.A, self.level_codes)
-
-    @cached_property
     def gram_columns(self):
-        """[X Y] on and off the anchor span, split once per dataset and held
-        as `numkern.moment_source` holds them for the l1 solver, which reads
-        them a column at a time: no (d+1) x (d+1) matrix is formed for a
-        dataset wider than long."""
-        projection = self.projection  # its SVD runs before [X Y] is copied
-        data = np.column_stack([self.X, self.Y])
-        return numkern.moment_source(self.n, *numkern.anchor_split(projection, data))
+        """[X Y] on and off the anchor span of this centred dataset, split
+        once by `numkern.anchor_split` (one thin SVD of A, or level sums when
+        the level codes stand for A) and held as `numkern.moment_source`
+        holds them for the l1 solver, which reads them a column at a time:
+        no (d+1) x (d+1) matrix is formed for a dataset wider than long."""
+        if not self.centered:
+            raise DomainError("the anchor split needs a centred dataset")
+        split = numkern.anchor_split([self.X, self.Y], self.A, self.level_codes)
+        return numkern.moment_source(self.n, *split)
 
     @cached_property
     def moments(self) -> numkern.AnchorMoments:
@@ -221,34 +214,33 @@ class CentredLevels:
 
 
 class LevelSplit:
-    """[X Y] of a dataset by its levels that hold rows, through the level-code
-    `numkern.AnchorProjection`: `on` holds sqrt(n_l) m_l, with m_l the mean
-    over the n_l rows of level l, and `off` each row less its level's mean.
-    Row i is in level `labels[codes[i]]`; `counts` holds n_l."""
+    """[X Y] of a dataset by its levels that hold rows, split by their level
+    codes (`numkern.anchor_split`): `on` holds sqrt(n_l) m_l, with m_l the
+    mean over the n_l rows of level l, and `off` each row less its level's
+    mean. Row i is in level `labels[codes[i]]`; `counts` holds n_l."""
 
     def __init__(self, ds: AnchorDataset):
         self.codes, present, self.counts = numkern.present_levels(ds.level_codes)
         self.labels = [ds.level_labels[j] for j in present]
         self.predictor_names = ds.predictor_names
-        data = np.column_stack([ds.X, ds.Y])
-        self.on, self.off = numkern.anchor_split(numkern.AnchorProjection(None, self.codes), data)
+        self.on, self.off = numkern.anchor_split([ds.X, ds.Y], codes=self.codes)
 
     def centred(self, keep: np.ndarray, anchors: np.ndarray | None = None) -> CentredLevels:
         """The levels flagged in `keep`, centred at their mean m: on the span
         of their level means sqrt(n_l)(m_l - m), and off it their rows. With
-        `anchors`, one row per kept level, the span is theirs instead: one thin
-        SVD of the table centred and weighted as the coordinates are,
-        sqrt(n_l)(a_l - a), and the level-mean directions outside it join
-        the rows off it. EmptyInput, as from `center`, under two rows."""
+        `anchors`, one row per kept level, the span is theirs instead: the
+        level-mean table splits on the table centred and weighted as the
+        coordinates are, sqrt(n_l)(a_l - a), and its part off that span
+        joins the rows off it. EmptyInput, as from `center`, under two rows."""
         n = int(self.counts[keep].sum())
         _require_rows(n)
         root = np.sqrt(self.counts[keep])[:, None]
         mean = (root.T @ self.on[keep] / n)[0]
         on, off = self.on[keep] - root * mean, self.off[keep[self.codes]]
         if anchors is not None:
-            basis = numkern.orthonormal_range(root * (anchors - root.T @ (root * anchors) / n))
-            coords = basis.T @ on
-            on, off = coords, np.vstack([off, on - basis @ coords])
+            table = root * (anchors - root.T @ (root * anchors) / n)
+            on, rest = numkern.anchor_split([on], table)
+            off = np.vstack([off, rest])
         return CentredLevels(n, mean.size - 1, self.predictor_names, mean[:-1], mean[-1], (on, off))
 
 

@@ -7,7 +7,7 @@ The estimator solves
 with P the projection onto the anchor columns. gamma = 0 partials the
 anchors out, gamma = 1 is OLS, gamma -> infinity is two-stage least squares.
 
-Every fit projects through `AnchorDataset.projection`, built once per
+Every fit reads [X Y] through its one `numkern.anchor_split`, made once per
 centred dataset. The dense solves, the IV solve and the objectives read the
 data only through `AnchorDataset.moments` and its one factorisation, shared
 by all gamma values; a cv fold's `CentredLevels` holds the same moments.

@@ -21,8 +21,18 @@ from .exceptions import DomainError, InsufficientLevels, Underidentified
 from .scm import projectability_check
 
 
+def _quantile_levels(alphas) -> tuple:
+    """`alphas` as a tuple of floats; DomainError unless each lies in [0, 1]."""
+    alphas = tuple(float(a) for a in np.atleast_1d(alphas))
+    if not all(0.0 <= a <= 1.0 for a in alphas):  # NaN fails too
+        raise DomainError(f"quantile levels must lie in [0, 1], got {alphas}")
+    return alphas
+
+
 def nearest_rank_quantile(values: np.ndarray, alpha: float) -> float:
-    """Type-1 empirical quantile: the ceil(alpha * k)-th order statistic."""
+    """Type-1 empirical quantile: the ceil(alpha * k)-th order statistic;
+    DomainError unless alpha lies in [0, 1]."""
+    (alpha,) = _quantile_levels(alpha)
     values = np.sort(np.asarray(values, dtype=float))
     if values.size == 0:
         raise DomainError("quantile of empty sample")
@@ -46,12 +56,13 @@ def _residuals(ds: AnchorDataset, b) -> np.ndarray:
 
 
 def conditional_mse_quantiles(ds: AnchorDataset, b, alphas) -> ConditionalMseReport:
-    """Level-wise MSE of the residuals plus nearest-rank quantiles over levels."""
+    """Level-wise MSE of the residuals plus nearest-rank quantiles over levels;
+    DomainError unless each level in `alphas` lies in [0, 1]."""
+    alphas = _quantile_levels(alphas)
     blocks = level_blocks(ds)
     resid = _residuals(ds, b)
     level_mse = {label: float(np.mean(resid[idx] ** 2)) for label, idx in blocks}
     values = np.array(list(level_mse.values()))
-    alphas = tuple(float(a) for a in np.atleast_1d(alphas))
     quantiles = tuple(nearest_rank_quantile(values, a) for a in alphas)
     return ConditionalMseReport(level_mse=level_mse, alphas=alphas, quantiles=quantiles)
 
@@ -107,12 +118,13 @@ def cv_gamma(
     with no rows is left out. Every fold's training moments come from one
     `LevelSplit` of the data, so each level must hold one anchor value
     (DomainError otherwise); all gamma of a fold are scored in one product.
+    A quantile level outside [0, 1] is a DomainError, raised before any fit.
     """
     if ds.level_codes is None or len(ds.level_labels) < 2:
         raise InsufficientLevels("need at least two anchor levels")
     if folds < 2:
         raise InsufficientLevels("need at least two folds")
-    alphas = tuple(float(a) for a in np.atleast_1d(alphas))
+    alphas = _quantile_levels(alphas)
     gamma_grid = tuple(float(g) for g in np.atleast_1d(gamma_grid))
     fold_of_level = assign_level_folds(ds.level_labels, folds, seed)
     split = LevelSplit(ds)
@@ -125,8 +137,9 @@ def cv_gamma(
         coefs = np.stack([sparse.fit_anchor_lasso(train, g, lam).coef for g in gamma_grid])
         rows = held[split.codes]
         resid = ds.Y[rows, None] - ((ds.X[rows] - train.x_means) @ coefs.T + train.y_mean)
-        level_sums = numkern.AnchorProjection(None, split.codes[rows]).coordinates(resid**2)
-        level_mse = level_sums / np.sqrt(split.counts[held])[:, None]
+        # each held-out level's mean square: its sum over sqrt(n_l), twice
+        root = np.sqrt(split.counts[held])[:, None]
+        level_mse = numkern.level_sums(split.codes[rows], resid**2, held.size)[held] / root / root
         for j in range(len(gamma_grid)):
             sums[:, j] += [nearest_rank_quantile(level_mse[:, j], a) for a in alphas]
     curves = sums / folds

@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels on numpy alone: anchor projections and
+"""Deterministic numeric kernels on numpy alone: the anchor split and its
 moments, the one factorisation of the gamma path, SPD solves, quantiles, RNG.
 
 Everything here is a pure function on immutable inputs. Random sampling goes
@@ -17,7 +17,7 @@ from .exceptions import DomainError, NotPositiveDefinite, ProjectabilityViolated
 
 # The one numerical-rank rule: a singular value counts only above this
 # fraction of a spectral norm, that of the anchor block in `orthonormal_range`
-# (the projection) and that of the whitened design in `GammaPath` (the IV
+# (the anchor split) and that of the whitened design in `GammaPath` (the IV
 # limit); a residual counts only above it times the norm of [X Y].
 RANK_RTOL = 1e-10
 
@@ -82,55 +82,10 @@ def present_levels(codes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.cumsum(present) - 1)[codes], np.flatnonzero(present), counts[present]
 
 
-class AnchorProjection:
-    """The projection Pi_A onto the anchors' column span, never formed as n x n.
-
-    An anchor block takes one thin SVD (`orthonormal_range`). Without one,
-    integer `codes` stand for the 0/1 indicator matrix of those codes (each
-    row holds one 1, in column codes[i]), centred or not; Pi_A then replaces
-    each row by its level mean and no factorisation runs. For a centred
-    indicator block this holds on mean-zero columns, the only ones the
-    estimators project.
-
-    `coordinates` maps columns V to R with R'R = V' Pi_A V: the coefficients
-    in an orthonormal basis of the span, or sqrt(n_l) times the level means
-    of the levels that occur. `expand` maps R back to Pi_A V, or to the
-    slice `rows` of its rows.
-    """
-
-    def __init__(self, anchors: np.ndarray | None, codes: np.ndarray | None = None):
-        if anchors is not None:
-            self._basis = orthonormal_range(anchors)
-            return
-        self._basis = None
-        self._local, _, counts = present_levels(codes)
-        self._root_counts = np.sqrt(counts)
-
-    def coordinates(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        flat = values if values.ndim > 1 else values[:, None]
-        if self._basis is not None:
-            out = self._basis.T @ flat
-        else:
-            sums = np.stack(
-                [
-                    np.bincount(self._local, weights=col, minlength=self._root_counts.size)
-                    for col in flat.T
-                ],
-                axis=1,
-            )
-            out = sums / self._root_counts[:, None]
-        return out if values.ndim > 1 else out[:, 0]
-
-    def expand(self, coords: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if self._basis is not None:
-            return self._basis[rows] @ coords
-        scale = self._root_counts if coords.ndim == 1 else self._root_counts[:, None]
-        return (coords / scale)[self._local[rows]]
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        return self.expand(self.coordinates(values))
+def level_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, k): the sums of the k columns of `values` over the rows of each
+    code 0..size-1, row by row in order."""
+    return np.stack([np.bincount(codes, weights=col, minlength=size) for col in values.T], axis=1)
 
 
 @dataclass(frozen=True)
@@ -201,20 +156,42 @@ class ColumnMoments:
         return float(resid @ resid)
 
 
-# rows of `anchor_split`'s expansion held at once
+# rows of the anchor part `anchor_split` subtracts at once
 SPLIT_BLOCK_ROWS = 8192
 
 
-def anchor_split(projection: AnchorProjection, data: np.ndarray):
-    """(on, off): the anchor coordinates of `data` and its columns off the
-    anchor span, the latter in place of `data` and expanded a block of rows
-    at a time, so that no second n-row array is held. A last block of one
-    row joins the block before it: numpy multiplies a single row by another
-    BLAS routine, whose rounding can differ from the whole product's."""
-    on = projection.coordinates(data)
+def anchor_split(columns, anchors: np.ndarray | None = None, codes: np.ndarray | None = None):
+    """(on, off) of Z = np.column_stack(columns): its anchor coordinates R,
+    with R'R = Z' Pi_A Z, and Z - Pi_A Z, with Pi_A never formed as n x n.
+
+    An anchor block takes one thin SVD (`orthonormal_range`) before Z is
+    copied, and R holds Z's coefficients in its basis. Without one, integer
+    `codes` stand for the 0/1 indicator block of those codes (each row holds
+    one 1, in column codes[i]), centred or not: R holds sqrt(n_l) m_l, with
+    m_l the mean of Z over the n_l rows of level l, for the levels that hold
+    rows, and no factorisation runs. For a centred indicator block this holds
+    on mean-zero columns, the only ones the estimators split.
+
+    Z - Pi_A Z is formed in place of the copy Z, a block of rows at a time,
+    so that no second n-row array is held. A last block of one row joins the
+    block before it: numpy multiplies a single row by another BLAS routine,
+    whose rounding can differ from the whole product's.
+    """
+    basis = None if anchors is None else orthonormal_range(anchors)
+    data = np.column_stack(columns)
+    if basis is not None:
+        on = basis.T @ data
+    else:
+        local, _, counts = present_levels(codes)
+        root = np.sqrt(counts)[:, None]
+        on = level_sums(local, data, counts.size) / root
+        means = on / root
     starts = list(range(0, max(len(data) - 1, 1), SPLIT_BLOCK_ROWS))
     for start, stop in zip(starts, starts[1:] + [len(data)]):
-        data[start:stop] -= projection.expand(on, slice(start, stop))
+        if basis is None:
+            data[start:stop] -= means[local[start:stop]]
+        else:
+            data[start:stop] -= basis[start:stop] @ on
     return on, data
 
 

@@ -305,7 +305,8 @@ def sample(
     The noise array becomes the inputs in place, so at its peak `sample`
     holds the n x p inputs, the n x p mixed values and the n x q anchors
     (or, while one is added, a draw's n x p term); the inputs are dropped
-    before the dataset is built.
+    before the dataset is built. A drawn value that is not finite, as from
+    a NaN shift or one so large that the system overflows, is a DomainError.
     """
     if n < 1:
         raise DomainError("n must be positive")
@@ -313,19 +314,23 @@ def sample(
     inputs = rng.standard_normal((n, scm.p))
     inputs *= scm.noise_scales
     a_vals, labels = scm.anchor.draw(rng, n)
-    if shift is None:
-        inputs += a_vals @ scm.M.T
-    elif shift.vector is not None:
-        if shift.vector.ndim != 1:
-            raise DomainError("sample takes one shift vector, not a stack")
-        inputs += shift.vector
-    else:
-        chol = np.linalg.cholesky(
-            shift.covariance + 1e-15 * np.eye(scm.p) * max(np.trace(shift.covariance), 1.0)
-        )
-        inputs += rng.standard_normal((n, scm.p)) @ chol.T
-    values = inputs @ inv.T
+    # an overflow shows as a value that is not finite, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if shift is None:
+            inputs += a_vals @ scm.M.T
+        elif shift.vector is not None:
+            if shift.vector.ndim != 1:
+                raise DomainError("sample takes one shift vector, not a stack")
+            inputs += shift.vector
+        else:
+            chol = np.linalg.cholesky(
+                shift.covariance + 1e-15 * np.eye(scm.p) * max(np.trace(shift.covariance), 1.0)
+            )
+            inputs += rng.standard_normal((n, scm.p)) @ chol.T
+        values = inputs @ inv.T
     del inputs
+    if not np.isfinite(values).all():
+        raise DomainError("the draw overflows: a value of the system is not finite")
     codes = drawn = None
     if labels is not None:
         codes, drawn, _ = numkern.present_levels(labels)

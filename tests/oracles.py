@@ -315,11 +315,12 @@ def qr_gamma_transform(ds, gamma):
 
 
 def projection_gamma_transform(ds, gamma):
-    """The gamma-transform through the dataset's cached anchor projection
-    (level sums or one thin SVD), as the library formed it before every fit
-    read the moments."""
+    """The gamma-transform through the library's one anchor split (level
+    sums or one thin SVD), as the library formed it before every fit read
+    the moments."""
     ds = center(ds)
-    on = ds.projection.project(np.column_stack([ds.X, ds.Y]))
+    data = np.column_stack([ds.X, ds.Y])
+    on = data - numkern.anchor_split([data], ds.A, ds.level_codes)[1]
     on *= np.sqrt(gamma) - 1.0
     return ds.X + on[:, : ds.d], ds.Y + on[:, ds.d]
 
@@ -352,13 +353,12 @@ def qr_fit_anchor(ds, gamma):
 
 
 def row_anchor_objective(ds, b, gamma):
-    """Penalized criterion at b from the n-row residual, projected through
-    the dataset's anchor projection, as `anchor_objective` computed it
-    before it read the moments."""
+    """Penalized criterion at b from the n-row residual, split on and off
+    the anchor span by the library's one anchor split, as `anchor_objective`
+    computed it before it read the moments."""
     ds = center(ds)
-    resid = ds.Y - ds.X @ b
-    coords = ds.projection.coordinates(resid)
-    off_anchor = resid - ds.projection.expand(coords)
+    coords, off_anchor = numkern.anchor_split([ds.Y - ds.X @ b], ds.A, ds.level_codes)
+    coords, off_anchor = coords[:, 0], off_anchor[:, 0]
     return float(off_anchor @ off_anchor + gamma * (coords @ coords))
 
 

@@ -1,13 +1,14 @@
-"""The cached anchor projection and moments against the per-fit QR reference.
+"""The anchor split and moments against the per-fit QR reference.
 
-Every fit projects through `AnchorDataset.projection` (level sums for
-categorical anchors, one thin SVD for any other anchor block) and every dense fit
-solves from the Gram matrices in `AnchorDataset.moments`. These tests pin
-both to the QR-based estimator in `oracles` on every anchor kind the library
-builds.
+Every fit reads [X Y] through the one `numkern.anchor_split` of its centred
+dataset, `AnchorDataset.gram_columns` (level sums for categorical anchors,
+one thin SVD for any other anchor block), and every dense fit solves from
+the Gram matrices in `AnchorDataset.moments`. These tests pin both to the
+QR-based estimator in `oracles` on every anchor kind the library builds.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_coefficients_match_qr_reference(design, d, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_gamma_transform_matches_qr_reference(design, d, seed):
-    # the dataset's cached projection against a fresh QR basis: both round at
+    # the library's anchor split against a fresh QR basis: both round at
     # the scale of the data they project, which the transform multiplies by
     # sqrt(gamma) on the anchor span
     ds = center(DESIGNS[design](numkern.make_rng(seed), d))
@@ -160,13 +161,13 @@ def test_objective_matches_row_reference(design, d, seed, noiseless):
 
 def test_objectives_make_no_projection_call(monkeypatch):
     ds = center(_continuous(numkern.make_rng(4), 3))
-    ds.moments  # the one projection of this dataset
+    ds.moments  # the one anchor split of this dataset
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("objective projected the data again")
 
-    monkeypatch.setattr(numkern.AnchorProjection, "coordinates", refuse)
-    monkeypatch.setattr(numkern.AnchorProjection, "expand", refuse)
+    monkeypatch.setattr(numkern, "anchor_split", refuse)
+    monkeypatch.setattr(numkern, "level_sums", refuse)
     for gamma in GAMMAS[:-1]:
         fit = fit_anchor(ds, gamma)
         assert fit.objective == anchor_objective(ds, fit.coef, gamma)
@@ -317,9 +318,26 @@ def test_one_qr_per_centred_dataset(qr_calls):
     assert len(qr_calls) == 2
 
 
+def test_centred_dataset_keeps_no_basis_after_its_moments():
+    # the n x q basis of the anchor split is dropped once the moments are
+    # built: beyond its X, Y and A, the dataset holds d x d sized blocks
+    rng = numkern.make_rng(7)
+    n, q = 100_000, 10
+    raw = AnchorDataset(X=rng.standard_normal((n, 3)), Y=rng.standard_normal(n),
+                        A=rng.standard_normal((n, q)))
+    tracemalloc.start()
+    try:
+        ds = center(raw)
+        ds.moments
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - (ds.X.nbytes + ds.Y.nbytes + ds.A.nbytes) < 2**20
+
+
 def test_projection_needs_a_centred_dataset():
     with pytest.raises(ValueError):
-        _continuous(numkern.make_rng(3), 2).projection
+        _continuous(numkern.make_rng(3), 2).gram_columns
 
 
 def test_gram_on_is_derived_from_on():

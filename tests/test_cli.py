@@ -297,6 +297,29 @@ class TestSimulateVerify:
             outs.append((out / "data.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command, shift, code", [
+        ("simulate", "inf,0,0", 2),
+        ("simulate", "nan,0,0", 2),
+        ("simulate", "0,-inf,0", 2),
+        ("simulate", "1e308,1e308,0", 3),
+        ("path", "nan,0,0", 2),
+        ("path", "0,0,inf", 2),
+    ])
+    def test_non_finite_shift_writes_nothing(self, command, shift, code, tmp_path, capsys):
+        # a NaN or infinite component is an input error; a finite shift that
+        # overflows the draw is a numeric error, with no numpy warning
+        model_path = tmp_path / "m.json"
+        save_scm(model_path, example_iv_chain())
+        argv = ["--n", "50", "--seed", "1"] if command == "simulate" else ["--grid", "0,1,inf"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cli.main([command, "--scm", str(model_path), f"--shift={shift}", *argv,
+                            "--out", str(tmp_path / "o")])
+        assert got == code
+        assert caught == []
+        assert not (tmp_path / "o").exists()
+        assert "Warning" not in capsys.readouterr().err
+
     def test_verify_battery_passes(self, tmp_path, capsys):
         out = tmp_path / "verify"
         assert cli.main(["verify", "--seed", "7", "--out", str(out)]) == 0

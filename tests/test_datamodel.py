@@ -219,7 +219,7 @@ class TestPipelineIdentity:
         labels = rng.choice(["p", "q", "r"], size=120)
         y = rng.standard_normal(120)
         ds = center(from_levels(rng.standard_normal((120, 1)), y, labels))
-        proj = numkern.AnchorProjection(ds.anchor_matrix()).project(ds.Y)
+        proj = ds.Y - numkern.anchor_split([ds.Y], ds.anchor_matrix())[1][:, 0]
         expected = oracles.groupwise_means(y, labels) - y.mean()
         assert np.max(np.abs(proj - expected)) < 1e-9
 

@@ -87,8 +87,7 @@ class TestFitAnchor:
         rng = numkern.make_rng(80)
         b = rng.standard_normal(ds.d)
         resid = ds.Y - ds.X @ b
-        on = numkern.AnchorProjection(ds.A).project(resid)
-        off = resid - on
+        on, off = (part[:, 0] for part in numkern.anchor_split([resid], ds.A))
         assert resid @ resid == pytest.approx(on @ on + off @ off, abs=1e-8)
 
     def test_path_continuity(self):
@@ -103,7 +102,7 @@ class TestFitAnchor:
         ds = _random_ds(10)
         for gamma in (0.5, 2.0, 8.0):
             kappa = 1.0 - 1.0 / gamma
-            resid_maker = lambda v: v - numkern.AnchorProjection(ds.A).project(v)
+            resid_maker = lambda v: numkern.anchor_split([v], ds.A)[1]
             xk = ds.X - kappa * resid_maker(ds.X)
             fit = fit_anchor(ds, gamma)
             lhs = xk.T @ ds.X

@@ -77,6 +77,22 @@ class TestNearestRank:
             nearest_rank_quantile(np.array([]), 0.5)
 
 
+@pytest.mark.parametrize("alpha", [1.5, float("nan"), -0.5])
+def test_quantile_level_outside_the_unit_interval_is_a_domain_error(alpha, monkeypatch):
+    # raised by the quantile itself, and by cv before any fit
+    def refuse(*args, **kwargs):
+        raise AssertionError("fitted before the quantile levels were checked")
+
+    ds = scm.sample(heterogeneous_model(8), 400, numkern.make_rng(6))
+    monkeypatch.setattr(sparse, "fit_anchor_lasso", refuse)
+    with pytest.raises(DomainError):
+        nearest_rank_quantile(np.array([3.0, 1.0, 2.0]), alpha)
+    with pytest.raises(DomainError):
+        conditional_mse_quantiles(ds, np.zeros(ds.d), [0.5, alpha])
+    with pytest.raises(DomainError):
+        cv_gamma(ds, [0.5, alpha], (0.25, 1.0), folds=2, seed=0)
+
+
 class TestConditionalMse:
     def test_single_level_equals_overall(self):
         rng = numkern.make_rng(0)

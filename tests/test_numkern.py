@@ -59,20 +59,26 @@ class TestNonFiniteInput:
             numkern.orthonormal_range(a)
 
 
+def _project(anchors, values):
+    """Pi_A values as `anchor_split` leaves it: values less their part off
+    the anchor span."""
+    return values - numkern.anchor_split([values], anchors)[1].reshape(np.shape(values))
+
+
 class TestProjectColumns:
-    """`AnchorProjection(anchors).project`, the projection through one thin SVD."""
+    """`anchor_split(columns, anchors)`, the split through one thin SVD."""
 
     def test_ones_column_gives_means(self):
         rng = numkern.make_rng(3)
         v = rng.standard_normal((20, 3))
-        proj = numkern.AnchorProjection(np.ones((20, 1))).project(v)
+        proj = _project(np.ones((20, 1)), v)
         assert np.allclose(proj, np.broadcast_to(v.mean(axis=0), v.shape))
 
     def test_idempotent_on_column_space(self):
         rng = numkern.make_rng(4)
         a = rng.standard_normal((30, 4))
         v = a @ rng.standard_normal((4, 2))
-        assert np.max(np.abs(numkern.AnchorProjection(a).project(v) - v)) < 1e-10
+        assert np.max(np.abs(_project(a, v) - v)) < 1e-10
 
     def test_groupwise_mean_oracle(self):
         rng = numkern.make_rng(5)
@@ -80,7 +86,7 @@ class TestProjectColumns:
         dummies = np.zeros((60, 3))
         dummies[np.arange(60), groups] = 1.0
         y = rng.standard_normal(60)
-        proj = numkern.AnchorProjection(dummies).project(y)
+        proj = _project(dummies, y)
         assert np.max(np.abs(proj - oracles.groupwise_means(y, groups))) < 1e-10
 
     def test_rank_deficient_anchor_handled(self):
@@ -88,16 +94,16 @@ class TestProjectColumns:
         a = rng.standard_normal((25, 2))
         a = np.column_stack([a, a[:, 0] + a[:, 1]])  # exactly dependent
         v = rng.standard_normal(25)
-        once = numkern.AnchorProjection(a).project(v)
-        twice = numkern.AnchorProjection(a).project(once)
+        once = _project(a, v)
+        twice = _project(a, once)
         assert np.max(np.abs(once - twice)) < 1e-10
 
     def test_self_adjoint(self):
         rng = numkern.make_rng(7)
         a = rng.standard_normal((30, 3))
         u, v = rng.standard_normal(30), rng.standard_normal(30)
-        pu = numkern.AnchorProjection(a).project(u)
-        pv = numkern.AnchorProjection(a).project(v)
+        pu = _project(a, u)
+        pv = _project(a, v)
         assert abs(pu @ v - u @ pv) < 1e-9
 
     def test_rank_rule_is_the_singular_value_rule(self):
@@ -118,7 +124,7 @@ class TestProjectColumns:
         rng = numkern.make_rng(8)
         a = rng.standard_normal((40, 3))
         v = rng.standard_normal((40, 2))
-        resid = v - numkern.AnchorProjection(a).project(v)
+        resid = numkern.anchor_split([v], a)[1]
         assert np.max(np.abs(a.T @ resid)) < 1e-8
 
 
@@ -126,19 +132,29 @@ class TestProjectColumns:
 @pytest.mark.parametrize("coded", [False, True])
 def test_anchor_split_in_blocks_keeps_the_whole_product_bits(extra, coded):
     # one block more or less than whole, and a last block of one, two or
-    # three rows: the off-anchor rows equal data - expand(on) bit for bit
+    # three rows: the off-anchor rows equal data - Pi_A data, formed as one
+    # whole product, bit for bit, and the columns passed in are left as they are
     n = 2 * numkern.SPLIT_BLOCK_ROWS + extra
     rng = numkern.make_rng(10 + extra)
     data = rng.standard_normal((n, 11)) * 10.0 ** rng.integers(-3, 4, 11)
+    columns = [data[:, :4], data[:, 4:10], data[:, 10]]
+    before = data.copy()
     if coded:
-        proj = numkern.AnchorProjection(None, rng.integers(0, 40, n))
+        codes = rng.integers(0, 40, n)
+        local, _, counts = numkern.present_levels(codes)
+        root = np.sqrt(counts)[:, None]
+        on = numkern.level_sums(local, data, counts.size) / root
+        want = data - (on / root)[local]
+        got_on, off = numkern.anchor_split(columns, codes=codes)
     else:
         anchors = rng.standard_normal((n, 10))
-        proj = numkern.AnchorProjection(anchors - anchors.mean(axis=0))
-    on = proj.coordinates(data)
-    want = data - proj.expand(on)
-    got_on, off = numkern.anchor_split(proj, data)
-    assert off is data
+        anchors -= anchors.mean(axis=0)
+        basis = numkern.orthonormal_range(anchors)
+        on = basis.T @ data
+        want = data - basis @ on
+        got_on, off = numkern.anchor_split(columns, anchors)
+    assert off.shape == data.shape and off.flags.owndata
+    assert data.tobytes() == before.tobytes()
     assert got_on.tobytes() == on.tobytes()
     assert off.tobytes() == want.tobytes()
 

@@ -1,8 +1,10 @@
 """Every top-level function and class of the package is reached: its name is
 used somewhere in src/anchorlab, or, for a public one, `anchorlab.__all__`
-exports it, and README.md names each export. Code that only tests call
-belongs in the tests, a private `_name` too. Every top-level import of a
-module is used in that module, and importing the CLI loads no scipy module."""
+exports it, and README.md names each export. Every public method or property
+of a class is read as an attribute somewhere in src/anchorlab, or named in
+`PROTOCOL_METHODS`. Code that only tests call belongs in the tests, a private
+`_name` too. Every top-level import of a module is used in that module, and
+importing the CLI loads no scipy module."""
 
 import ast
 import os
@@ -17,10 +19,20 @@ PACKAGE = Path(anchorlab.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+# methods that scikit-learn, not the package, calls on an estimator
+PROTOCOL_METHODS = {
+    f"AnchorRegression.{name}" for name in ("get_params", "set_params", "fit", "predict", "score")
+}
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def unreached_names() -> dict:
     """{name: module file} of each top-level def or class that no name or
     attribute in the package uses and `__all__` does not list."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     defined = {
         node.name: module
         for module, tree in trees.items()
@@ -48,6 +60,32 @@ def test_every_public_definition_is_reached():
 def test_every_private_definition_is_reached():
     unreached = unreached_names().items()
     assert {name: module for name, module in unreached if name.startswith("_")} == {}
+
+
+def unread_members() -> dict:
+    """{class.member: module file} of each public method or property of a
+    top-level class whose name no attribute in the package reads and that
+    `PROTOCOL_METHODS` does not list."""
+    trees = _trees()
+    read = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return {
+        f"{cls.name}.{node.name}": module
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+        and f"{cls.name}.{node.name}" not in PROTOCOL_METHODS
+    }
+
+
+def test_every_public_method_is_read():
+    assert unread_members() == {}
 
 
 def test_readme_names_every_export():
