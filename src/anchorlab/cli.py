@@ -137,6 +137,17 @@ def _load_model(path) -> scm_mod.LinearScm:
         raise InvalidConfig(f"model file {path} is not UTF-8: {exc.reason}") from None
 
 
+def _parse_shift(text, model: scm_mod.LinearScm):
+    """The --shift vector as a Shift of `model`, or None without one; an
+    input error unless it has the model's p components, each finite."""
+    if text is None:
+        return None
+    vec = np.array(_parse_float_list(text, "shift"))
+    if vec.shape[0] != model.p:
+        raise InvalidConfig(f"--shift must have {model.p} components, got {vec.shape[0]}")
+    return scm_mod.Shift(vector=vec)
+
+
 def _outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -186,10 +197,10 @@ def cmd_path(args) -> int:
         raise InvalidConfig("--grid with gamma values is required for path")
     gammas = _parse_float_list(args.grid, "gamma")
     _require_finite_for_lasso(gammas, args.lam)
-    shift = None
-    if args.shift is not None:
-        shift = np.array(_parse_float_list(args.shift, "shift"))
+    if args.shift is not None and args.scm is None:
+        raise InvalidConfig("--shift needs --scm: it enters only the model's risks")
     model = _load_model(args.scm) if args.scm is not None else None
+    shift = None if model is None else _parse_shift(args.shift, model)
 
     rows = []
     if args.data is not None:
@@ -214,15 +225,10 @@ def cmd_path(args) -> int:
     header = ["gamma", *names]
     if model is not None:
         header += ["shift_risk", "worst_case_risk"]
-        if shift is not None and shift.shape[0] != model.p:
-            raise InvalidConfig(
-                f"--shift must have {model.p} components, got {shift.shape[0]}"
-            )
     for gamma, coef in zip(gammas, coefs):
         row = [gamma, *coef]
         if model is not None:
-            risk_shift = scm_mod.Shift(vector=shift) if shift is not None else None
-            row.append(scm_mod.shift_risk(model, coef, risk_shift))
+            row.append(scm_mod.shift_risk(model, coef, shift))
             row.append(
                 scm_mod.worst_case_risk(model, coef, gamma)
                 if gamma != math.inf
@@ -247,6 +253,8 @@ def cmd_cv(args) -> int:
     alphas = _parse_float_list(args.alpha, "alpha")
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise InvalidConfig(f"alpha levels must lie in [0, 1], got {args.alpha!r}")
+    if args.folds < 2:
+        raise InvalidConfig(f"folds must be at least 2, got {args.folds}")
     result = modelsel.cv_gamma(
         _load_dataset(args),
         alphas=alphas,
@@ -287,14 +295,7 @@ def cmd_simulate(args) -> int:
         raise InvalidConfig("--n must be a positive integer")
     model = _load_model(args.scm)
     rng = numkern.make_rng(args.seed)
-    shift = None
-    if args.shift is not None:
-        vec = np.array(_parse_float_list(args.shift, "shift"))
-        if vec.shape[0] != model.p:
-            raise InvalidConfig(
-                f"--shift must have {model.p} components, got {vec.shape[0]}"
-            )
-        shift = scm_mod.Shift(vector=vec)
+    shift = _parse_shift(args.shift, model)
     ds = scm_mod.sample(model, args.n, rng, shift=shift)
     out = _outdir(args)
     labels = None

@@ -159,10 +159,7 @@ class AnchorDataset:
     @cached_property
     def moments(self) -> numkern.AnchorMoments:
         """The whole blocks, for the dense solves."""
-        columns = self.gram_columns
-        if isinstance(columns, numkern.AnchorMoments):
-            return columns
-        return numkern.anchor_moments(columns.on, columns.off)
+        return numkern.whole_blocks(self.gram_columns)
 
 
 def _require_rows(n: int) -> None:
@@ -194,23 +191,21 @@ def center(ds: AnchorDataset) -> AnchorDataset:
 class CentredLevels:
     """Whole anchor levels of a dataset as the fits read a centred dataset,
     without its rows: their count n, the predictors' number d and names,
-    the means and `split`, the (on, off) split of the centred [X Y]."""
+    the means and `gram_columns`, the blocks of the (on, off) split of the
+    centred [X Y] as `numkern.moment_source` holds them. The rows off the
+    span are kept only when n <= d, where the l1 solver reads them."""
 
     n: int
     d: int
     predictor_names: tuple
     x_means: np.ndarray
     y_mean: float
-    split: tuple
+    gram_columns: numkern.AnchorMoments | numkern.ColumnMoments
     centered: ClassVar[bool] = True
 
     @cached_property
     def moments(self) -> numkern.AnchorMoments:
-        return numkern.anchor_moments(*self.split)
-
-    @cached_property
-    def gram_columns(self):
-        return numkern.moment_source(self.n, *self.split)
+        return numkern.whole_blocks(self.gram_columns)
 
 
 class LevelSplit:
@@ -231,17 +226,24 @@ class LevelSplit:
         `anchors`, one row per kept level, the span is theirs instead: the
         level-mean table splits on the table centred and weighted as the
         coordinates are, sqrt(n_l)(a_l - a), and its part off that span
-        joins the rows off it. EmptyInput, as from `center`, under two rows."""
+        joins the rows off it. The rows gathered here are dropped once
+        `numkern.moment_source` has formed their blocks, unless n <= d.
+        EmptyInput, as from `center`, under two rows."""
         n = int(self.counts[keep].sum())
         _require_rows(n)
         root = np.sqrt(self.counts[keep])[:, None]
         mean = (root.T @ self.on[keep] / n)[0]
-        on, off = self.on[keep] - root * mean, self.off[keep[self.codes]]
+        on, rest = self.on[keep] - root * mean, self.on[:0]  # no table rows
         if anchors is not None:
             table = root * (anchors - root.T @ (root * anchors) / n)
             on, rest = numkern.anchor_split([on], table)
-            off = np.vstack([off, rest])
-        return CentredLevels(n, mean.size - 1, self.predictor_names, mean[:-1], mean[-1], (on, off))
+        # the kept rows, then `rest`, in one block that the rows are gathered
+        # into: mode "clip" lets take write to `out`, which "raise" buffers
+        off = np.empty((n + len(rest), on.shape[1]))
+        np.take(self.off, np.flatnonzero(keep[self.codes]), axis=0, out=off[:n], mode="clip")
+        off[n:] = rest
+        columns = numkern.moment_source(n, on, off)
+        return CentredLevels(n, mean.size - 1, self.predictor_names, mean[:-1], mean[-1], columns)
 
 
 def level_counts(ds: AnchorDataset) -> np.ndarray:

@@ -103,6 +103,25 @@ def _level_anchors(ds: AnchorDataset, split: LevelSplit):
     return ds.A[first]
 
 
+def _held_out_level_mse(ds, split, table, held, gamma_grid, lam) -> np.ndarray:
+    """One fold of `cv_gamma`: each level flagged in `held` (rows) scored at
+    each gamma (columns) by its mean squared residual under the fit on the
+    other levels. Nothing of the fold outlives the call, and the held-out
+    residuals are formed in place."""
+    train = split.centred(~held, None if table is None else table[~held])
+    coefs = np.stack([sparse.fit_anchor_lasso(train, g, lam).coef for g in gamma_grid])
+    rows = held[split.codes]
+    centred = ds.X[rows]
+    centred -= train.x_means
+    resid = centred @ coefs.T
+    resid += train.y_mean
+    np.subtract(ds.Y[rows, None], resid, out=resid)
+    np.square(resid, out=resid)
+    # each held-out level's mean square: its sum over sqrt(n_l), twice
+    root = np.sqrt(split.counts[held])[:, None]
+    return numkern.level_sums(split.codes[rows], resid, held.size)[held] / root / root
+
+
 def cv_gamma(
     ds: AnchorDataset,
     alphas,
@@ -133,13 +152,7 @@ def cv_gamma(
     sums = np.zeros((len(alphas), len(gamma_grid)))
     for fold in range(folds):
         held = level_fold == fold
-        train = split.centred(~held, None if table is None else table[~held])
-        coefs = np.stack([sparse.fit_anchor_lasso(train, g, lam).coef for g in gamma_grid])
-        rows = held[split.codes]
-        resid = ds.Y[rows, None] - ((ds.X[rows] - train.x_means) @ coefs.T + train.y_mean)
-        # each held-out level's mean square: its sum over sqrt(n_l), twice
-        root = np.sqrt(split.counts[held])[:, None]
-        level_mse = numkern.level_sums(split.codes[rows], resid**2, held.size)[held] / root / root
+        level_mse = _held_out_level_mse(ds, split, table, held, gamma_grid, lam)
         for j in range(len(gamma_grid)):
             sums[:, j] += [nearest_rank_quantile(level_mse[:, j], a) for a in alphas]
     curves = sums / folds

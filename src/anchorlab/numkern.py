@@ -208,6 +208,14 @@ def moment_source(n: int, on: np.ndarray, off: np.ndarray):
     return anchor_moments(on, off) if n > off.shape[1] - 1 else ColumnMoments(on, off)
 
 
+def whole_blocks(source) -> AnchorMoments:
+    """The whole blocks of a `moment_source`, for the dense solves: the
+    source itself when it holds them, else formed from its split."""
+    if isinstance(source, AnchorMoments):
+        return source
+    return anchor_moments(source.on, source.off)
+
+
 def unstack(values):
     """The Python scalar of a one-row result, or the array of a stack's rows."""
     return values.item() if np.ndim(values) == 0 else values

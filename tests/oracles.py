@@ -27,9 +27,11 @@ place on the noise.
 
 The last section holds the Monte-Carlo risk-scaling experiment that the
 acceptance suite runs, and the equal-weight population risk it measures.
+`traced_peak` is the one tool of the memory bounds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -60,6 +62,16 @@ from anchorlab.scm import (
     worst_case_risk,
 )
 from anchorlab.sparse import fit_anchor_lasso, fit_equal_weight_lasso
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes that tracemalloc traced while fn ran): only
+    what fn allocates counts, not what was built before the call."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def qr_lstsq(design, response):

@@ -234,7 +234,8 @@ class TestPath:
         assert cli.main(["path", "--grid", "0,1", "--out", str(tmp_path / "x")]) == 2
 
     def test_model_and_data_disagree_on_d(self, tmp_path, capsys):
-        # rejected before any fit, as a --shift of the wrong length is
+        # rejected once the CSV is read, before any fit; a --shift of the
+        # wrong length is rejected earlier, before the CSV is read
         data, config = _tiny_files(tmp_path, "y,x1,a1\n1,2,0.5\n2,3,1\n3,1,2\n4,2,1\n")
         model = tmp_path / "m.json"
         save_scm(model, random_scm(numkern.make_rng(0), d=2))
@@ -242,6 +243,32 @@ class TestPath:
                          "--scm", str(model), "--grid", "0,1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "--scm models 2 predictors, --data has 1" in capsys.readouterr().err
+
+    def test_wrong_length_shift_is_rejected_before_any_read(
+        self, example2_files, tmp_path, monkeypatch, capsys
+    ):
+        # the model's three shift components fix the length as soon as it loads
+        calls = []
+        for module, name in ((datamodel, "read_csv"), (sparse, "fit_anchor_lasso")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        code = cli.main(["path", "--data", str(example2_files["data"]),
+                         "--config", str(example2_files["config"]),
+                         "--scm", str(example2_files["scm"]), "--grid", "0,1,4",
+                         "--shift", "1,0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "--shift must have 3 components, got 2" in capsys.readouterr().err
+        assert calls == []
+
+    def test_shift_without_model_is_rejected_before_any_read(self, tmp_path, capsys):
+        # only the model's risks read a shift; none of the input files exists
+        code, err, files = _run_in(tmp_path, ["path", "--data", str(tmp_path / "d.csv"),
+                                              "--config", str(tmp_path / "c.json"),
+                                              "--grid", "0,1", "--shift", "5,5,5,5"], "o")
+        assert code == 2
+        assert err.startswith("config error: --shift needs --scm")
+        assert files == {}
 
 
 class TestCv:
@@ -857,6 +884,9 @@ def test_exit_code_contract(inputs):
     (["cv", "--grid", "1", "--seed", "-1"], "seed"),
     (["simulate", "--n", "30", "--seed", "-1"], "seed"),
     (["verify", "--seed", "-1"], "seed"),
+    (["cv", "--grid", "1", "--folds", "1", "--seed", "0"], "folds"),
+    (["cv", "--grid", "1", "--folds", "0", "--seed", "0"], "folds"),
+    (["cv", "--grid", "1", "--folds", "-2", "--seed", "0"], "folds"),
 ])
 def test_bad_alpha_or_seed_is_rejected_before_reading(argv, name, tmp_path):
     # none of the input files exists: the value is rejected before any is read

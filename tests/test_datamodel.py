@@ -1,6 +1,5 @@
 import csv
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,12 +521,7 @@ def test_read_csv_peak_memory(tmp_path):
     path = tmp_path / "dense.csv"
     write_csv(path, ds)
     config = {"response": "y", "anchors": [{"name": f"a{j + 1}"} for j in range(10)]}
-    tracemalloc.start()
-    try:
-        read_csv(path, config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = oracles.traced_peak(lambda: read_csv(path, config))
     assert peak < 2.5 * 8 * n * 21
 
 
@@ -540,12 +534,7 @@ def test_gram_columns_peak_memory():
     ds = center(AnchorDataset(
         X=rng.standard_normal((n, d)), Y=rng.standard_normal(n), A=rng.standard_normal((n, q))
     ))
-    tracemalloc.start()
-    try:
-        ds.gram_columns
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = oracles.traced_peak(lambda: ds.gram_columns)
     assert peak < 8 * (n * (q + d + 1) + 2 * numkern.SPLIT_BLOCK_ROWS * (d + 1))
 
 
@@ -664,12 +653,7 @@ class TestLevelCodedAnchors:
         ds = from_levels(rng.standard_normal((n, 3)), rng.standard_normal(n), labels)
         block_bytes = n * levels * 8
         for shown in (ds, center(ds)):
-            tracemalloc.start()
-            try:
-                write_csv(tmp_path / "wide-levels.csv", shown)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = oracles.traced_peak(lambda: write_csv(tmp_path / "wide-levels.csv", shown))
             assert peak < block_bytes / 2
 
     def test_centred_read_allocates_no_block(self, tmp_path):
@@ -680,13 +664,13 @@ class TestLevelCodedAnchors:
         path = tmp_path / "wide-levels.csv"
         write_csv(path, from_levels(rng.standard_normal((n, 3)), rng.standard_normal(n), labels),
                   anchor_labels=labels)
-        tracemalloc.start()
-        try:
+
+        def read_centred():
             ds = center(read_csv(path, self.CONFIG))
             ds.moments
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return ds
+
+        ds, peak = oracles.traced_peak(read_centred)
         block_bytes = n * levels * 8
         assert ds.q == levels
         assert peak < block_bytes / 8

@@ -181,6 +181,25 @@ class TestCvGamma:
         cv_gamma(ds, [0.5], (0.0, 0.25, 1.0, 4.0), folds=4, seed=0)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("folds", [2, 5])
+    @pytest.mark.parametrize("held_a", [False, True])
+    def test_holds_one_fold_at_a_time(self, folds, held_a):
+        # beyond the dataset, built before tracing starts, cv holds the level
+        # split of [X Y] and one fold's training rows until their Gram is
+        # formed, or its held-out rows; keeping each fold's rows into the
+        # next fold came to 2.94 times the bytes of [X Y] (3.66 with A held,
+        # whose folds also copied their rows to append the level table's)
+        n, d, levels = 50_000, 10, 40
+        rng = numkern.make_rng(11)
+        labels = rng.integers(0, levels, n)
+        x = rng.standard_normal((levels, d))[labels] + rng.standard_normal((n, d))
+        ds = from_levels(x, x @ rng.standard_normal(d) + rng.standard_normal(n), labels)
+        if held_a:
+            ds = replace(ds, A=rng.standard_normal((levels, 5))[ds.level_codes])
+        grid = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+        _, peak = oracles.traced_peak(lambda: cv_gamma(ds, [0.5, 0.9], grid, folds, seed=1))
+        assert peak < 2.2 * 8 * n * (d + 1)
+
     def test_single_gamma_grid(self):
         rng = numkern.make_rng(6)
         ds = scm.sample(heterogeneous_model(8), 400, rng)

@@ -1,7 +1,6 @@
 import collections
 import math
 import re
-import tracemalloc
 import warnings
 from functools import cached_property
 
@@ -131,12 +130,7 @@ class TestSampling:
         rng = numkern.make_rng(9)
         model = random_scm(rng, d=9, r=2, q=q)
         assert model.p == p
-        tracemalloc.start()
-        try:
-            sample(model, n, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = oracles.traced_peak(lambda: sample(model, n, rng))
         assert peak < 8 * n * (2 * p + q + 4)
 
 

@@ -1,7 +1,6 @@
 import itertools
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,13 +186,9 @@ class TestCovarianceDescent:
         lam = 0.5 * lambda_max(_random_ds(30, n=20, d=2000), 1.0)
         # a fresh dataset, whose column source is built inside the window
         ds = _random_ds(30, n=20, d=2000)
-        tracemalloc.start()
-        try:
-            gram = sparse._AnchorGram(ds.gram_columns, 1.0)
-            b, _, converged = feature_sign(gram, lam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (b, _, converged), peak = oracles.traced_peak(
+            lambda: feature_sign(sparse._AnchorGram(ds.gram_columns, 1.0), lam)
+        )
         assert converged and np.count_nonzero(b) > 0
         assert peak < 0.05 * 8 * ds.d**2
 
@@ -417,12 +412,7 @@ class TestEqualWeightDescent:
         design, response = oracles.equal_weight_design(ds, 1.0)
         lam = 0.5 * float(np.max(np.abs(design.T @ response)))
         del design
-        tracemalloc.start()
-        try:
-            fit = fit_equal_weight_lasso(ds, 1.0, lam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fit, peak = oracles.traced_peak(lambda: fit_equal_weight_lasso(ds, 1.0, lam))
         assert fit.converged and np.count_nonzero(fit.coef) > 0
         assert peak < 0.05 * 8 * ds.d**2
 
